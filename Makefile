@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-json bench-baseline bench-compare causal-smoke pool-smoke memo-smoke compact-smoke modelcheck-smoke workload-smoke scale-smoke chaos clean
+.PHONY: all build test fmt check bench bench-baseline bench-compare causal-smoke pool-smoke compact-smoke modelcheck-smoke workload-smoke scale-smoke chaos clean
 
 all: build
 
@@ -24,11 +24,6 @@ chaos:
 # that the (mostly -j 1) unit tests would miss
 pool-smoke:
 	dune exec bin/turquois_lab.exe -- sigma --size 4 --runs 2 --rounds 40 -j 2 > /dev/null
-
-# memo smoke: the hot-path contract — every result must be bit-identical
-# with the single-run memoization off and on (exits non-zero otherwise)
-memo-smoke:
-	dune exec bin/turquois_lab.exe -- memocheck --quiet
 
 # compact smoke: the wire-compression contract — every scenario must
 # reach the same decisions with delta-compressed justification bundles
@@ -98,19 +93,13 @@ scale-smoke:
 	rm -f /tmp/turquois_scale_j1.txt /tmp/turquois_scale_j2.txt
 
 # the gate a PR must pass: formatting, a warning-clean build, all tests,
-# the chaos smoke sweep, the parallel-pool smoke, the memo smoke, the
-# compact-wire smoke, the causal-trace smoke, the model-checker smoke,
-# the workload smoke, the scaling smoke and the perf regression gate
-check: fmt build test chaos pool-smoke memo-smoke compact-smoke causal-smoke modelcheck-smoke workload-smoke scale-smoke bench-compare
+# the chaos smoke sweep, the parallel-pool smoke, the compact-wire
+# smoke, the causal-trace smoke, the model-checker smoke, the workload
+# smoke, the scaling smoke and the perf regression gate
+check: fmt build test chaos pool-smoke compact-smoke causal-smoke modelcheck-smoke workload-smoke scale-smoke bench-compare
 
 bench:
 	dune exec bench/main.exe -- --quick
-
-# regenerate the committed hot-path wall-clock baseline; the bench
-# itself fails if memoized and unmemoized results diverge, so this
-# doubles as the perf regression gate
-bench-json:
-	dune exec bench/main.exe -- --hotpath-baseline BENCH_pr5.json
 
 # regenerate the committed regression-gate baseline (run on the machine
 # that will run bench-compare; wall-clock sections are host-dependent)

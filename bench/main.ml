@@ -28,8 +28,6 @@ let micro = ref true
 let seed = ref 1000L
 let json_out = ref None
 let jobs = ref (Harness.Pool.default_jobs ())
-let pool_baseline = ref None
-let hotpath_baseline = ref None
 let baseline_out = ref None
 let compare_against = ref None
 let threshold = ref 0.5
@@ -107,18 +105,10 @@ let speclist =
     ( "--jobs",
       Arg.Set_int jobs,
       "N same as -j" );
-    ( "--pool-baseline",
-      Arg.String (fun f -> pool_baseline := Some f),
-      "FILE time a fixed grid sequentially and at -j N, write the comparison to \
-       FILE, and run nothing else" );
-    ( "--hotpath-baseline",
-      Arg.String (fun f -> hotpath_baseline := Some f),
-      "FILE time a fixed grid with the hot-path memoization off and on, assert \
-       bit-identical results, write the comparison to FILE, and run nothing else" );
     ( "--baseline-out",
       Arg.String (fun f -> baseline_out := Some f),
-      "FILE run the regression-gate grid (memoized, -j 1), write wall-clock and \
-       airtime baselines to FILE, and run nothing else" );
+      "FILE run the regression-gate grid (-j 1), write wall-clock and airtime \
+       baselines to FILE, and run nothing else" );
     ( "--compare",
       Arg.String (fun f -> compare_against := Some f),
       "FILE re-run the regression-gate grid and diff it against the baseline in \
@@ -479,189 +469,10 @@ let run_ablations () =
   print_string (Harness.Sweeps.render_ablations ~n:10 rows);
   print_newline ()
 
-(* --- pool baseline ---------------------------------------------------------- *)
-
-(* Wall-clock of one fixed grid, sequential vs -j N, as a committed
-   baseline for the run pool. The grid is the σ sweep at n=8 plus one
-   Table-1 cell — enough independent tasks (pool task = grid point /
-   repetition) for domains to matter on multi-core hosts. The row lists
-   and merged metrics are asserted identical across the two runs, so
-   the baseline doubles as an end-to-end determinism check. *)
-let run_pool_baseline file =
-  banner (Printf.sprintf "Pool baseline: sequential vs -j %d wall clock" !jobs);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let n = 8 in
-  let k = n - Net.Fault.max_f n in
-  let sweep j () =
-    Harness.Sweeps.sigma_sweep_merged ~n ~k ~runs_per_point:8 ~rounds:90 ~beyond:3
-      ~base_seed:!seed ~jobs:j ()
-  in
-  let cell j () =
-    Harness.Experiment.run_cell ~reps:12 ~base_seed:!seed ~jobs:j
-      {
-        Harness.Experiment.protocol = Harness.Runner.Turquois;
-        n = 7;
-        dist = Harness.Runner.Divergent;
-        load = Net.Fault.Failure_free;
-      }
-  in
-  (* warm the per-domain signature key caches so the first timed run
-     does not pay one-time key generation *)
-  ignore (cell 1 ());
-  let (rows_seq, metrics_seq), sweep_seq_s = time (sweep 1) in
-  let (rows_par, metrics_par), sweep_par_s = time (sweep !jobs) in
-  let cell_seq, cell_seq_s = time (cell 1) in
-  let cell_par, cell_par_s = time (cell !jobs) in
-  let identical =
-    rows_seq = rows_par && metrics_seq = metrics_par
-    && cell_seq.Harness.Experiment.summary = cell_par.Harness.Experiment.summary
-  in
-  if not identical then failwith "pool baseline: -j 1 and -j N results differ";
-  let section name seq par =
-    Obs.Json.Obj
-      [
-        ("grid", Obs.Json.String name);
-        ("sequential_s", Obs.Json.Float seq);
-        ("parallel_s", Obs.Json.Float par);
-        ("speedup", Obs.Json.Float (if par > 0.0 then seq /. par else 0.0));
-      ]
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "pool-baseline");
-        ("jobs", Obs.Json.Int !jobs);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("seed", Obs.Json.String (Int64.to_string !seed));
-        ("identical_results", Obs.Json.Bool identical);
-        ( "sections",
-          Obs.Json.List
-            [
-              section
-                (Printf.sprintf "sigma-sweep n=%d 8 runs/point 90 rounds" n)
-                sweep_seq_s sweep_par_s;
-              section "table1 turquois n=7 divergent 12 reps" cell_seq_s cell_par_s;
-            ] );
-      ]
-  in
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "sigma sweep: %.2f s sequential, %.2f s at -j %d\n\
-     table cell:  %.2f s sequential, %.2f s at -j %d\n\
-     results identical across jobs: %b\nwrote %s\n"
-    sweep_seq_s sweep_par_s !jobs cell_seq_s cell_par_s !jobs identical file
-
-(* --- hot-path baseline ------------------------------------------------------ *)
-
-(* Wall-clock of a fixed grid with the single-run fast path disabled vs
-   enabled. Everything runs at -j 1 so the comparison isolates the memo
-   layers (frame interning, proof-digest cache, shared key material)
-   from pool parallelism. The grid's rows, cell aggregates, chaos
-   report and merged metrics — minus the memo instrumentation counters
-   themselves — are asserted equal across the two passes, which is the
-   hot-path contract: the fast path may only change wall-clock time,
-   never a simulated result. The key caches are dropped before each
-   pass so both sides pay their own key generation. *)
-let run_hotpath_baseline file =
-  banner "Hot-path baseline: memoization off vs on wall clock (-j 1)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let n = 8 in
-  let k = n - Net.Fault.max_f n in
-  let sweep () =
-    Harness.Sweeps.sigma_sweep_merged ~n ~k ~runs_per_point:8 ~rounds:90 ~beyond:3
-      ~base_seed:!seed ~jobs:1 ()
-  in
-  let cell () =
-    Harness.Experiment.run_cell ~reps:12 ~base_seed:!seed ~jobs:1
-      {
-        Harness.Experiment.protocol = Harness.Runner.Turquois;
-        n = 7;
-        dist = Harness.Runner.Divergent;
-        load = Net.Fault.Failure_free;
-      }
-  in
-  let chaos () =
-    Harness.Chaos.run_chaos ~n:4 ~runs:20 ~jobs:1 ~seed:!seed ()
-  in
-  let pass memo f () =
-    Core.Intern.with_memo memo (fun () ->
-        Harness.Runner.clear_key_cache ();
-        time f)
-  in
-  Printf.printf "sigma sweep (unmemoized pass may take minutes)...\n%!";
-  let (rows_off, metrics_off), sweep_off_s = pass false sweep () in
-  let (rows_on, metrics_on), sweep_on_s = pass true sweep () in
-  let cell_off, cell_off_s = pass false cell () in
-  let cell_on, cell_on_s = pass true cell () in
-  let chaos_off, chaos_off_s = pass false chaos () in
-  let chaos_on, chaos_on_s = pass true chaos () in
-  let identical =
-    rows_off = rows_on
-    && Core.Intern.strip_metrics metrics_off = Core.Intern.strip_metrics metrics_on
-    && cell_off = cell_on
-    && chaos_off = chaos_on
-  in
-  if not identical then
-    failwith "hotpath baseline: memoized and unmemoized results differ";
-  let section name off on =
-    Obs.Json.Obj
-      [
-        ("grid", Obs.Json.String name);
-        ("unmemoized_s", Obs.Json.Float off);
-        ("memoized_s", Obs.Json.Float on);
-        ("speedup", Obs.Json.Float (if on > 0.0 then off /. on else 0.0));
-      ]
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "hotpath");
-        ("seed", Obs.Json.String (Int64.to_string !seed));
-        ("identical_results", Obs.Json.Bool identical);
-        ( "sections",
-          Obs.Json.List
-            [
-              section
-                (Printf.sprintf "sigma-sweep n=%d 8 runs/point 90 rounds" n)
-                sweep_off_s sweep_on_s;
-              section "table1 turquois n=7 divergent 12 reps" cell_off_s cell_on_s;
-              section "chaos n=4 20 runs" chaos_off_s chaos_on_s;
-            ] );
-      ]
-  in
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "sigma sweep: %.2f s unmemoized, %.2f s memoized (%.1fx)\n\
-     table cell:  %.2f s unmemoized, %.2f s memoized (%.1fx)\n\
-     chaos:       %.2f s unmemoized, %.2f s memoized (%.1fx)\n\
-     results identical with memoization on and off: %b\nwrote %s\n"
-    sweep_off_s sweep_on_s
-    (if sweep_on_s > 0.0 then sweep_off_s /. sweep_on_s else 0.0)
-    cell_off_s cell_on_s
-    (if cell_on_s > 0.0 then cell_off_s /. cell_on_s else 0.0)
-    chaos_off_s chaos_on_s
-    (if chaos_on_s > 0.0 then chaos_off_s /. chaos_on_s else 0.0)
-    identical file
-
 (* --- section 3c: regression gate ------------------------------------------ *)
 
 (* The regression-gate grid: a fast, fully deterministic slice of the
-   benchmark surface (memoized, -j 1). Wall-clock sections catch
+   benchmark surface (-j 1). Wall-clock sections catch
    performance regressions; the frame/byte/airtime counts of a
    representative run are bit-deterministic for a fixed seed, so any
    drift there signals a protocol behavior change — rebaseline
@@ -675,70 +486,69 @@ let gate_grid () =
   in
   let n = 8 in
   let k = n - Net.Fault.max_f n in
-  Core.Intern.with_memo true (fun () ->
-      Harness.Runner.clear_key_cache ();
-      let sweep_s =
-        time (fun () ->
-            Harness.Sweeps.sigma_sweep_merged ~n ~k ~runs_per_point:8 ~rounds:90
-              ~beyond:3 ~base_seed:!seed ~jobs:1 ())
-      in
-      let cell_s =
-        time (fun () ->
-            Harness.Experiment.run_cell ~reps:12 ~base_seed:!seed ~jobs:1
-              {
-                Harness.Experiment.protocol = Harness.Runner.Turquois;
-                n = 7;
-                dist = Harness.Runner.Divergent;
-                load = Net.Fault.Failure_free;
-              })
-      in
-      let chaos_s =
-        time (fun () -> Harness.Chaos.run_chaos ~n:4 ~runs:20 ~jobs:1 ~seed:!seed ())
-      in
-      let wl = ref None in
-      let workload_s =
-        time (fun () -> wl := Some (Harness.Workload.run (workload_base ())))
-      in
-      let wl = Option.get !wl in
-      let rep =
-        Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:7
-          ~dist:Harness.Runner.Divergent ~load:Net.Fault.Failure_free ~seed:!seed ()
-      in
-      let airtime =
-        List.fold_left
-          (fun acc (s : Obs.Metrics.sample) ->
-            if s.name = "radio.airtime_s" then
-              match s.value with
-              | Obs.Metrics.Gauge g -> acc +. g
-              | Obs.Metrics.Counter c -> acc +. float_of_int c
-              | Obs.Metrics.Histogram _ -> acc
-            else acc)
-          0.0 rep.Harness.Runner.metrics
-      in
-      let wall =
-        [
-          ("sigma_sweep_s", sweep_s);
-          ("table_cell_s", cell_s);
-          ("chaos_s", chaos_s);
-          ("workload_s", workload_s);
-        ]
-      in
-      let deterministic =
-        [
-          ("frames_sent", float_of_int rep.Harness.Runner.frames_sent);
-          ("bytes_sent", float_of_int rep.Harness.Runner.bytes_sent);
-          ("airtime_s", airtime);
-          ("sim_duration_s", rep.Harness.Runner.duration);
-          ( "workload_delivered",
-            float_of_int wl.Harness.Workload.delivered_commands );
-          ( "workload_slots",
-            float_of_int
-              (wl.Harness.Workload.committed_slots
-             + wl.Harness.Workload.skipped_slots) );
-          ("workload_sim_s", wl.Harness.Workload.duration);
-        ]
-      in
-      (wall, deterministic))
+  Harness.Runner.clear_key_cache ();
+  let sweep_s =
+    time (fun () ->
+        Harness.Sweeps.sigma_sweep_merged ~n ~k ~runs_per_point:8 ~rounds:90
+          ~beyond:3 ~base_seed:!seed ~jobs:1 ())
+  in
+  let cell_s =
+    time (fun () ->
+        Harness.Experiment.run_cell ~reps:12 ~base_seed:!seed ~jobs:1
+          {
+            Harness.Experiment.protocol = Harness.Runner.Turquois;
+            n = 7;
+            dist = Harness.Runner.Divergent;
+            load = Net.Fault.Failure_free;
+          })
+  in
+  let chaos_s =
+    time (fun () -> Harness.Chaos.run_chaos ~n:4 ~runs:20 ~jobs:1 ~seed:!seed ())
+  in
+  let wl = ref None in
+  let workload_s =
+    time (fun () -> wl := Some (Harness.Workload.run (workload_base ())))
+  in
+  let wl = Option.get !wl in
+  let rep =
+    Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:7
+      ~dist:Harness.Runner.Divergent ~load:Net.Fault.Failure_free ~seed:!seed ()
+  in
+  let airtime =
+    List.fold_left
+      (fun acc (s : Obs.Metrics.sample) ->
+        if s.name = "radio.airtime_s" then
+          match s.value with
+          | Obs.Metrics.Gauge g -> acc +. g
+          | Obs.Metrics.Counter c -> acc +. float_of_int c
+          | Obs.Metrics.Histogram _ -> acc
+        else acc)
+      0.0 rep.Harness.Runner.metrics
+  in
+  let wall =
+    [
+      ("sigma_sweep_s", sweep_s);
+      ("table_cell_s", cell_s);
+      ("chaos_s", chaos_s);
+      ("workload_s", workload_s);
+    ]
+  in
+  let deterministic =
+    [
+      ("frames_sent", float_of_int rep.Harness.Runner.frames_sent);
+      ("bytes_sent", float_of_int rep.Harness.Runner.bytes_sent);
+      ("airtime_s", airtime);
+      ("sim_duration_s", rep.Harness.Runner.duration);
+      ( "workload_delivered",
+        float_of_int wl.Harness.Workload.delivered_commands );
+      ( "workload_slots",
+        float_of_int
+          (wl.Harness.Workload.committed_slots
+         + wl.Harness.Workload.skipped_slots) );
+      ("workload_sim_s", wl.Harness.Workload.duration);
+    ]
+  in
+  (wall, deterministic)
 
 let gate_to_json (wall, deterministic) =
   let fields l = List.map (fun (k, v) -> (k, Obs.Json.Float v)) l in
@@ -752,7 +562,7 @@ let gate_to_json (wall, deterministic) =
     ]
 
 let run_baseline_out file =
-  banner "Regression-gate baseline (memoized, -j 1)";
+  banner "Regression-gate baseline (-j 1)";
   let ((wall, deterministic) as gate) = gate_grid () in
   List.iter
     (fun (k, v) -> Printf.printf "  %-16s %12.4f\n" k v)
@@ -912,10 +722,13 @@ and run_compare_gate file base =
   let wall, deterministic = gate_grid () in
   let failures = ref 0 in
   (* wall clock only fails on increases (machines get faster for free);
-     deterministic airtime metrics fail on drift in either direction *)
+     deterministic airtime metrics fail on drift in either direction; a
+     key present on one side only fails, naming the key *)
   let check ~two_sided sect_name baseline (k, v) =
     match Option.bind (List.assoc_opt k baseline) Obs.Json.to_float with
-    | None -> Printf.printf "  %s/%-16s %12.4f  (no baseline value — skipped)\n" sect_name k v
+    | None ->
+        incr failures;
+        Printf.printf "  %s/%-16s %12.4f  (no baseline value)  FAIL\n" sect_name k v
     | Some b ->
         let rel =
           if b = 0.0 then if v = 0.0 then 0.0 else infinity else (v -. b) /. b
@@ -928,10 +741,18 @@ and run_compare_gate file base =
           (100.0 *. rel)
           (if regressed then "FAIL" else "ok")
   in
+  let rerun_has sect_name rerun (k, _) =
+    if not (List.mem_assoc k rerun) then begin
+      incr failures;
+      Printf.printf "  %s/%-16s missing from the re-run  FAIL\n" sect_name k
+    end
+  in
   List.iter (check ~two_sided:false "wall" base_wall) wall;
   List.iter (check ~two_sided:true "airtime" base_det) deterministic;
+  List.iter (rerun_has "wall" wall) base_wall;
+  List.iter (rerun_has "airtime" deterministic) base_det;
   if !failures > 0 then (
-    Printf.printf "regression gate: %d metric(s) beyond %.0f%% of %s — FAIL\n"
+    Printf.printf "regression gate: %d metric(s) missing or beyond %.0f%% of %s — FAIL\n"
       !failures
       (100.0 *. !threshold)
       file;
@@ -1038,25 +859,17 @@ let () =
   Arg.parse speclist
     (fun anon -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" anon)))
     "bench/main.exe [options]";
-  match
-    (!pool_baseline, !hotpath_baseline, !baseline_out, !compare_against, !scaling_out)
-  with
-  | Some file, _, _, _, _ ->
-      run_pool_baseline file;
-      print_endline "benchmark complete."
-  | None, Some file, _, _, _ ->
-      run_hotpath_baseline file;
-      print_endline "benchmark complete."
-  | None, None, Some file, _, _ ->
+  match (!baseline_out, !compare_against, !scaling_out) with
+  | Some file, _, _ ->
       run_baseline_out file;
       print_endline "benchmark complete."
-  | None, None, None, Some file, _ ->
+  | None, Some file, _ ->
       run_compare file;
       print_endline "benchmark complete."
-  | None, None, None, None, Some file ->
+  | None, None, Some file ->
       run_scaling_out file;
       print_endline "benchmark complete."
-  | None, None, None, None, None ->
+  | None, None, None ->
   let table_results = if !tables then run_tables () else [] in
   if !sigma then run_sigma ();
   let adversary_results = if !adversary then run_adversary () else [] in

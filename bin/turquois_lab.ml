@@ -19,28 +19,18 @@ let load_of_table = function
   | 3 -> Net.Fault.Byzantine
   | t -> invalid_arg (Printf.sprintf "no table %d (1, 2 or 3)" t)
 
-(* Every experiment command takes the two wire/hot-path escape hatches
-   as one bundled term, so adding a flag here reaches all of them. *)
+(* Every experiment command takes the wire escape hatch as one term, so
+   adding a flag here reaches all of them. *)
 let flags_arg =
-  let memo_doc =
-    "Disable the single-run hot-path memoization (frame interning, proof-digest \
-     cache, shared pre-distributed key material). Results are bit-identical \
-     either way; this escape hatch only trades speed for simplicity when \
-     timing or debugging the receive path."
-  in
   let compact_doc =
     "Disable delta-compressed justification bundles: every frame carries its \
      justification messages in full instead of 8-byte back-references to \
      messages already shipped this phase. Decisions are unaffected (see \
      $(b,compactcheck)); frames get larger, so contended-radio timings shift."
   in
-  let memo = Arg.(value & flag & info [ "no-memo" ] ~doc:memo_doc) in
-  let compact = Arg.(value & flag & info [ "no-compact" ] ~doc:compact_doc) in
-  Term.(const (fun no_memo no_compact -> (no_memo, no_compact)) $ memo $ compact)
+  Arg.(value & flag & info [ "no-compact" ] ~doc:compact_doc)
 
-let apply_flags (no_memo, no_compact) =
-  Core.Intern.set_enabled (not no_memo);
-  Core.Intern.set_compact (not no_compact)
+let apply_flags no_compact = Core.Machine.set_compact (not no_compact)
 
 let run_tables tables reps sizes seed timeout compare quiet jobs flags =
   apply_flags flags;
@@ -508,84 +498,6 @@ let chaos_cmd =
       const run_chaos $ runs_arg $ seed_arg $ n_arg $ strategy_arg $ broken_arg
       $ with_sampled_arg $ repro_out_arg $ quiet_arg $ jobs_arg $ flags_arg)
 
-(* --- memocheck --------------------------------------------------------------- *)
-
-(* Fast equivalence smoke for the hot-path contract: a run per Byzantine
-   strategy, a small sigma sweep and a small chaos plan, each executed
-   with memoization off and then on. Any difference between the two
-   passes is a fast-path bug; the memo instrumentation counters are the
-   only series excluded from the comparison, since only the memoized
-   pass emits them. *)
-let run_memocheck seed quiet =
-  let diverged = ref [] in
-  let check name equal =
-    if equal then begin
-      if not quiet then Printf.printf "  ok: %s\n%!" name
-    end
-    else begin
-      diverged := name :: !diverged;
-      Printf.printf "  DIVERGED: %s\n%!" name
-    end
-  in
-  let both f =
-    let pass memo =
-      Core.Intern.with_memo memo (fun () ->
-          Harness.Runner.clear_key_cache ();
-          f ())
-    in
-    (pass false, pass true)
-  in
-  let strip (r : Harness.Runner.result) =
-    { r with metrics = Core.Intern.strip_metrics r.metrics }
-  in
-  List.iter
-    (fun strategy ->
-      let off, on =
-        both (fun () ->
-            Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4
-              ~dist:Harness.Runner.Divergent ~load:Net.Fault.Byzantine ~strategy ~seed ())
-      in
-      check
-        (Printf.sprintf "byzantine strategy %s" (Core.Strategy.name strategy))
-        (strip off = strip on))
-    Core.Strategy.all;
-  let k = 4 - Net.Fault.max_f 4 in
-  let (rows_off, m_off), (rows_on, m_on) =
-    both (fun () ->
-        Harness.Sweeps.sigma_sweep_merged ~n:4 ~k ~runs_per_point:2 ~rounds:30
-          ~beyond:1 ~base_seed:seed ~jobs:1 ())
-  in
-  check "sigma sweep rows" (rows_off = rows_on);
-  check "sigma sweep merged metrics"
-    (Core.Intern.strip_metrics m_off = Core.Intern.strip_metrics m_on);
-  let chaos_off, chaos_on =
-    both (fun () -> Harness.Chaos.run_chaos ~n:4 ~runs:6 ~jobs:1 ~seed ())
-  in
-  check "chaos plan" (chaos_off = chaos_on);
-  let wl_off, wl_on =
-    both (fun () ->
-        Harness.Workload.run
-          { (Harness.Workload.default ~n:4) with Harness.Workload.seed })
-  in
-  check "consensus-service workload" (wl_off = wl_on);
-  if !diverged = [] then begin
-    Printf.printf "memocheck: results identical with memoization off and on\n";
-    0
-  end
-  else begin
-    Printf.printf "memocheck: %d divergence(s): %s\n" (List.length !diverged)
-      (String.concat ", " (List.rev !diverged));
-    1
-  end
-
-let memocheck_cmd =
-  Cmd.v
-    (Cmd.info "memocheck"
-       ~doc:
-         "Verify the hot-path contract: every result is bit-identical with \
-          memoization off and on")
-    Term.(const run_memocheck $ seed_arg $ quiet_arg)
-
 (* --- compactcheck ------------------------------------------------------------ *)
 
 (* Equivalence gate for the delta-compressed wire format: the same
@@ -611,7 +523,7 @@ let run_compactcheck seed quiet =
   in
   let both f =
     let pass compact =
-      Core.Intern.with_compact compact (fun () ->
+      Core.Machine.with_compact compact (fun () ->
           Harness.Runner.clear_key_cache ();
           f ())
     in
@@ -1041,7 +953,6 @@ let main_cmd =
       workload_cmd;
       scaling_cmd;
       chaos_cmd;
-      memocheck_cmd;
       compactcheck_cmd;
       modelcheck_cmd;
       analyze_cmd;

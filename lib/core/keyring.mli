@@ -44,8 +44,8 @@ val check_with :
 val check_message_with : hash:(bytes -> bytes) -> t -> Message.t -> bool
 (** {!check} / {!check_message} with the proof hash computed by [hash]
     (must be extensionally [Sha256.digest]); see
-    {!Crypto.Onetime_sig.check_with}. [Intern.check_message] routes
-    through this to share one digest per distinct broadcast proof. *)
+    {!Crypto.Onetime_sig.check_with}. [Msgstore.check] routes through
+    this to hash each stored message's proof once per run. *)
 
 val slice : t -> offset:int -> phases:int -> t
 (** [slice t ~offset ~phases] is a view of the same key material whose

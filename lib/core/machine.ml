@@ -55,21 +55,22 @@ type t = {
      thrash) *)
   mutable emit_memo_plain : (emit_key * Message.envelope) option;
   mutable emit_memo_justified : (emit_key * Message.envelope) option;
-  (* sender-side delta-compression window ({!encode_envelope}):
-     content digests already shipped inside this phase, plus the
+  (* sender-side delta-compression window ({!encode_envelope}): store
+     indices of the entries already shipped inside this phase, plus the
      keyframe counter that bounds how long a receiver that missed the
      full copy keeps dropping references to it *)
-  shipped : (bytes, unit) Hashtbl.t;
+  shipped : (int, unit) Hashtbl.t;
   mutable shipped_phase : int;
   mutable since_keyframe : int;
   (* last all-references encoding, reusable while the envelope is
      physically unchanged *)
   mutable enc_cache : (Message.envelope * bytes) option;
-  (* receiver-side resolution cache for compact references: local
-     content digest -> the message it addresses. Filled from every full
-     entry this machine decodes, so it is exactly as trustworthy as the
-     frames themselves (authentication still happens in [handle]). *)
-  resolve : (bytes, Message.t) Hashtbl.t;
+  (* receiver side: one bit per store index this machine may resolve a
+     compact reference to — set only once the message passed this
+     machine's own authenticity check, or is exactly a member of its V
+     set. A forged full entry never becomes resolvable, so no sender
+     can grow it with messages that fail authentication. *)
+  mutable known : Bytes.t;
 }
 
 let id t = Keyring.owner t.keyring
@@ -109,7 +110,7 @@ let create cfg ~keyring ~rng ?(behavior = Correct) ~proposal () =
     shipped_phase = 0;
     since_keyframe = 0;
     enc_cache = None;
-    resolve = Hashtbl.create 64;
+    known = Bytes.empty;
   }
 
 (* Keyrings are immutable after setup and shared between clones; every
@@ -146,7 +147,7 @@ let clone t =
     shipped_phase = t.shipped_phase;
     since_keyframe = t.since_keyframe;
     enc_cache = t.enc_cache;
-    resolve = Hashtbl.copy t.resolve;
+    known = Bytes.copy t.known;
   }
 
 (* Canonical serialization of everything that shapes future behavior:
@@ -606,17 +607,50 @@ let record_decided_claim t (m : Message.t) =
         Hashtbl.replace t.decided_claims m.sender (Proto.value_to_int m.value)
   | (Proto.Decided | Proto.Undecided), _ -> ()
 
-let handle t { Message.msg; justification } =
+let store t = Vset.store t.v
+
+let knows t idx =
+  let byte = idx lsr 3 in
+  byte < Bytes.length t.known
+  && Char.code (Bytes.get t.known byte) land (1 lsl (idx land 7)) <> 0
+
+let learn t idx =
+  let byte = idx lsr 3 in
+  if byte >= Bytes.length t.known then begin
+    let grown = Bytes.make (max (byte + 1) (2 * Bytes.length t.known)) '\000' in
+    Bytes.blit t.known 0 grown 0 (Bytes.length t.known);
+    t.known <- grown
+  end;
+  Bytes.set t.known byte
+    (Char.chr (Char.code (Bytes.get t.known byte) lor (1 lsl (idx land 7))))
+
+let resolvable t =
+  Bytes.fold_left
+    (fun acc c ->
+      let rec bits c = if c = 0 then 0 else (c land 1) + bits (c lsr 1) in
+      acc + bits (Char.code c))
+    0 t.known
+
+(* Task T2 for one arriving frame: every justification entry in wire
+   order, then the frame's own message. A reference resolves only to a
+   message this machine authenticated before — an earlier entry of the
+   same frame included. *)
+let handle_wire t (fr : Msgstore.frame) =
+  let store = store t in
   let auth_checks = ref 0 in
   let claims_before = Hashtbl.length t.decided_claims in
-  let consider m =
-    if Vset.mem_copy t.v m then begin
+  let consider idx =
+    let m = Msgstore.get store idx in
+    let copy = Vset.copy_index t.v m in
+    if copy <> 0 then begin
+      if copy = idx then learn t idx;
       t.stats.duplicates <- t.stats.duplicates + 1;
       Obs.Metrics.incr "validation.duplicates"
     end
     else begin
       incr auth_checks;
-      if Intern.check_message t.keyring m then begin
+      if Msgstore.check store t.keyring idx then begin
+        learn t idx;
         record_decided_claim t m;
         pending_add t m
       end
@@ -626,12 +660,27 @@ let handle t { Message.msg; justification } =
       end
     end
   in
-  List.iter consider justification;
-  consider msg;
+  List.iter
+    (function
+      | Msgstore.Stored idx -> consider idx
+      | Msgstore.Unknown d -> (
+          match Msgstore.resolve store (knows t) d with
+          | Some idx -> consider idx
+          | None ->
+              (* nothing this machine authenticated has this digest; the
+                 sender's next keyframe retransmits it in full *)
+              Obs.Metrics.incr "compact.unresolved"))
+    fr.Msgstore.just;
+  consider fr.Msgstore.msg;
   let admitted = drain_pending t in
   let new_claims = Hashtbl.length t.decided_claims > claims_before in
   let events = if admitted || new_claims then update_state t else [] in
   (events, !auth_checks)
+
+let handle t { Message.msg; justification } =
+  let store = store t in
+  let just = List.map (fun m -> Msgstore.Stored (Msgstore.intern store m)) justification in
+  handle_wire t { Msgstore.msg = Msgstore.intern store msg; just }
 
 (* --- delta-compressed frames -------------------------------------------- *)
 
@@ -660,14 +709,16 @@ let encode_justified t (env : Message.envelope) =
          physical payload: each send must then own fresh bytes.) *)
       b
   | Some _ | None ->
+      let store = store t in
       let all_refs = ref true in
       let wjust =
         List.map
           (fun m ->
-            let d = Intern.message_digest m in
-            if (not keyframe) && Hashtbl.mem t.shipped d then Message.Ref d
+            let idx = Msgstore.intern store m in
+            if (not keyframe) && Hashtbl.mem t.shipped idx then
+              Message.Ref (Msgstore.digest store idx)
             else begin
-              Hashtbl.replace t.shipped d ();
+              Hashtbl.replace t.shipped idx ();
               all_refs := false;
               Message.Full m
             end)
@@ -677,30 +728,18 @@ let encode_justified t (env : Message.envelope) =
       t.enc_cache <- (if !all_refs then Some (env, b) else None);
       b
 
-let encode_envelope t (env : Message.envelope) =
-  if (not (Intern.compact_enabled ())) || env.Message.justification = [] then
-    Message.encode env
-  else encode_justified t env
+(* Delta-compressed justification bundles ([--no-compact] escape
+   hatch). A sender-side switch only: receivers always accept both wire
+   formats, so flipping it never strands in-flight frames. *)
+let compact_flag = Atomic.make true
+let compact_enabled () = Atomic.get compact_flag
+let set_compact v = Atomic.set compact_flag v
 
-let handle_wire t (wi : Message.wire) =
-  let remember (m : Message.t) = Hashtbl.replace t.resolve (Intern.message_digest m) m in
-  let justification =
-    (* in order: a full entry becomes resolvable to any reference after
-       it, including inside this same frame *)
-    List.filter_map
-      (function
-        | Message.Full m ->
-            remember m;
-            Some m
-        | Message.Ref d -> (
-            match Hashtbl.find_opt t.resolve d with
-            | Some m -> Some m
-            | None ->
-                (* nothing this digest could be has reached us yet; the
-                   sender's next keyframe retransmits it in full *)
-                Obs.Metrics.incr "compact.unresolved";
-                None))
-      wi.Message.wjust
-  in
-  remember wi.Message.wmsg;
-  handle t { Message.msg = wi.Message.wmsg; justification }
+let with_compact flag f =
+  let previous = compact_enabled () in
+  set_compact flag;
+  Fun.protect ~finally:(fun () -> set_compact previous) f
+
+let encode_envelope t (env : Message.envelope) =
+  if (not (compact_enabled ())) || env.Message.justification = [] then Message.encode env
+  else encode_justified t env

@@ -94,9 +94,24 @@ val handle : t -> Message.envelope -> event list * int
     and the number of hash verifications performed (for CPU-cost
     accounting by the shell). *)
 
+val store : t -> Msgstore.t
+(** The message store this machine's V set captured at creation: frames
+    for {!handle_wire} are decoded through it. *)
+
+val compact_enabled : unit -> bool
+val set_compact : bool -> unit
+(** Sender-side switch for delta-compressed justification bundles
+    ([--no-compact] on the CLI; default on). Receivers accept both wire
+    formats regardless, so flipping it never strands in-flight frames.
+    Flip only between runs, from the coordinating domain. *)
+
+val with_compact : bool -> (unit -> 'a) -> 'a
+(** Runs the thunk with the compact switch forced to the given value,
+    restoring the previous setting afterwards (also on exceptions). *)
+
 val encode_envelope : t -> Message.envelope -> bytes
 (** The envelope's wire bytes, delta-compressed against this machine's
-    per-phase shipped window when {!Intern.compact_enabled}: a
+    per-phase shipped window when {!compact_enabled}: a
     justification entry already shipped since the last phase change goes
     out as its 8-byte content digest instead of in full, and every 4th
     justified encode of a phase is a keyframe shipping everything in
@@ -106,14 +121,18 @@ val encode_envelope : t -> Message.envelope -> bytes
     encodes of the physically same envelope reuse the previous buffer
     (except under causal tracing, which needs per-send bytes). *)
 
-val handle_wire : t -> Message.wire -> event list * int
-(** {!handle} after resolving compact references against this machine's
-    content-addressed cache, which remembers every full entry it has
-    decoded (digests are computed locally, so the cache is exactly as
-    trustworthy as the frames themselves — authentication still happens
-    per message in [handle]). An unresolvable reference is dropped and
-    counted under the [compact.unresolved] metric; the sender's next
-    keyframe retransmits it in full. *)
+val handle_wire : t -> Msgstore.frame -> event list * int
+(** {!handle} for a frame decoded through {!store}, compact references
+    included. A reference resolves only to a message this machine
+    authenticated itself, or holds exactly in its V set — an earlier
+    entry of the same frame included — so a forged full entry never
+    becomes resolvable. An unresolvable reference is dropped and counted
+    under the [compact.unresolved] metric; the sender's next keyframe
+    retransmits it in full. *)
+
+val resolvable : t -> int
+(** How many stored messages {!handle_wire} may resolve references to.
+    It grows only with messages that pass this machine's checks. *)
 
 val same_state_as_last_broadcast : t -> bool
 (** True when the state to broadcast equals the previously broadcast

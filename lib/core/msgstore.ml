@@ -1,55 +1,197 @@
-(* Per-run flat message store: every distinct message interned once.
+(* Per-run content-addressed message store: the one table the Turquois
+   receive path keys on.
 
-   The radio fan-out already shares one decoded [Message.t] per frame
-   across receivers, but justification bundles re-embed the same
-   messages in many different frames, so each receiver used to hold a
-   private structurally-equal copy (header plus 32 proof bytes) per
-   bundle appearance. Interning collapses them: [Vset] rows store
-   compact indices into this append-only store instead of message
-   pointers, and structurally equal messages map to one index — the
-   lib/scale [Arena] idea applied to protocol messages, without the
-   free list (consensus messages are never released inside a run).
+   A broadcast frame reaches n receivers, and explicit validation makes
+   every justified frame re-ship messages the receivers mostly hold
+   already. Every distinct message is therefore stored once per run,
+   under a compact 1-based index, together with its 8-byte content
+   digest (the address compact [Ref] entries name; computed when the
+   message is first stored) and the SHA-256 hash of its proof (computed
+   on the first authenticity check). Three consumers share the index:
+
+   - [decode] memoizes payload bytes -> frame of indices. Keys are the
+     exact payload bytes (structural hashing and equality cover every
+     byte), so a forgery or an equivocating unicast that differs
+     anywhere from a cached frame costs its own decode and never
+     collides with it. Malformed payloads raise before reaching it.
+   - [check] evaluates the one-time-signature verdict afresh per call
+     against the caller's keyring, memoizing only the proof hash: the
+     verdict [Bytes.equal (H proof) vk.(signer, phase, slot)] never
+     shares an entry between signers, phases or slots, so the memo is
+     unpoisonable by construction.
+   - [Vset] rows hold indices, so the same justification message
+     re-embedded in many frames and V sets is one stored copy.
+
+   Only host time changes: [Net.Cost] still charges every receiver for
+   its own decode and checks. Ref resolution stays per receiver
+   ([resolve] filters the digest's candidates through the caller's own
+   authenticated set), since a store shared by every node of a run
+   knows messages a given receiver has never authenticated.
 
    The store is domain-local and re-bound (not reset in place) at every
    run boundary: a [Vset] captures the store object at creation time,
    so sets that outlive their run scope — the model checker clones
    machines across enumeration branches — keep resolving against the
    store they were built on while new runs start from an empty one.
-   Indices are private to the capturing structures and never compared
-   across stores. *)
+   Indices are never compared across stores. Nothing is ever removed
+   inside a run.
+
+   One store can be shared by machines stepping on several domains:
+   the model checker clones a run's machines into pool workers. Every
+   table access therefore holds the store's mutex. [get] reads without
+   it: a domain only ever holds an index it received from the store
+   under the mutex (or before the workers started), and the message and
+   digest behind an index never change. *)
+
+type entry = Stored of int | Unknown of bytes
+type frame = { msg : int; just : entry list }
+
+type slot = {
+  m : Message.t;
+  digest : bytes;
+  mutable proof_hash : bytes;  (* empty until the first check *)
+  mutable member : bool;  (* admitted to some V set *)
+}
 
 type t = {
-  mutable slots : Message.t array;
+  mutable slots : slot array;
   mutable len : int;
+  mutable members : int;
   index : (Message.t, int) Hashtbl.t;
       (* structural hash/equality cover every field including the proof
          bytes, so two messages differing anywhere intern separately *)
+  by_digest : (bytes, int list) Hashtbl.t;  (* digest -> indices, newest first *)
+  frames : (bytes, frame) Hashtbl.t;
+  lock : Mutex.t;
 }
 
-let create () = { slots = [||]; len = 0; index = Hashtbl.create 256 }
+let create () =
+  {
+    slots = [||];
+    len = 0;
+    members = 0;
+    index = Hashtbl.create 256;
+    by_digest = Hashtbl.create 256;
+    frames = Hashtbl.create 64;
+    lock = Mutex.create ();
+  }
 
-let size t = t.len
+let size t = t.members
 
-let get t idx =
-  if idx < 1 || idx > t.len then invalid_arg "Msgstore.get: index out of range";
+let slot t idx =
+  if idx < 1 || idx > t.len then invalid_arg "Msgstore: index out of range";
   t.slots.(idx - 1)
 
+let get t idx = (slot t idx).m
+let digest t idx = (slot t idx).digest
+
 (* Indices are 1-based so that 0 stays free as the "empty slot" marker
-   of the flat Vset rows. *)
-let intern t (m : Message.t) =
+   of the flat Vset rows. The caller holds the lock. *)
+let intern_locked t (m : Message.t) =
   match Hashtbl.find_opt t.index m with
   | Some idx -> idx
   | None ->
+      let s = { m; digest = Message.msg_digest m; proof_hash = Bytes.empty; member = false } in
       if t.len = Array.length t.slots then begin
-        let cap = max 64 (2 * Array.length t.slots) in
-        let slots = Array.make cap m in
+        let slots = Array.make (max 64 (2 * t.len)) s in
         Array.blit t.slots 0 slots 0 t.len;
         t.slots <- slots
       end;
-      t.slots.(t.len) <- m;
+      t.slots.(t.len) <- s;
       t.len <- t.len + 1;
       Hashtbl.add t.index m t.len;
+      Hashtbl.replace t.by_digest s.digest
+        (t.len :: Option.value ~default:[] (Hashtbl.find_opt t.by_digest s.digest));
       t.len
+
+(* The hot entry points lock and unlock by hand instead of through
+   [Mutex.protect]: their bodies cannot raise, and the closure
+   [protect] takes would be allocated on every delivery. *)
+let intern t m =
+  Mutex.lock t.lock;
+  let idx = intern_locked t m in
+  Mutex.unlock t.lock;
+  idx
+
+let admit t m =
+  Mutex.lock t.lock;
+  let idx = intern_locked t m in
+  let s = t.slots.(idx - 1) in
+  if not s.member then begin
+    s.member <- true;
+    t.members <- t.members + 1
+  end;
+  Mutex.unlock t.lock;
+  idx
+
+let find t tbl key =
+  Mutex.lock t.lock;
+  let v = Hashtbl.find_opt tbl key in
+  Mutex.unlock t.lock;
+  v
+
+let resolve t known d =
+  match find t t.by_digest d with
+  | None -> None
+  | Some idxs ->
+      List.fold_left
+        (fun acc idx ->
+          match acc with
+          | Some best when best < idx -> acc
+          | Some _ | None -> if known idx then Some idx else acc)
+        None idxs
+
+let decode_unprofiled t payload =
+  match find t t.frames payload with
+  | Some fr ->
+      Obs.Metrics.incr "codec.decode.memo_hit";
+      fr
+  | None ->
+      (* malformed payloads raise out before reaching the table *)
+      let wi = Message.decode_wire payload in
+      let fr =
+        Mutex.protect t.lock (fun () ->
+            let just =
+              List.map
+                (function
+                  | Message.Full m -> Stored (intern_locked t m)
+                  | Message.Ref d -> Unknown d)
+                wi.Message.wjust
+            in
+            let fr = { msg = intern_locked t wi.Message.wmsg; just } in
+            (* key copied defensively: the table must never alias a
+               buffer a caller could later mutate *)
+            Hashtbl.replace t.frames (Bytes.copy payload) fr;
+            fr)
+      in
+      Obs.Metrics.incr "codec.decode.memo_miss";
+      fr
+
+(* profiled wrapper; a malformed payload raises out without a sample *)
+let decode t payload =
+  let sp = Obs.Prof.start () in
+  let fr = decode_unprofiled t payload in
+  Obs.Prof.stop Obs.Prof.decode sp;
+  fr
+
+let proof_hash s =
+  if Bytes.length s.proof_hash > 0 then begin
+    Obs.Metrics.incr "crypto.verify.cache_hit";
+    s.proof_hash
+  end
+  else begin
+    let h = Crypto.Sha256.digest s.m.proof in
+    Obs.Metrics.incr "crypto.verify.cache_miss";
+    s.proof_hash <- h;
+    h
+  end
+
+let check t keyring idx =
+  let sp = Obs.Prof.start () in
+  let s = slot t idx in
+  let ok = Keyring.check_message_with ~hash:(fun _ -> proof_hash s) keyring s.m in
+  Obs.Prof.stop Obs.Prof.verify sp;
+  ok
 
 let store_key : t Domain.DLS.key = Domain.DLS.new_key create
 let current () = Domain.DLS.get store_key

@@ -273,11 +273,11 @@ let react t events =
 
 let on_datagram t ~src:_ payload =
   (* broadcast deliveries re-materialize the same payload bytes at each
-     receiver; Intern memoizes the decode per run *)
-  match Intern.decode_wire payload with
+     receiver; the run's message store memoizes the decode *)
+  match Msgstore.decode (Machine.store t.machine) payload with
   | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> ()
-  | wire ->
-      let events, auth_checks = Machine.handle_wire t.machine wire in
+  | frame ->
+      let events, auth_checks = Machine.handle_wire t.machine frame in
       let per_check =
         match t.auth_cost with
         | Onetime_cost -> Net.Cost.onetime_check

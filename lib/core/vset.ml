@@ -40,6 +40,7 @@ let create ~n =
   }
 
 let version t = t.version
+let store t = t.store
 
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -70,7 +71,7 @@ let add_unprofiled t (m : Message.t) =
   else begin
     let slots = row t m.phase in
     if slots.(m.sender) = 0 then begin
-      slots.(m.sender) <- Msgstore.intern t.store m;
+      slots.(m.sender) <- Msgstore.admit t.store m;
       t.total <- t.total + 1;
       t.version <- t.version + 1;
       bump t.phase_tally m.phase;
@@ -91,7 +92,7 @@ let add_unprofiled t (m : Message.t) =
       then false
       else begin
         Hashtbl.replace t.extras (m.sender, m.phase)
-          (Msgstore.intern t.store m
+          (Msgstore.admit t.store m
           :: Option.value ~default:[] (Hashtbl.find_opt t.extras (m.sender, m.phase)));
         t.total <- t.total + 1;
         t.version <- t.version + 1;
@@ -167,8 +168,18 @@ let find t ~sender ~phase =
 
 let mem t ~sender ~phase = find t ~sender ~phase <> None
 
-let mem_copy t (m : Message.t) =
-  List.exists (Message.header_equal m) (copies t ~sender:m.sender ~phase:m.phase)
+let copy_index t (m : Message.t) =
+  match Hashtbl.find_opt t.by_phase m.phase with
+  | Some slots when m.sender >= 0 && m.sender < t.n && slots.(m.sender) <> 0 -> (
+      let same idx = Message.header_equal m (Msgstore.get t.store idx) in
+      if same slots.(m.sender) then slots.(m.sender)
+      else
+        match Hashtbl.find_opt t.extras (m.sender, m.phase) with
+        | Some extras -> Option.value ~default:0 (List.find_opt same extras)
+        | None -> 0)
+  | Some _ | None -> 0
+
+let mem_copy t m = copy_index t m <> 0
 
 let fold_phase t phase f acc =
   match Hashtbl.find_opt t.by_phase phase with

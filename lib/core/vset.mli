@@ -32,6 +32,14 @@ val mem_copy : t -> Message.t -> bool
 (** A stored copy with [m]'s exact header (sender, phase, value, origin,
     status) is present — the duplicate test for arriving messages. *)
 
+val copy_index : t -> Message.t -> int
+(** The {!Msgstore} index of the stored copy {!mem_copy} finds, or 0
+    when there is none. It equals [m]'s own index exactly when that very
+    message, proof bytes included, is in the set. *)
+
+val store : t -> Msgstore.t
+(** The store the set captured at creation. *)
+
 val find : t -> sender:int -> phase:int -> Message.t option
 (** The primary (first-stored) message of a (sender, phase). *)
 

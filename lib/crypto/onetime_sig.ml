@@ -43,8 +43,8 @@ let reveal secret ~phase slot =
     invalid_arg (Printf.sprintf "Onetime_sig.reveal: phase %d out of range" phase);
   secret.sk.(idx phase slot)
 
-(* [hash] must be extensionally equal to [Sha256.digest]; the hot-path
-   memo (Core.Intern) passes a per-run digest cache through here so a
+(* [hash] must be extensionally equal to [Sha256.digest]; the per-run
+   message store (Core.Msgstore) passes its proof hashes through here so a
    proof broadcast to n receivers is hashed once, not n times. The
    verdict is a pure function of the proof bytes, so a digest cache
    cannot be poisoned across signers, phases or slots. *)

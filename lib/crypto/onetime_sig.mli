@@ -51,8 +51,8 @@ val check_with :
   hash:(bytes -> bytes) -> verifier -> phase:int -> slot -> proof:bytes -> bool
 (** {!check} with the proof hash computed by [hash], which must be
     extensionally equal to [Sha256.digest] — the hook through which the
-    hot-path digest memo ([Core.Intern]) deduplicates hashing when one
-    broadcast proof is verified at every receiver. [hash] is only
+    per-run message store ([Core.Msgstore]) deduplicates hashing when
+    one broadcast proof is verified at every receiver. [hash] is only
     invoked after the phase and length guards pass. *)
 
 val verifier_to_bytes : verifier -> bytes

@@ -77,20 +77,14 @@ let choose_dropped ~rng ~adversary ~correct ~omissions =
 
 (* Key material for one abstract-rounds run. Profiling puts
    Keyring.setup (dominated by RSA keypair generation for the VK
-   exchange) at ~95% of a run's host time, so under the hot-path memo
-   switch the keys come from the deterministic per-(n, phases) cache —
-   faithful to the paper's pre-distributed keys, like Runner's caches.
-   Outcomes are key-independent (they depend only on verify verdicts,
-   and every proof here is produced and checked against the same
-   keyring array), so memo-on and memo-off runs stay bit-identical:
-   the rng split is consumed either way, keeping every downstream
-   stream (machine rngs, drop patterns) unchanged. *)
+   exchange) at ~95% of a run's host time, so the keys come from the
+   deterministic per-(n, phases) cache — faithful to the paper's
+   pre-distributed keys, like Runner's caches. The rng split is still
+   consumed, keeping every downstream stream (machine rngs, drop
+   patterns) where per-run key generation used to leave it. *)
 let keyrings_for ~rng ~n ~phases =
-  if Core.Intern.enabled () then begin
-    let (_ : Util.Rng.t) = Util.Rng.split rng in
-    Runner.keyrings_for ~seed:(Util.Rng.derive ~base:0x7153A1L [ n; phases ]) ~n ~phases
-  end
-  else Core.Keyring.setup (Util.Rng.split rng) ~n ~phases ()
+  let (_ : Util.Rng.t) = Util.Rng.split rng in
+  Runner.keyrings_for ~seed:(Util.Rng.derive ~base:0x7153A1L [ n; phases ]) ~n ~phases
 
 let run ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ?(adversary = Random_omissions)
     ~omissions ~rounds ~seed () =

@@ -185,11 +185,7 @@ let run_turquois_custom ~n ~dist ~load ~tick_policy ~auth_cost ~seed =
   (* fixed dedicated seed, so caching changes nothing but wall clock:
      every repetition regenerated these exact keys before *)
   let keyrings =
-    if Core.Intern.enabled () then
-      Runner.keyrings_for ~seed:(Int64.of_int (0xab1 + n)) ~n ~phases:cfg.max_phases
-    else
-      Core.Keyring.setup (Util.Rng.create ~seed:(Int64.of_int (0xab1 + n))) ~n
-        ~phases:cfg.max_phases ()
+    Runner.keyrings_for ~seed:(Int64.of_int (0xab1 + n)) ~n ~phases:cfg.max_phases
   in
   let proposals = Runner.proposals dist ~n in
   let decided : (int, float) Hashtbl.t = Hashtbl.create n in

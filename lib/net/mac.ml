@@ -244,14 +244,13 @@ let handle_mac_frame t frame =
       end
 
 (* Shared dispatch: the radio has a single receive callback, so the first
-   MAC created installs a dispatcher over a registry of MAC entities.
-   The registry is domain-local — a radio and its MACs always live in
-   one domain, and parallel pool workers must not share the list. *)
-let registries_key : (Radio.t * t array ref) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   MAC created on a radio installs a dispatcher over the radio's MACs.
+   The MAC list is attached to the radio itself rather than kept in a
+   global registry, so a finished run's radio and MACs become garbage
+   together. *)
+type Radio.attachment += Macs of t array ref
 
 let create engine radio ~id ~rng =
-  let registries = Domain.DLS.get registries_key in
   let t =
     {
       engine;
@@ -269,11 +268,11 @@ let create engine radio ~id ~rng =
       seen = Hashtbl.create 64;
     }
   in
-  (match List.assq_opt radio !registries with
-  | Some cell -> cell := Array.append !cell [| t |]
-  | None ->
+  (match Radio.attachment radio with
+  | Some (Macs cell) -> cell := Array.append !cell [| t |]
+  | Some _ | None ->
       let cell = ref [| t |] in
-      registries := (radio, cell) :: !registries;
+      Radio.attach radio (Macs cell);
       (* The radio hands every receiver of one transmission the same
          physical frame bytes, so a one-entry cache keyed on physical
          equality decodes once per transmission and shares the decoded

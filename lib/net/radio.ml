@@ -15,6 +15,8 @@ type stats = {
   mutable airtime : float;
 }
 
+type attachment = ..
+
 type t = {
   engine : Engine.t;
   rng : Util.Rng.t;
@@ -30,6 +32,7 @@ type t = {
   mutable busy_end : float;  (* end of latest transmission ever started *)
   mutable idle_waiters : (unit -> unit) list;
   mutable receive : (int -> sender:int -> bytes -> unit) option;
+  mutable attachment : attachment option;
   stats : stats;
 }
 
@@ -49,6 +52,7 @@ let create engine rng ~n =
     busy_end = 0.0;
     idle_waiters = [];
     receive = None;
+    attachment = None;
     stats =
       {
         frames_sent = 0;
@@ -94,6 +98,8 @@ let engine t = t.engine
 let size t = t.n
 let jam t ~from ~until = t.jam_windows <- (from, until) :: t.jam_windows
 let on_receive t f = t.receive <- Some f
+let attachment t = t.attachment
+let attach t a = t.attachment <- Some a
 let busy_until t = t.busy_end
 let busy t = t.busy_end > Engine.now t.engine
 let idle_since t s = t.busy_end <= s

@@ -71,6 +71,14 @@ val on_receive : t -> (int -> sender:int -> bytes -> unit) -> unit
 (** Registers the single delivery callback: [f receiver ~sender frame]
     runs at the end of a successful reception. Set once by the MAC. *)
 
+type attachment = ..
+(** State a layer above keeps with the radio it serves, so that it lives
+    exactly as long as the radio does (the MAC's dispatch table). *)
+
+val attachment : t -> attachment option
+val attach : t -> attachment -> unit
+(** Replaces the radio's attachment. *)
+
 val transmit : t -> ?kind:string -> sender:int -> duration:float -> bytes -> unit
 (** Starts a transmission occupying the medium for [duration] seconds;
     delivery (or corruption) resolves at its end. The sender does not

@@ -51,7 +51,7 @@ let vset_tally : span = register "hotpath.vset_tally"
 
 let span_name s = List.nth (Atomic.get names) s
 
-(* global on/off toggle, like Core.Intern's memo switch *)
+(* global on/off toggle, flipped only between runs *)
 let on_flag = Atomic.make false
 let on () = Atomic.get on_flag
 let enable () = Atomic.set on_flag true

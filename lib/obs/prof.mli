@@ -15,9 +15,9 @@
 
 type span = private int
 
-val decode : span  (** [Core.Intern.decode] — frame decode (memo or plain) *)
+val decode : span  (** [Core.Msgstore.decode] — frame decode (memo hit or miss) *)
 
-val verify : span  (** [Core.Intern.check_message] — one-time-signature check *)
+val verify : span  (** [Core.Msgstore.check] — one-time-signature check *)
 
 val mac_contention : span
 (** [Net.Mac] — contention resolution and frame transmit *)

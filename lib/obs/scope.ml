@@ -1,6 +1,6 @@
 (* Reset hooks let lower layers attach per-run state to the run
-   boundary without obs depending on them: Core.Intern registers its
-   domain-local cache reset here at module initialization.
+   boundary without obs depending on them: Core.Msgstore registers its
+   domain-local store re-binding here at module initialization.
    Registration happens on the main domain before any worker spawns;
    the CAS loop only guards against a racing registration. *)
 let hooks : (unit -> unit) list Atomic.t = Atomic.make []

@@ -16,7 +16,7 @@ val at_run_start : (unit -> unit) -> unit
 (** Registers a hook that [with_run] invokes (on the calling domain,
     after resetting metrics and trace) at the start of every run. This
     is how per-run caches in layers obs cannot depend on — e.g. the
-    hot-path memo tables in [Core.Intern] — are cleared at the same
+    message store [Core.Msgstore] — are re-bound at the same
     boundary that scopes the metrics: a cache surviving a run would
     leak work (and hit/miss counters) between repetitions and break the
     [-j 1] vs [-j N] determinism contract. Hooks are global and

@@ -476,6 +476,160 @@ let test_vset_matches_reference_model () =
         (String.equal (render v) (render c)))
     [ 4; 7; 10 ]
 
+(* A list-based model of the message store: messages in first-seen
+   order, a message's index its 1-based position, every query a scan. The
+   store must be observation-equivalent to it on adversarial streams of
+   valid, forged and out-of-range messages, mutated payloads, and
+   references to known and unknown digests. *)
+module Ref_store = struct
+  type t = { mutable msgs : Core.Message.t list; mutable members : int list }
+
+  let same (a : Core.Message.t) (b : Core.Message.t) =
+    Core.Message.header_equal a b && Bytes.equal a.proof b.proof
+
+  let index t m =
+    let rec go i = function
+      | [] -> None
+      | x :: rest -> if same x m then Some i else go (i + 1) rest
+    in
+    go 1 t.msgs
+
+  let intern t m =
+    match index t m with
+    | Some i -> i
+    | None ->
+        t.msgs <- t.msgs @ [ m ];
+        List.length t.msgs
+
+  let get t i = List.nth t.msgs (i - 1)
+
+  let admit t m =
+    let i = intern t m in
+    if not (List.mem i t.members) then t.members <- i :: t.members;
+    i
+
+  (* justification entries first, in wire order, then the message *)
+  let decode t payload =
+    let wi = Core.Message.decode_wire payload in
+    let just =
+      List.map
+        (function
+          | Core.Message.Full m -> Core.Msgstore.Stored (intern t m)
+          | Core.Message.Ref d -> Core.Msgstore.Unknown d)
+        wi.Core.Message.wjust
+    in
+    { Core.Msgstore.msg = intern t wi.Core.Message.wmsg; just }
+
+  let resolve t known d =
+    let rec go i = function
+      | [] -> None
+      | m :: rest ->
+          if known i && Bytes.equal (Core.Message.msg_digest m) d then Some i
+          else go (i + 1) rest
+    in
+    go 1 t.msgs
+end
+
+let test_msgstore_matches_reference_model () =
+  let rng = Util.Rng.create ~seed:0x5703EL in
+  List.iter
+    (fun n ->
+      let phases = 4 in
+      let krs = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases () in
+      let s = Core.Msgstore.create () in
+      let r = { Ref_store.msgs = []; members = [] } in
+      let pool = ref [] in
+      let pick l = List.nth l (Util.Rng.int rng (List.length l)) in
+      (* valid, forged-proof, random-proof and out-of-range messages *)
+      let fresh () =
+        let sender = Util.Rng.int rng (n + 1) in
+        let phase = 1 + Util.Rng.int rng phases in
+        let value = pick [ P.V0; P.V1; P.Vbot ] in
+        let origin = pick [ P.Deterministic; P.Random ] in
+        let status = pick [ P.Undecided; P.Decided ] in
+        let proof =
+          let signer = krs.(min sender (n - 1)) in
+          let good = Core.Keyring.sign signer ~phase ~value ~origin in
+          match Util.Rng.int rng 4 with
+          | 0 -> Util.Rng.bytes rng 32
+          | 1 ->
+              let b = Bytes.copy good in
+              Bytes.set b 5 (Char.chr (Char.code (Bytes.get b 5) lxor 0x10));
+              b
+          | _ -> good
+        in
+        let m = mk_msg ~sender ~phase ~value ~origin ~status ~proof () in
+        pool := m :: !pool;
+        m
+      in
+      let some_msg () = if !pool = [] || Util.Rng.bool rng then fresh () else pick !pool in
+      let some_digest () =
+        if Util.Rng.int rng 4 = 0 then Util.Rng.bytes rng Core.Message.digest_bytes
+        else Core.Message.msg_digest (some_msg ())
+      in
+      let payload () =
+        let wjust =
+          List.init (Util.Rng.int rng 5) (fun _ ->
+              if Util.Rng.bool rng then Core.Message.Full (some_msg ())
+              else Core.Message.Ref (some_digest ()))
+        in
+        let b = Core.Message.encode_wire { Core.Message.wmsg = some_msg (); wjust } in
+        match Util.Rng.int rng 6 with
+        | 0 -> Bytes.sub b 0 (Util.Rng.int rng (Bytes.length b))
+        | 1 ->
+            let i = Util.Rng.int rng (Bytes.length b) in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Util.Rng.int rng 8)));
+            b
+        | _ -> b
+      in
+      let payloads = ref [] in
+      let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+      for step = 1 to 300 do
+        match Util.Rng.int rng 5 with
+        | 0 ->
+            let p =
+              if !payloads <> [] && Util.Rng.bool rng then Bytes.copy (pick !payloads)
+              else payload ()
+            in
+            payloads := p :: !payloads;
+            if outcome (fun () -> Core.Msgstore.decode s p) <> outcome (fun () -> Ref_store.decode r p)
+            then Alcotest.failf "step %d: decode disagrees with the model (n=%d)" step n
+        | 1 ->
+            let m = some_msg () in
+            Alcotest.(check int) "admit" (Ref_store.admit r m) (Core.Msgstore.admit s m)
+        | 2 ->
+            let m = some_msg () in
+            Alcotest.(check int) "intern" (Ref_store.intern r m) (Core.Msgstore.intern s m)
+        | 3 when r.Ref_store.msgs <> [] ->
+            let i = 1 + Util.Rng.int rng (List.length r.Ref_store.msgs) in
+            let kr = krs.(Util.Rng.int rng n) in
+            Alcotest.(check bool) "proof-hash verdict"
+              (Core.Keyring.check_message kr (Ref_store.get r i))
+              (Core.Msgstore.check s kr i)
+        | _ ->
+            (* a receiver's authenticated set: a random subset of indices *)
+            let known =
+              List.filter (fun _ -> Util.Rng.bool rng)
+                (List.init (List.length r.Ref_store.msgs) (fun i -> i + 1))
+            in
+            let d = some_digest () in
+            Alcotest.(check (option int)) "resolve"
+              (Ref_store.resolve r (fun i -> List.mem i known) d)
+              (Core.Msgstore.resolve s (fun i -> List.mem i known) d)
+      done;
+      List.iteri
+        (fun i m ->
+          Alcotest.(check msg_testable) "get" m (Core.Msgstore.get s (i + 1));
+          Alcotest.(check bytes) "digest" (Core.Message.msg_digest m)
+            (Core.Msgstore.digest s (i + 1)))
+        r.Ref_store.msgs;
+      Alcotest.check_raises "no index past the model"
+        (Invalid_argument "Msgstore: index out of range") (fun () ->
+          ignore (Core.Msgstore.get s (List.length r.Ref_store.msgs + 1)));
+      Alcotest.(check int) "size counts V-set members"
+        (List.length r.Ref_store.members) (Core.Msgstore.size s))
+    [ 4; 7; 10 ]
+
 let suite =
   ( "core-units",
     [
@@ -507,4 +661,6 @@ let suite =
       Alcotest.test_case "vset some binary" `Quick test_vset_some_binary;
       Alcotest.test_case "vset sorted" `Quick test_vset_messages_at_sorted;
       Alcotest.test_case "vset vs reference model" `Quick test_vset_matches_reference_model;
+      Alcotest.test_case "msgstore vs reference model" `Quick
+        test_msgstore_matches_reference_model;
     ] )

@@ -231,7 +231,7 @@ let qcheck_liveness_lossless =
    phase — so the second copy actually exercises the Ref entries. *)
 let test_compact_wire_equivalence () =
   let universe compact =
-    Core.Intern.with_compact compact (fun () ->
+    M.with_compact compact (fun () ->
         let _, machines = make_group ~seed:905L ~proposals:[| 1; 0; 1; 0 |] () in
         let trace = ref [] in
         let rounds = ref 0 in
@@ -251,7 +251,7 @@ let test_compact_wire_equivalence () =
                       if r <> s then
                         List.iter
                           (fun b ->
-                            ignore (M.handle_wire m (Core.Intern.decode_wire b)))
+                            ignore (M.handle_wire m (Core.Msgstore.decode (M.store m) b)))
                           frames)
                     machines)
             envelopes;
@@ -273,8 +273,10 @@ let test_compact_wire_equivalence () =
    receiver that cannot resolve a reference drops just that entry and
    counts it. *)
 let test_compact_framing_and_unresolved_refs () =
-  Core.Intern.with_compact true (fun () ->
+  M.with_compact true (fun () ->
       let _, machines = make_group ~seed:906L ~proposals:[| 1; 0; 1; 0 |] () in
+      (* a receiver that has authenticated nothing yet *)
+      let receiver = M.clone machines.(1) in
       round machines;
       (* everyone is now past phase 1, so justified envelopes are nonempty *)
       let sender = machines.(0) in
@@ -286,7 +288,7 @@ let test_compact_framing_and_unresolved_refs () =
       Alcotest.(check bool) "justification nonempty" true
         (env.Core.Message.justification <> []);
       let f = Array.init 5 (fun _ -> M.encode_envelope sender env) in
-      let entries b = (Core.Intern.decode_wire b).Core.Message.wjust in
+      let entries b = (Core.Message.decode_wire b).Core.Message.wjust in
       let is_ref = function Core.Message.Ref _ -> true | Core.Message.Full _ -> false in
       Alcotest.(check bool) "frame 1 is a keyframe" true
         (List.for_all (fun e -> not (is_ref e)) (entries f.(0)));
@@ -298,24 +300,62 @@ let test_compact_framing_and_unresolved_refs () =
         (Bytes.equal f.(1) f.(2) && Bytes.equal f.(1) f.(3));
       Alcotest.(check bool) "frame 5 is the next keyframe" true
         (List.for_all (fun e -> not (is_ref e)) (entries f.(4)));
-      (* machine 1 never saw frame 1 over the wire, so its resolution
-         cache is empty: the all-reference frame must drop the bundle *)
+      (* the receiver never authenticated any of the referenced
+         messages: the all-reference frame must drop the bundle *)
       let unresolved () =
         Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "compact.unresolved"
       in
-      let receiver = machines.(1) in
       let before = unresolved () in
-      ignore (M.handle_wire receiver (Core.Intern.decode_wire f.(1)));
+      ignore (M.handle_wire receiver (Core.Msgstore.decode (M.store receiver) f.(1)));
       Alcotest.(check int) "every reference dropped and counted"
         (before + List.length (entries f.(1)))
         (unresolved ());
-      (* the keyframe repopulates the cache; replaying the reference
-         frame afterwards resolves every entry *)
-      ignore (M.handle_wire receiver (Core.Intern.decode_wire f.(4)));
+      (* the keyframe's full entries authenticate; replaying the
+         reference frame afterwards resolves every entry *)
+      ignore (M.handle_wire receiver (Core.Msgstore.decode (M.store receiver) f.(4)));
       let after_keyframe = unresolved () in
-      ignore (M.handle_wire receiver (Core.Intern.decode_wire f.(1)));
+      ignore (M.handle_wire receiver (Core.Msgstore.decode (M.store receiver) f.(1)));
       Alcotest.(check int) "references resolve after the keyframe" after_keyframe
         (unresolved ()))
+
+(* A compact reference resolves only to a message the receiver
+   authenticated itself. A Byzantine sender ships a full entry with a
+   forged proof, then a frame whose reference names it: the reference
+   must count as unresolved instead of reaching the authenticity check
+   again. K distinct forged entries from that sender leave the
+   receiver's resolvable set exactly as it was. *)
+let test_forged_full_never_resolvable () =
+  let _, machines = make_group ~seed:907L () in
+  let receiver = machines.(1) in
+  let valid =
+    match M.prepare machines.(3) ~justify:false with
+    | Some env -> env.Core.Message.msg
+    | None -> Alcotest.fail "expected a broadcast"
+  in
+  let forged k = { valid with Core.Message.phase = 2; proof = Bytes.make 32 (Char.chr k) } in
+  let deliver wjust =
+    let b = Core.Message.encode_wire { Core.Message.wmsg = valid; wjust } in
+    ignore (M.handle_wire receiver (Core.Msgstore.decode (M.store receiver) b))
+  in
+  let counter ?labels name =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) ?labels name
+  in
+  let rejected0 = counter ~labels:[ ("rule", "auth") ] "validation.rejected" in
+  let rejected () = counter ~labels:[ ("rule", "auth") ] "validation.rejected" - rejected0 in
+  deliver [ Core.Message.Full (forged 0) ];
+  Alcotest.(check int) "the forged full entry fails authentication" 1 (rejected ());
+  let resolvable = M.resolvable receiver in
+  let unresolved = counter "compact.unresolved" in
+  deliver [ Core.Message.Ref (Core.Message.msg_digest (forged 0)) ];
+  Alcotest.(check int) "the reference to it is unresolved" (unresolved + 1)
+    (counter "compact.unresolved");
+  Alcotest.(check int) "and never re-checked" 1 (rejected ());
+  let k = 16 in
+  for i = 1 to k do
+    deliver [ Core.Message.Full (forged i) ]
+  done;
+  Alcotest.(check int) "every forged entry rejected" (1 + k) (rejected ());
+  Alcotest.(check int) "resolvable set unchanged" resolvable (M.resolvable receiver)
 
 let suite =
   ( "machine",
@@ -334,6 +374,8 @@ let suite =
       Alcotest.test_case "compact wire equivalence" `Quick test_compact_wire_equivalence;
       Alcotest.test_case "compact framing/unresolved" `Quick
         test_compact_framing_and_unresolved_refs;
+      Alcotest.test_case "forged full never resolvable" `Quick
+        test_forged_full_never_resolvable;
       QCheck_alcotest.to_alcotest qcheck_safety_random_schedules;
       QCheck_alcotest.to_alcotest qcheck_liveness_lossless;
     ] )

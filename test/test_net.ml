@@ -193,6 +193,21 @@ let test_mac_contention_eventually_delivers () =
      with three stations and CW 31 most must get through *)
   Alcotest.(check bool) "most delivered" true (!delivered >= 4)
 
+let test_mac_radio_collected () =
+  (* nothing outside a finished run may keep its radio reachable: the
+     MAC dispatch table lives with the radio, not in a global list *)
+  let finished_run () =
+    let engine, radio, macs = make_macs () in
+    Net.Mac.send_broadcast macs.(0) (Bytes.of_string "bye");
+    Net.Engine.run engine;
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some radio);
+    w
+  in
+  let w = (Sys.opaque_identity finished_run) () in
+  Gc.full_major ();
+  Alcotest.(check bool) "radio collected" false (Weak.check w 0)
+
 (* --- datagram ------------------------------------------------------------------- *)
 
 let make_nodes ?(n = 3) ?(seed = 31L) () =
@@ -378,6 +393,7 @@ let suite =
       Alcotest.test_case "mac retry limit" `Quick test_mac_unicast_drop_after_retry_limit;
       Alcotest.test_case "mac fifo queue" `Quick test_mac_queue_drains_in_order;
       Alcotest.test_case "mac contention" `Quick test_mac_contention_eventually_delivers;
+      Alcotest.test_case "mac radio collected" `Quick test_mac_radio_collected;
       Alcotest.test_case "datagram ports" `Quick test_datagram_port_dispatch;
       Alcotest.test_case "datagram loopback" `Quick test_datagram_broadcast_loopback;
       Alcotest.test_case "node timers" `Quick test_node_timers;

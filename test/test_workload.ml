@@ -1,5 +1,5 @@
 (* Tests for the open-loop workload generator: sanity of a single run,
-   and the determinism contracts (same seed, -j N, memo on/off). *)
+   and the determinism contracts (same seed, -j N). *)
 
 module W = Harness.Workload
 
@@ -40,16 +40,6 @@ let test_sweep_parallel_determinism () =
   let parallel = sweep_with ~jobs:2 in
   Alcotest.(check bool) "-j1 = -j2" true (sequential = parallel)
 
-let test_sweep_memo_determinism () =
-  let pass memo =
-    Core.Intern.with_memo memo (fun () ->
-        Harness.Runner.clear_key_cache ();
-        sweep_with ~jobs:1)
-  in
-  let without = pass false in
-  let with_memo = pass true in
-  Alcotest.(check bool) "memo off = memo on" true (without = with_memo)
-
 let test_knee_detection () =
   let point load_point mean_throughput =
     {
@@ -83,7 +73,6 @@ let suite =
       Alcotest.test_case "same seed same result" `Quick test_same_seed_same_result;
       Alcotest.test_case "bursty arrivals" `Quick test_bursty_matches_rate;
       Alcotest.test_case "sweep -j determinism" `Slow test_sweep_parallel_determinism;
-      Alcotest.test_case "sweep memo determinism" `Slow test_sweep_memo_determinism;
       Alcotest.test_case "knee detection" `Quick test_knee_detection;
       Alcotest.test_case "bad config" `Quick test_rejects_bad_config;
     ] )
