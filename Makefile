@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-baseline bench-compare causal-smoke pool-smoke compact-smoke modelcheck-smoke workload-smoke scale-smoke chaos clean
+.PHONY: all build test fmt check bench bench-baseline bench-compare causal-smoke chaos clean
 
 all: build
 
@@ -20,25 +20,6 @@ chaos:
 	dune exec bin/turquois_lab.exe -- chaos --runs 3 --seed 7 --broken-machine --quiet > /dev/null 2>&1; \
 	  test $$? -eq 1 || { echo "chaos self-test failed: planted bug not detected"; exit 1; }
 
-# pool smoke: a tiny sweep at -j 2 — catches domain-unsafe global state
-# that the (mostly -j 1) unit tests would miss
-pool-smoke:
-	dune exec bin/turquois_lab.exe -- sigma --size 4 --runs 2 --rounds 40 -j 2 > /dev/null
-
-# compact smoke: the wire-compression contract — every scenario must
-# reach the same decisions with delta-compressed justification bundles
-# off and on (exits non-zero otherwise), and a small sweep that includes
-# the compact Turquois hot path must stay bit-identical at -j 1 / -j 2
-compact-smoke:
-	dune exec bin/turquois_lab.exe -- compactcheck --quiet
-	dune exec bin/turquois_lab.exe -- scaling --sizes 16 --turquois-cap 16 \
-	  --radio-cap 16 -j 1 > /tmp/turquois_compact_j1.txt
-	dune exec bin/turquois_lab.exe -- scaling --sizes 16 --turquois-cap 16 \
-	  --radio-cap 16 -j 2 > /tmp/turquois_compact_j2.txt
-	cmp /tmp/turquois_compact_j1.txt /tmp/turquois_compact_j2.txt \
-	  || { echo "compact smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_compact_j1.txt /tmp/turquois_compact_j2.txt
-
 # causal smoke: export a traced sigma-edge run and make sure the causal
 # analyzer reconstructs tagged sends from it end to end
 # (--require-causal exits 1 when the trace has no tagged sends, so the
@@ -51,52 +32,12 @@ causal-smoke:
 	  || { echo "causal smoke failed: no tagged sends in the trace"; exit 1; }
 	rm -f /tmp/turquois_causal_smoke.jsonl
 
-# model-checker smoke: the exhaustive n=4 walk over two rounds must be
-# bit-identical at -j 1 and -j 2 (stats included — the printout carries
-# no timing), and its extracted worst-case schedule must replay (run
-# --replay exits 0 iff the artifact reproduces its recorded outcome)
-modelcheck-smoke:
-	dune exec bin/turquois_lab.exe -- modelcheck -n 4 --rounds 2 --quiet -j 1 \
-	  --out /tmp/turquois_mc_smoke.json > /tmp/turquois_mc_j1.txt
-	dune exec bin/turquois_lab.exe -- modelcheck -n 4 --rounds 2 --quiet -j 2 \
-	  --out /tmp/turquois_mc_smoke.json > /tmp/turquois_mc_j2.txt
-	cmp /tmp/turquois_mc_j1.txt /tmp/turquois_mc_j2.txt \
-	  || { echo "modelcheck smoke failed: -j 1 and -j 2 walks diverged"; exit 1; }
-	dune exec bin/turquois_lab.exe -- run --replay /tmp/turquois_mc_smoke.json \
-	  > /dev/null \
-	  || { echo "modelcheck smoke failed: worst-case schedule did not replay"; exit 1; }
-	rm -f /tmp/turquois_mc_smoke.json /tmp/turquois_mc_j1.txt /tmp/turquois_mc_j2.txt
-
-# workload smoke: a small consensus-service sweep must be bit-identical
-# at -j 1 and -j 2 (open-loop arrivals, batching and straggler catch-up
-# all run through the deterministic engine, so any divergence is a
-# determinism bug in the new code paths)
-workload-smoke:
-	dune exec bin/turquois_lab.exe -- workload --load 20,60 -r 2 -j 1 \
-	  > /tmp/turquois_wl_j1.txt
-	dune exec bin/turquois_lab.exe -- workload --load 20,60 -r 2 -j 2 \
-	  > /tmp/turquois_wl_j2.txt
-	cmp /tmp/turquois_wl_j1.txt /tmp/turquois_wl_j2.txt \
-	  || { echo "workload smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_wl_j1.txt /tmp/turquois_wl_j2.txt
-
-# scale smoke: the n=64 sampled-consensus scaling point must be
-# bit-identical at -j 1 and -j 2 (the rendered table excludes the one
-# host-dependent field, so cmp is exact)
-scale-smoke:
-	dune exec bin/turquois_lab.exe -- scaling --sizes 64 --turquois-cap 0 -j 1 \
-	  > /tmp/turquois_scale_j1.txt
-	dune exec bin/turquois_lab.exe -- scaling --sizes 64 --turquois-cap 0 -j 2 \
-	  > /tmp/turquois_scale_j2.txt
-	cmp /tmp/turquois_scale_j1.txt /tmp/turquois_scale_j2.txt \
-	  || { echo "scale smoke failed: -j 1 and -j 2 sweeps diverged"; exit 1; }
-	rm -f /tmp/turquois_scale_j1.txt /tmp/turquois_scale_j2.txt
-
-# the gate a PR must pass: formatting, a warning-clean build, all tests,
-# the chaos smoke sweep, the parallel-pool smoke, the compact-wire
-# smoke, the causal-trace smoke, the model-checker smoke, the workload
-# smoke, the scaling smoke and the perf regression gate
-check: fmt build test chaos pool-smoke compact-smoke causal-smoke modelcheck-smoke workload-smoke scale-smoke bench-compare
+# the gate a PR must pass: formatting, a warning-clean build, all tests
+# (including the observer-only equivalence table in test/equiv.ml:
+# -j, profiling, tracing, fresh keys and compact off against plain
+# runs), the chaos smoke sweep, the causal-trace smoke and the perf
+# regression gate
+check: fmt build test chaos causal-smoke bench-compare
 
 bench:
 	dune exec bench/main.exe -- --quick

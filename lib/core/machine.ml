@@ -728,18 +728,17 @@ let encode_justified t (env : Message.envelope) =
       t.enc_cache <- (if !all_refs then Some (env, b) else None);
       b
 
-(* Delta-compressed justification bundles ([--no-compact] escape
-   hatch). A sender-side switch only: receivers always accept both wire
-   formats, so flipping it never strands in-flight frames. *)
+(* Delta-compressed justification bundles, on unless a test forces the
+   plain wire format as its reference. A sender-side switch only:
+   receivers always accept both wire formats, so flipping it never
+   strands in-flight frames. *)
 let compact_flag = Atomic.make true
-let compact_enabled () = Atomic.get compact_flag
-let set_compact v = Atomic.set compact_flag v
 
 let with_compact flag f =
-  let previous = compact_enabled () in
-  set_compact flag;
-  Fun.protect ~finally:(fun () -> set_compact previous) f
+  let previous = Atomic.get compact_flag in
+  Atomic.set compact_flag flag;
+  Fun.protect ~finally:(fun () -> Atomic.set compact_flag previous) f
 
 let encode_envelope t (env : Message.envelope) =
-  if (not (compact_enabled ())) || env.Message.justification = [] then Message.encode env
+  if (not (Atomic.get compact_flag)) || env.Message.justification = [] then Message.encode env
   else encode_justified t env

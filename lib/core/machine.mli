@@ -98,20 +98,18 @@ val store : t -> Msgstore.t
 (** The message store this machine's V set captured at creation: frames
     for {!handle_wire} are decoded through it. *)
 
-val compact_enabled : unit -> bool
-val set_compact : bool -> unit
-(** Sender-side switch for delta-compressed justification bundles
-    ([--no-compact] on the CLI; default on). Receivers accept both wire
-    formats regardless, so flipping it never strands in-flight frames.
-    Flip only between runs, from the coordinating domain. *)
-
 val with_compact : bool -> (unit -> 'a) -> 'a
-(** Runs the thunk with the compact switch forced to the given value,
-    restoring the previous setting afterwards (also on exceptions). *)
+(** Runs the thunk with the sender-side switch for delta-compressed
+    justification bundles (default on) forced to the given value,
+    restoring the previous setting afterwards (also on exceptions).
+    [with_compact false] is the plain-wire reference path that tests
+    compare the compact wire against. Receivers accept both wire
+    formats regardless, so flipping it never strands in-flight frames.
+    Call it between runs, from the coordinating domain. *)
 
 val encode_envelope : t -> Message.envelope -> bytes
 (** The envelope's wire bytes, delta-compressed against this machine's
-    per-phase shipped window when {!compact_enabled}: a
+    per-phase shipped window unless {!with_compact} turned that off: a
     justification entry already shipped since the last phase change goes
     out as its 8-byte content digest instead of in full, and every 4th
     justified encode of a phase is a keyframe shipping everything in

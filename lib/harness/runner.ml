@@ -252,7 +252,7 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
     | Divergent -> true
   in
   let radio_stats = Net.Radio.stats radio in
-  Obs.Metrics.set "engine.events_live" (float_of_int (Net.Engine.events_live engine));
+  Obs.Metrics.set "engine.events_live" (float_of_int (Net.Engine.pending engine));
   Obs.Metrics.set "engine.live_peak" (float_of_int (Net.Engine.live_peak engine));
   Obs.Metrics.set "engine.queued_peak" (float_of_int (Net.Engine.queued_peak engine));
   {

@@ -1,8 +1,8 @@
 (* Scaling sweep past the paper's n=16: Turquois (all-to-all over the
    full radio/MAC stack, up to [turquois_cap]) against the sample-based
    consensus — over the same contended radio up to [radio_cap]
-   ("Sampled-radio"), and over the scalable abstract medium on the
-   calendar-queue backend at every n ("Sampled"). *)
+   ("Sampled-radio"), and over the scalable abstract medium at every n
+   ("Sampled"). *)
 
 type point = {
   protocol : string;
@@ -48,7 +48,7 @@ let gc_words () =
 let run_sampled ~n ~seed ~timeout =
   let body () =
     let minor0, major0 = gc_words () in
-    let engine = Net.Engine.create ~backend:Calendar () in
+    let engine = Net.Engine.create () in
     let rng = Util.Rng.create ~seed in
     let medium =
       Scale.Medium.create engine (Util.Rng.split rng) ~n ~loss:0.01 ()

@@ -5,13 +5,12 @@
     it is only run up to [turquois_cap]. The sampled protocol runs
     twice: over the same contended 802.11b radio/MAC stack up to
     [radio_cap] ("Sampled-radio"), and at every n over the scalable
-    abstract {!Scale.Medium} on the calendar-queue engine backend
-    ("Sampled"). Each point reports decision coverage, latency,
-    traffic, airtime and the engine/arena high-water marks; every
-    rendered field is a deterministic function of the seed, so tables
-    are bit-identical across [-j N] (the allocation-word fields are
-    within a cache-warmup constant of deterministic and stay out of
-    the table). *)
+    abstract {!Scale.Medium} ("Sampled"). Each point reports decision
+    coverage, latency, traffic, airtime and the engine/arena
+    high-water marks; every rendered field is a deterministic function
+    of the seed, so tables are bit-identical across [-j N] (the
+    allocation-word fields are within a cache-warmup constant of
+    deterministic and stay out of the table). *)
 
 type point = {
   protocol : string;

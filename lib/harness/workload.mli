@@ -11,8 +11,8 @@
     times are precomputed from the run seed before the simulation
     starts, sweep tasks derive their seeds from grid coordinates, and
     results carry no wall-clock — so a sweep is bit-identical across
-    [-j N] and memoization settings, and is used as such by
-    [make workload-smoke] and the bench gate. *)
+    [-j N] and observer-only knobs, and is checked as such by the
+    equivalence table in [test/equiv.ml] and the bench gate. *)
 
 type arrival =
   | Poisson

@@ -8,35 +8,15 @@ type event = {
 
 type handle = event
 
-type backend = Heap | Calendar
-
-(* Two interchangeable queue backends behind one bookkeeping shell.
-
-   [Heap] is a binary min-heap ordered by (time, seq). [Calendar] is a
-   bucketed timing wheel (calendar queue): deadlines hash into
-   [buckets] by virtual bucket number floor(time / width); a cursor
-   walks the wheel one width-sized window per step, so pops cost O(1)
-   amortized when deadlines are spread over a few wheel revolutions —
-   the regime big simulations live in, where the heap's O(log n) per
-   event starts to show.
-
-   Both backends order events by the full (time, seq) key, so they are
-   pop-for-pop bit-identical (a property test holds them to that).
+(* A binary min-heap ordered by (time, seq), so ties fire in scheduling
+   order and a run is a deterministic function of its inputs.
 
    [live] counts queued events that are not cancelled: cancellation
    only flags the event in O(1) (it is lazily collected when it
    reaches the front), so raw occupancy over-reports queue depth. *)
 type t = {
-  backend : backend;
-  (* heap backend *)
   mutable heap : event array;
   mutable size : int;
-  (* calendar backend: per-bucket lists sorted by (time, seq) *)
-  mutable buckets : event list array;
-  mutable width : float;
-  mutable cal_count : int;
-  mutable cal_vb : int; (* cursor: virtual bucket number, monotone between resets *)
-  (* shared *)
   mutable clock : float;
   mutable next_seq : int;
   mutable live : int;
@@ -47,19 +27,10 @@ type t = {
 let dummy =
   { time = 0.0; seq = -1; action = (fun () -> ()); cancelled = true; queued = false }
 
-let cal_initial_buckets = 64
-let cal_initial_width = 1.0e-3
-
-let create ?(backend = Heap) () =
+let create () =
   {
-    backend;
-    heap = (match backend with Heap -> Array.make 256 dummy | Calendar -> [||]);
+    heap = Array.make 256 dummy;
     size = 0;
-    buckets =
-      (match backend with Heap -> [||] | Calendar -> Array.make cal_initial_buckets []);
-    width = cal_initial_width;
-    cal_count = 0;
-    cal_vb = 0;
     clock = 0.0;
     next_seq = 0;
     live = 0;
@@ -68,11 +39,8 @@ let create ?(backend = Heap) () =
   }
 
 let now t = t.clock
-let backend t = t.backend
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-(* --- heap backend ------------------------------------------------------- *)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -108,7 +76,7 @@ let heap_push t ev =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let heap_pop t =
+let pop t =
   if t.size = 0 then None
   else begin
     let top = t.heap.(0) in
@@ -116,141 +84,21 @@ let heap_pop t =
     t.heap.(0) <- t.heap.(t.size);
     t.heap.(t.size) <- dummy;
     if t.size > 0 then sift_down t 0;
+    top.queued <- false;
+    if not top.cancelled then t.live <- t.live - 1;
     Some top
   end
 
-(* --- calendar backend --------------------------------------------------- *)
-
-(* Virtual bucket number. The clamp keeps int_of_float defined for
-   far-future deadlines (e.g. an infinite delay): everything past the
-   clamp collapses into one bucket, still ordered by (time, seq). *)
-let cal_vb_of t time =
-  let q = time /. t.width in
-  if q >= 1.0e15 then 1_000_000_000_000_000 else int_of_float q
-
-let cal_bucket_of t time = cal_vb_of t time mod Array.length t.buckets
-
-let rec insert_sorted ev = function
-  | [] -> [ ev ]
-  | x :: _ as l when before ev x -> ev :: l
-  | x :: rest -> x :: insert_sorted ev rest
-
-let cal_all_sorted t =
-  let all = Array.fold_left (fun acc l -> List.rev_append l acc) [] t.buckets in
-  List.sort (fun a b -> if before a b then -1 else 1) all
-
-(* Re-seat the cursor so the invariant "every queued deadline has
-   vb >= cal_vb" holds again. *)
-let cal_reset_cursor t time = t.cal_vb <- cal_vb_of t time
-
-(* Resize the wheel and re-estimate the bucket width from the spread of
-   the nearest queued deadlines (Brown's sampling rule, deterministic). *)
-let cal_rebuild t nbuckets =
-  let evs = cal_all_sorted t in
-  (match evs with
-  | [] | [ _ ] -> ()
-  | first :: _ ->
-      let arr = Array.of_list evs in
-      let k = min (Array.length arr) 64 in
-      let span = arr.(k - 1).time -. first.time in
-      if span > 0.0 then t.width <- Float.max 1.0e-9 (3.0 *. span /. float_of_int k));
-  t.buckets <- Array.make nbuckets [];
-  List.iter
-    (fun ev ->
-      let b = cal_bucket_of t ev.time in
-      t.buckets.(b) <- ev :: t.buckets.(b))
-    evs;
-  Array.iteri (fun i l -> t.buckets.(i) <- List.rev l) t.buckets;
-  match evs with
-  | [] -> cal_reset_cursor t t.clock
-  | first :: _ -> cal_reset_cursor t first.time
-
-let cal_insert t ev =
-  let n = Array.length t.buckets in
-  if t.cal_count > 2 * n then cal_rebuild t (2 * n);
-  let b = cal_bucket_of t ev.time in
-  t.buckets.(b) <- insert_sorted ev t.buckets.(b);
-  t.cal_count <- t.cal_count + 1;
-  (* an arrival behind the cursor would be missed by the forward scan *)
-  if cal_vb_of t ev.time < t.cal_vb then cal_reset_cursor t ev.time
-
-(* Find the global (time, seq)-minimum without removing it, advancing
-   the cursor as a side effect. Scanning one revolution suffices: all
-   queued deadlines have vb >= cal_vb, and the head of a bucket
-   qualifies exactly when its vb equals the cursor position for that
-   step, so the first hit is the global minimum. When a whole
-   revolution is empty (deadlines lie beyond one wheel turn) a direct
-   min scan re-seats the cursor. *)
-let cal_find_min t =
-  if t.cal_count = 0 then None
-  else begin
-    let n = Array.length t.buckets in
-    let found = ref None in
-    let step = ref 0 in
-    while !found = None && !step < n do
-      (match t.buckets.((t.cal_vb + !step) mod n) with
-      | ev :: _ when cal_vb_of t ev.time <= t.cal_vb + !step ->
-          t.cal_vb <- t.cal_vb + !step;
-          found := Some ev
-      | _ -> ());
-      incr step
-    done;
-    match !found with
-    | Some _ as r -> r
-    | None ->
-        let best = ref None in
-        Array.iter
-          (fun l ->
-            match (l, !best) with
-            | [], _ -> ()
-            | ev :: _, Some b -> if before ev b then best := Some ev
-            | ev :: _, None -> best := Some ev)
-          t.buckets;
-        (match !best with Some ev -> cal_reset_cursor t ev.time | None -> ());
-        !best
-  end
-
-let cal_pop t =
-  match cal_find_min t with
-  | None -> None
-  | Some ev ->
-      let idx = t.cal_vb mod Array.length t.buckets in
-      (match t.buckets.(idx) with
-      | hd :: rest when hd == ev -> t.buckets.(idx) <- rest
-      | _ -> assert false);
-      t.cal_count <- t.cal_count - 1;
-      let n = Array.length t.buckets in
-      if n > cal_initial_buckets && t.cal_count < n / 4 then cal_rebuild t (n / 2);
-      Some ev
-
-(* --- shared shell ------------------------------------------------------- *)
-
-let queued t = match t.backend with Heap -> t.size | Calendar -> t.cal_count
-
-let pop t =
-  let popped = match t.backend with Heap -> heap_pop t | Calendar -> cal_pop t in
-  (match popped with
-  | Some ev ->
-      ev.queued <- false;
-      if not ev.cancelled then t.live <- t.live - 1
-  | None -> ());
-  popped
-
-let peek_time t =
-  match t.backend with
-  | Heap -> if t.size = 0 then None else Some t.heap.(0).time
-  | Calendar -> (
-      match cal_find_min t with Some ev -> Some ev.time | None -> None)
+let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 let at t ~time action =
   let time = Float.max time t.clock in
   let ev = { time; seq = t.next_seq; action; cancelled = false; queued = true } in
   t.next_seq <- t.next_seq + 1;
-  (match t.backend with Heap -> heap_push t ev | Calendar -> cal_insert t ev);
+  heap_push t ev;
   t.live <- t.live + 1;
   if t.live > t.live_peak then t.live_peak <- t.live;
-  let q = queued t in
-  if q > t.queued_peak then t.queued_peak <- q;
+  if t.size > t.queued_peak then t.queued_peak <- t.size;
   ev
 
 let schedule t ~delay action =
@@ -264,8 +112,7 @@ let cancel t handle =
   end
 
 let pending t = t.live
-let events_live = pending
-let heap_size = queued
+let heap_size t = t.size
 let live_peak t = t.live_peak
 let queued_peak t = t.queued_peak
 
@@ -297,5 +144,5 @@ let run ?(until = Float.infinity) ?(max_events = max_int) t =
 let run_while t predicate =
   let continue = ref true in
   while !continue do
-    if queued t = 0 || not (predicate ()) then continue := false else ignore (step t)
+    if t.size = 0 || not (predicate ()) then continue := false else ignore (step t)
   done

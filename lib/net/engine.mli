@@ -10,17 +10,7 @@ type t
 type handle
 (** Names a scheduled event so it can be cancelled. *)
 
-type backend =
-  | Heap  (** binary min-heap: O(log n) push/pop, the default *)
-  | Calendar
-      (** calendar queue (bucketed timing wheel): O(1) amortized when
-          deadlines are spread over a few wheel revolutions, the regime
-          of large simulations. Pop-for-pop bit-identical to [Heap] —
-          both order by the full (time, seq) key. *)
-
-val create : ?backend:backend -> unit -> t
-
-val backend : t -> backend
+val create : unit -> t
 
 val now : t -> float
 (** Current simulation time in seconds. *)
@@ -40,11 +30,8 @@ val pending : t -> int
     quiescence signal: cancelled events never count, even before they
     are lazily collected from the heap. *)
 
-val events_live : t -> int
-(** Alias for {!pending}; the name the metrics exporters use. *)
-
 val heap_size : t -> int
-(** Raw queue occupancy (either backend), including cancelled events
+(** Raw queue occupancy, including cancelled events
     awaiting lazy collection. [heap_size t >= pending t]; exposed for
     tests and queue-depth diagnostics. *)
 

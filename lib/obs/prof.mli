@@ -5,8 +5,8 @@
     is disabled [start] returns a negative sentinel and [stop] is a
     no-op. The profiler is strictly an observer: it never touches the
     simulation clock, the RNG, or the per-run metrics registry, so
-    profiling on/off — at any [-j] — yields bit-identical protocol
-    results (enforced by [test_hotpath]).
+    profiling on/off yields bit-identical protocol results (enforced by
+    the equivalence table in [test/equiv.ml]).
 
     Latencies land in log2(ns) buckets: bucket [b] counts durations in
     [[2^b, 2^(b+1)) ns]. Accumulators are domain-local and reset at

@@ -18,8 +18,8 @@ type state = {
 
 (* One buffer per domain: tracing stays race-free when the parallel run
    pool executes runs on worker domains. Workers start with tracing off
-   (the [start] flag is domain-local too), which is why ordering-
-   sensitive trace exports force sequential execution at the CLI. *)
+   (the [start] flag is domain-local too), which is why the CLI traces
+   only the single execution of [run]. *)
 let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { active = false; limit = 0; count = 0; dropped = 0; entries = [] })
@@ -63,10 +63,24 @@ let field_to_string = function
   | B b -> if b then "true" else "false"
 
 let fields_to_string fields =
-  String.concat " "
-    (List.map
-       (fun (k, v) -> if k = "detail" then field_to_string v else k ^ "=" ^ field_to_string v)
-       fields)
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ field_to_string v) fields)
+
+let render ?(filter = fun _ -> true) ?(max_events = max_int) () =
+  let matched = List.filter filter (events ()) in
+  let buf = Buffer.create 4096 in
+  List.iteri
+    (fun i e ->
+      if i < max_events then
+        Buffer.add_string buf
+          (Printf.sprintf "%10.6f  %-4s %-8s %-12s %s\n" e.time
+             (if e.node >= 0 then Printf.sprintf "p%d" e.node else "-")
+             e.layer e.label (fields_to_string e.fields)))
+    matched;
+  let more = max 0 (List.length matched - max_events) in
+  let sink_dropped = dropped () in
+  if more > 0 || sink_dropped > 0 then
+    Buffer.add_string buf (Printf.sprintf "(+%d more, %d dropped)\n" more sink_dropped);
+  Buffer.contents buf
 
 (* --- JSONL --------------------------------------------------------------- *)
 

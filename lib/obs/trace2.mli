@@ -1,12 +1,10 @@
-(** Structured event tracing (Trace v2) with JSONL export.
+(** Structured event tracing with JSONL export.
 
-    The successor of the string-based [Net.Trace] sink (which is now a
-    thin compatibility wrapper over this module): every event carries
-    typed key/value fields instead of a pre-rendered detail string, so
-    traces can be exported as JSONL and re-analysed offline
-    ([turquois-lab analyze]). Same sink discipline as v1: one
-    process-global buffer, off by default, bounded by [limit], cleared
-    per run by the harness. *)
+    Every event carries typed key/value fields, so traces can be
+    rendered as text ([turquois-lab run --trace]), exported as JSONL
+    and re-analysed offline ([turquois-lab analyze]). One buffer per
+    domain, off by default, bounded by [limit], cleared per run by the
+    harness. *)
 
 type field = S of string | I of int | F of float | B of bool
 
@@ -36,8 +34,13 @@ val dropped : unit -> int
 
 val field_to_string : field -> string
 val fields_to_string : (string * field) list -> string
-(** ["k=v k2=v2"]; a field named ["detail"] prints its bare value (v1
-    compatibility). *)
+(** ["k=v k2=v2"]. *)
+
+val render : ?filter:(event -> bool) -> ?max_events:int -> unit -> string
+(** One line per collected event: [time node layer label fields]. Ends
+    with a ["(+N more, M dropped)"] trailer when [max_events] truncated
+    the listing (N) or the sink itself dropped events at its limit
+    (M). *)
 
 (** {2 JSONL}
 

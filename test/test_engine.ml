@@ -150,6 +150,109 @@ let test_heap_stress () =
   Net.Engine.run engine;
   Alcotest.(check int) "monotone" 0 !violations
 
+(* --- heap vs a naive reference model ----------------------------------------- *)
+
+(* The engine's contract restated over a list kept sorted by (time,
+   seq): a cancelled event stays queued (counted by heap_size, not by
+   pending) until it reaches the front, and the peaks are sampled when
+   an event is scheduled. *)
+module Reference = struct
+  type ev = { time : float; seq : int; id : int; mutable cancelled : bool }
+
+  type t = {
+    mutable queue : ev list;
+    mutable clock : float;
+    mutable next_seq : int;
+    mutable fired : int list;  (** newest first *)
+    mutable live_peak : int;
+    mutable queued_peak : int;
+  }
+
+  let create () =
+    { queue = []; clock = 0.0; next_seq = 0; fired = []; live_peak = 0; queued_peak = 0 }
+
+  let pending t = List.length (List.filter (fun e -> not e.cancelled) t.queue)
+  let heap_size t = List.length t.queue
+
+  let at t ~time id =
+    let ev = { time = Float.max time t.clock; seq = t.next_seq; id; cancelled = false } in
+    t.next_seq <- t.next_seq + 1;
+    t.queue <-
+      List.merge (fun a b -> compare (a.time, a.seq) (b.time, b.seq)) t.queue [ ev ];
+    t.live_peak <- max t.live_peak (pending t);
+    t.queued_peak <- max t.queued_peak (heap_size t);
+    ev
+
+  let cancel ev = ev.cancelled <- true
+
+  let rec run t ~until =
+    match t.queue with
+    | ev :: rest when ev.time <= until ->
+        t.queue <- rest;
+        if not ev.cancelled then begin
+          t.clock <- ev.time;
+          t.fired <- ev.id :: t.fired
+        end;
+        run t ~until
+    | _ -> ()
+end
+
+(* Interprets one op list against the engine and the reference and
+   compares the full observable trajectory: fire order, clock, pending
+   and raw queue size after every op, and the peaks. Ops cover
+   equal-deadline ties (quantized delays), cancels (double cancels and
+   cancels of fired events included), partial run horizons, and far
+   deadlines, up to an absolute 1e12 s. *)
+let engine_matches_reference ops =
+  let engine = Net.Engine.create () in
+  let model = Reference.create () in
+  let fired = ref [] in
+  let note i () = fired := i :: !fired in
+  let handles = ref [||] in
+  let keep h ev = handles := Array.append !handles [| (h, ev) |] in
+  let observe () =
+    ( (Net.Engine.now engine, Net.Engine.pending engine, Net.Engine.heap_size engine),
+      (model.clock, Reference.pending model, Reference.heap_size model) )
+  in
+  let trajectory =
+    List.mapi
+      (fun i (op, a, b) ->
+        (match op mod 6 with
+        | 0 | 1 | 2 ->
+            let delay =
+              if op mod 6 = 2 && b mod 7 = 0 then float_of_int (a mod 1000) *. 50.0
+              else float_of_int (a mod 32) *. 0.125
+            in
+            keep
+              (Net.Engine.schedule engine ~delay (note i))
+              (Reference.at model ~time:(model.clock +. delay) i)
+        | 3 ->
+            let m = Array.length !handles in
+            if m > 0 then begin
+              let h, ev = !handles.(a mod m) in
+              Net.Engine.cancel engine h;
+              Reference.cancel ev
+            end
+        | 4 ->
+            let until = Net.Engine.now engine +. (float_of_int (a mod 8) *. 0.5) in
+            Net.Engine.run ~until engine;
+            Reference.run model ~until
+        | _ -> keep (Net.Engine.at engine ~time:1.0e12 (note i)) (Reference.at model ~time:1.0e12 i));
+        observe ())
+      ops
+  in
+  Net.Engine.run engine;
+  Reference.run model ~until:Float.infinity;
+  List.for_all (fun (e, m) -> e = m) (trajectory @ [ observe () ])
+  && !fired = model.fired
+  && Net.Engine.live_peak engine = model.live_peak
+  && Net.Engine.queued_peak engine = model.queued_peak
+
+let qcheck_engine_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"heap matches the reference model"
+    QCheck.(list_of_size Gen.(int_range 10 120) (triple small_nat small_nat small_nat))
+    engine_matches_reference
+
 (* --- CPU ------------------------------------------------------------------ *)
 
 let test_cpu_serializes_jobs () =
@@ -211,6 +314,7 @@ let suite =
       Alcotest.test_case "bad delay" `Quick test_bad_delay_rejected;
       Alcotest.test_case "step" `Quick test_step;
       Alcotest.test_case "heap stress" `Quick test_heap_stress;
+      QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
       Alcotest.test_case "cpu serializes" `Quick test_cpu_serializes_jobs;
       Alcotest.test_case "cpu charge accumulates" `Quick test_cpu_charge_accumulates;
       Alcotest.test_case "cpu idle immediate" `Quick test_cpu_idle_runs_now;

@@ -100,46 +100,46 @@ let qcheck_merkle_random =
 (* --- tracing ------------------------------------------------------------------ *)
 
 let test_trace_off_by_default () =
-  Net.Trace.clear ();
-  Net.Trace.stop ();
-  Net.Trace.emit ~time:1.0 ~node:0 ~layer:"x" ~label:"y" "z";
-  Alcotest.(check int) "nothing collected" 0 (List.length (Net.Trace.events ()))
+  Obs.Trace2.clear ();
+  Obs.Trace2.stop ();
+  Obs.Trace2.emit ~time:1.0 ~node:0 ~layer:"x" ~label:"y" [];
+  Alcotest.(check int) "nothing collected" 0 (List.length (Obs.Trace2.events ()))
 
 let test_trace_collects_and_limits () =
-  Net.Trace.start ~limit:5 ();
+  Obs.Trace2.start ~limit:5 ();
   for i = 0 to 9 do
-    Net.Trace.emit ~time:(float_of_int i) ~node:i ~layer:"l" ~label:"e" "d"
+    Obs.Trace2.emit ~time:(float_of_int i) ~node:i ~layer:"l" ~label:"e" []
   done;
-  Net.Trace.stop ();
-  Alcotest.(check int) "kept" 5 (List.length (Net.Trace.events ()));
-  Alcotest.(check int) "dropped" 5 (Net.Trace.dropped ());
-  let rendered = Net.Trace.render () in
+  Obs.Trace2.stop ();
+  Alcotest.(check int) "kept" 5 (List.length (Obs.Trace2.events ()));
+  Alcotest.(check int) "dropped" 5 (Obs.Trace2.dropped ());
+  let rendered = Obs.Trace2.render () in
   Alcotest.(check bool) "mentions drop" true
     (String.length rendered > 0);
-  Net.Trace.clear ()
+  Obs.Trace2.clear ()
 
 let test_trace_captures_protocol_run () =
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4 ~dist:Harness.Runner.Unanimous
       ~load:Net.Fault.Failure_free ~seed:77L ()
   in
-  Net.Trace.stop ();
+  Obs.Trace2.stop ();
   Alcotest.(check bool) "run decided" true (List.length r.latencies = 4);
-  let events = Net.Trace.events () in
+  let events = Obs.Trace2.events () in
   let decides =
-    List.filter (fun e -> e.Net.Trace.layer = "turquois" && e.label = "decide") events
+    List.filter (fun e -> e.Obs.Trace2.layer = "turquois" && e.label = "decide") events
   in
   Alcotest.(check int) "four decide events" 4 (List.length decides);
   Alcotest.(check bool) "radio traffic traced" true
-    (List.exists (fun e -> e.Net.Trace.layer = "radio") events);
+    (List.exists (fun e -> e.Obs.Trace2.layer = "radio") events);
   (* timestamps are nondecreasing *)
   let rec monotone = function
-    | a :: (b :: _ as rest) -> a.Net.Trace.time <= b.Net.Trace.time && monotone rest
+    | a :: (b :: _ as rest) -> a.Obs.Trace2.time <= b.Obs.Trace2.time && monotone rest
     | _ -> true
   in
   Alcotest.(check bool) "monotone" true (monotone events);
-  Net.Trace.clear ()
+  Obs.Trace2.clear ()
 
 (* --- election ------------------------------------------------------------------ *)
 

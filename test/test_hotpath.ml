@@ -1,8 +1,8 @@
 (* The hot-path contract (the per-run message store, shared key
    material, encode-once, SHA-256 fast path, Vset tallies): the fast
    path may change wall-clock time only, never a simulated result. Each
-   test compares a fast structure against its naive recomputation, or a
-   run against the same run at another -j. *)
+   test compares a fast structure against its naive recomputation; the
+   whole-run cases are rows of the equivalence table (test/equiv.ml). *)
 
 module P = Core.Proto
 module S = Core.Msgstore
@@ -11,22 +11,10 @@ let mk ?(sender = 0) ~phase ?(value = P.V1) ?(origin = P.Deterministic)
     ?(status = P.Undecided) ?(proof = Bytes.empty) () =
   { Core.Message.sender; phase; value; origin; status; proof }
 
-let test_sweep_memo_equivalent_and_parallel () =
-  (* the store is re-bound per run, so each task's hit/miss pattern is
-     deterministic: even the instrumentation counters must be
-     bit-identical across worker counts. Key material generated afresh
-     and key material served from the per-domain key cache must give
-     the same sweep too. *)
-  let k = 4 - Net.Fault.max_f 4 in
-  let sweep jobs =
-    Harness.Sweeps.sigma_sweep_merged ~n:4 ~k ~runs_per_point:2 ~rounds:25 ~beyond:1
-      ~base_seed:77L ~jobs ()
-  in
-  Harness.Runner.clear_key_cache ();
-  let cold = sweep 1 in
-  let warm = sweep 1 in
-  Alcotest.(check bool) "fresh keys = cached keys" true (cold = warm);
-  Alcotest.(check bool) "-j 1 = -j 2" true (sweep 2 = cold)
+(* key material generated afresh and key material served from the
+   per-domain key cache give the same sweep, instrumentation counters
+   included (the -j half is pool's "sweep identical across jobs") *)
+let test_sweep_memo_equivalent_and_parallel () = Equiv.(check fresh_keys sigma_sweep)
 
 (* --- instrumentation -------------------------------------------------------- *)
 
@@ -45,34 +33,13 @@ let test_memo_on_hits () =
 
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 
-let small_sweep jobs () =
-  let k = 4 - Net.Fault.max_f 4 in
-  Harness.Sweeps.sigma_sweep_merged ~n:4 ~k ~runs_per_point:2 ~rounds:25 ~beyond:1
-    ~base_seed:77L ~jobs ()
+(* the span profiler reads the host clock only *)
+let test_profiler_invisible_to_results () = Equiv.(check profiling sigma_sweep)
 
-let test_profiler_invisible_to_results () =
-  (* the span profiler reads the host clock only; with it on, simulated
-     results must stay bit-identical to a plain run at -j 1 and -j 2 *)
-  let plain = small_sweep 1 () in
-  Obs.Prof.with_profiling true (fun () ->
-      Alcotest.(check bool) "profiled -j1 = plain" true (small_sweep 1 () = plain);
-      Alcotest.(check bool) "profiled samples collected" true
-        (List.exists (fun (s : Obs.Prof.stat) -> s.count > 0) (Obs.Prof.snapshot ()));
-      Alcotest.(check bool) "profiled -j2 = plain" true (small_sweep 2 () = plain));
-  Alcotest.(check bool) "profiling restored off" false (Obs.Prof.on ())
-
-let test_causal_tracing_invisible_to_results () =
-  (* tracing turns on mid minting and byte aliasing across every layer;
-     none of it may touch the simulation clock, RNG or metrics *)
-  let plain = small_sweep 1 () in
-  Net.Trace.start ();
-  Fun.protect
-    ~finally:(fun () ->
-      Net.Trace.stop ();
-      Net.Trace.clear ())
-    (fun () ->
-      Alcotest.(check bool) "traced -j1 = plain" true (small_sweep 1 () = plain);
-      Alcotest.(check bool) "traced -j2 = plain" true (small_sweep 2 () = plain))
+(* tracing turns on mid minting and byte aliasing across every layer of
+   the radio stack; none of it may touch the simulation clock, RNG or
+   metrics *)
+let test_causal_tracing_invisible_to_results () = Equiv.(check tracing strategies)
 
 let test_profiler_span_mechanics () =
   Obs.Prof.with_profiling true (fun () ->

@@ -26,4 +26,5 @@ let () =
       Test_model.suite;
       Test_workload.suite;
       Test_scale.suite;
+      Equiv.suite;
     ]

@@ -89,13 +89,7 @@ let test_worst_schedule_replays () =
 
 (* --- jobs-independence -------------------------------------------------------- *)
 
-let test_walk_jobs_independent () =
-  let run jobs =
-    C.check (C.config ~n:4 ~rounds:2 ~jobs ())
-  in
-  let r1 = run 1 and r2 = run 2 in
-  Alcotest.(check bool) "identical outcome at -j 1 and -j 2" true (r1.outcome = r2.outcome);
-  Alcotest.(check bool) "identical stats at -j 1 and -j 2" true (r1.stats = r2.stats)
+let test_walk_jobs_independent () = Equiv.(check jobs model_walk)
 
 (* --- the state cap ------------------------------------------------------------ *)
 

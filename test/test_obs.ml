@@ -180,16 +180,16 @@ let test_trace2_file_roundtrip () =
 
 let test_render_trailer () =
   fresh ();
-  Net.Trace.start ~limit:4 ();
+  Obs.Trace2.start ~limit:4 ();
   for i = 1 to 6 do
-    Net.Trace.emit ~time:(float_of_int i) ~node:i ~layer:"test" ~label:"ev" "x"
+    Obs.Trace2.emit ~time:(float_of_int i) ~node:i ~layer:"test" ~label:"ev" []
   done;
-  let out = Net.Trace.render ~max_events:2 () in
+  let out = Obs.Trace2.render ~max_events:2 () in
   Alcotest.(check bool) "trailer shows hidden and dropped" true
     (let lines = String.split_on_char '\n' out in
      List.exists (fun l -> l = "(+2 more, 2 dropped)") lines);
-  Net.Trace.stop ();
-  Net.Trace.clear ()
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ()
 
 (* --- end-to-end: instrumented run ------------------------------------------ *)
 
@@ -219,14 +219,14 @@ let test_runs_do_not_leak () =
 
 let test_analyze_reports_sigma () =
   fresh ();
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:8
       ~dist:Harness.Runner.Divergent ~load:Net.Fault.Fail_stop ~seed:42L ()
   in
   let events = Obs.Trace2.events () in
-  Net.Trace.stop ();
-  Net.Trace.clear ();
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
   Alcotest.(check bool) "run decided" false r.timed_out;
   let report = Obs.Analyze.analyze events in
   let contains needle hay =
@@ -428,7 +428,7 @@ let test_timeline_render_states () =
 
 let test_causal_end_to_end_sigma_edge () =
   fresh ();
-  Net.Trace.start ();
+  Obs.Trace2.start ();
   let n = 8 in
   let attach radio =
     let k = n - Net.Fault.max_f n in
@@ -440,8 +440,8 @@ let test_causal_end_to_end_sigma_edge () =
       ~seed:42L ()
   in
   let events = Obs.Trace2.events () in
-  Net.Trace.stop ();
-  Net.Trace.clear ();
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
   Alcotest.(check bool) "run decided" false r.timed_out;
   let report = Obs.Analyze.causal events in
   Alcotest.(check bool) "sends were tagged" false

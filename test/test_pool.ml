@@ -109,40 +109,11 @@ let test_rng_derive_order_sensitive () =
   Alcotest.(check bool) "base matters" true
     (Util.Rng.derive ~base:1L [ 7 ] <> Util.Rng.derive ~base:2L [ 7 ])
 
-(* --- determinism across jobs on the real harness ----------------------------- *)
+(* --- determinism across jobs on the real harness (rows of test/equiv.ml) ----- *)
 
-let test_sigma_sweep_identical_across_jobs () =
-  let sweep jobs =
-    Harness.Sweeps.sigma_sweep_merged ~n:4 ~k:3 ~runs_per_point:3 ~rounds:40 ~beyond:2
-      ~base_seed:77L ~jobs ()
-  in
-  let rows1, metrics1 = sweep 1 in
-  let rows4, metrics4 = sweep 4 in
-  Alcotest.(check bool) "rows byte-identical" true (rows1 = rows4);
-  Alcotest.(check bool) "merged metrics identical" true
-    (Obs.Metrics.render_table metrics1 = Obs.Metrics.render_table metrics4
-    && metrics1 = metrics4)
-
-let test_run_cell_identical_across_jobs () =
-  let cell =
-    { Harness.Experiment.protocol = Harness.Runner.Turquois; n = 4;
-      dist = Harness.Runner.Divergent; load = Net.Fault.Failure_free }
-  in
-  let run jobs = Harness.Experiment.run_cell ~reps:4 ~base_seed:90L ~jobs cell in
-  let a = run 1 and b = run 3 in
-  Alcotest.(check bool) "summaries identical" true (a.summary = b.summary);
-  Alcotest.(check bool) "phase summaries identical" true (a.phase_summary = b.phase_summary);
-  Alcotest.(check (float 0.0)) "decided fraction identical" a.decided_fraction
-    b.decided_fraction
-
-let test_chaos_identical_across_jobs () =
-  let run jobs =
-    Harness.Chaos.run_chaos ~n:4 ~protocols:[ Harness.Runner.Turquois ] ~jobs ~runs:4
-      ~seed:5L ()
-  in
-  let a = run 1 and b = run 4 in
-  Alcotest.(check int) "same liveness count" a.liveness_checked b.liveness_checked;
-  Alcotest.(check bool) "same failures" true (a.failures = b.failures)
+let test_sigma_sweep_identical_across_jobs () = Equiv.(check jobs sigma_sweep)
+let test_run_cell_identical_across_jobs () = Equiv.(check jobs paper_cells)
+let test_chaos_identical_across_jobs () = Equiv.(check jobs chaos_batch)
 
 let test_metrics_merge () =
   let snap counts =

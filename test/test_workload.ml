@@ -32,13 +32,7 @@ let test_bursty_matches_rate () =
   let r = W.run { small_base with W.arrival = W.Bursty 4 } in
   Alcotest.(check bool) "bursty delivers too" true (r.W.delivered_commands > 0)
 
-let sweep_with ~jobs =
-  W.sweep ~jobs ~base:small_base ~loads:[ 20.0; 60.0 ] ~reps:2 ()
-
-let test_sweep_parallel_determinism () =
-  let sequential = sweep_with ~jobs:1 in
-  let parallel = sweep_with ~jobs:2 in
-  Alcotest.(check bool) "-j1 = -j2" true (sequential = parallel)
+let test_sweep_parallel_determinism () = Equiv.(check jobs workload_sweep)
 
 let test_knee_detection () =
   let point load_point mean_throughput =
