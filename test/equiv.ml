@@ -56,6 +56,21 @@ let strategies =
   turquois_runs "strategy alphabet n=4"
     (List.map (fun s -> (4, Net.Fault.Byzantine, Some s)) Core.Strategy.all)
 
+(* Tables 1-3's path: repetitions spread over the pool by seed, then
+   folded in slot order into the summary, phase summary and decided
+   fraction *)
+let run_cell =
+  let cell =
+    {
+      Harness.Experiment.protocol = R.Turquois;
+      n = 4;
+      dist = R.Divergent;
+      load = Net.Fault.Failure_free;
+    }
+  in
+  scenario "run_cell n=4" (fun ~jobs ->
+      Harness.Experiment.run_cell ~reps:4 ~base_seed:90L ~jobs cell)
+
 let chaos_batch =
   scenario "chaos batch" (fun ~jobs -> Harness.Chaos.run_chaos ~n:4 ~runs:3 ~jobs ~seed:1000L ())
 
@@ -83,27 +98,11 @@ let scaling =
         (Harness.Scaling.sweep ~jobs ~ns:[ 16; 64 ] ~turquois_cap:16 ~radio_cap:16
            ~seed:1000L ()))
 
-(* the exhaustive two-round walk; its worst-case schedule must survive
-   a save/load cycle and replay to its recorded outcome *)
+(* the exhaustive two-round walk (model's "worst schedule replays" saves,
+   loads and replays its worst-case schedule) *)
 let model_walk =
   scenario "model walk n=4" (fun ~jobs ->
       let r = Model.Checker.check (Model.Checker.config ~n:4 ~rounds:2 ~jobs ()) in
-      let worst =
-        match r.outcome with
-        | Model.Checker.Safe { worst; _ } -> worst
-        | Model.Checker.Violation _ -> Alcotest.fail "model walk found a violation"
-      in
-      let path = Filename.temp_file "equiv_walk" ".json" in
-      let replay =
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Model.Codec.save path (Model.Codec.Rounds worst);
-            match Model.Codec.load path with
-            | Ok artifact -> Model.Replay.run artifact
-            | Error msg -> Alcotest.fail ("worst-case artifact did not load: " ^ msg))
-      in
-      Alcotest.(check bool) ("worst-case schedule replays: " ^ replay.detail) true replay.ok;
       (r.outcome, r.stats))
 
 (* --- knobs ------------------------------------------------------------------ *)
@@ -112,30 +111,40 @@ type comparison =
   | Bit_identical
   | Decisions_only
       (** the knob changes frame sizes, so contended-radio timing may
-          move; it engages when its pass puts more bytes on the air
-          than the plain one *)
+          move; it engages when a pass puts more bytes on the air than
+          the plain one *)
 
 type knob = {
   knob : string;
   comparison : comparison;
-  pass : 'r. (jobs:int -> 'r) -> 'r * bool;
-      (** one pass of a scenario with the knob set, and whether the knob
-          engaged *)
+  passes : 'r. (jobs:int -> 'r) -> 'r list * bool;
+      (** the passes of a scenario with the knob set, and whether the
+          knob engaged *)
 }
 
-let jobs = { knob = "-j 2"; comparison = Bit_identical; pass = (fun run -> (run ~jobs:2, true)) }
+let jobs =
+  { knob = "-j 2"; comparison = Bit_identical; passes = (fun run -> ([ run ~jobs:2 ], true)) }
 
+(* The on-flag is global, so pool workers profile too, each into its
+   own domain-local accumulators: the knob runs at -j 1 and at -j 2.
+   Spans are counted on this domain, which runs tasks in both passes. *)
 let profiling =
   {
     knob = "profiling";
     comparison = Bit_identical;
-    pass =
+    passes =
       (fun run ->
         Obs.Prof.reset ();
-        let r = Obs.Prof.with_profiling true (fun () -> run ~jobs:1) in
+        let rs =
+          Obs.Prof.with_profiling true (fun () ->
+              let serial = run ~jobs:1 in
+              let parallel = run ~jobs:2 in
+              [ serial; parallel ])
+        in
+        Alcotest.(check bool) "profiling restored off" false (Obs.Prof.on ());
         let spans = List.exists (fun (s : Obs.Prof.stat) -> s.count > 0) (Obs.Prof.snapshot ()) in
         Obs.Prof.reset ();
-        (r, spans));
+        (rs, spans));
   }
 
 (* -j 1 only: the trace buffer is domain-local and pool workers start
@@ -145,7 +154,7 @@ let tracing =
   {
     knob = "tracing";
     comparison = Bit_identical;
-    pass =
+    passes =
       (fun run ->
         Obs.Trace2.start ();
         Fun.protect
@@ -154,7 +163,7 @@ let tracing =
             Obs.Trace2.clear ())
           (fun () ->
             let r = run ~jobs:1 in
-            (r, Obs.Trace2.events () <> [])));
+            ([ r ], Obs.Trace2.events () <> [])));
   }
 
 (* The key cache is domain-local, so the pass runs at -j 1 on the
@@ -164,39 +173,44 @@ let fresh_keys =
   {
     knob = "fresh key material";
     comparison = Bit_identical;
-    pass =
+    passes =
       (fun run ->
         let probe () = R.keyrings_for ~seed:0L ~n:1 ~phases:1 in
         let cached = probe () in
         R.clear_key_cache ();
         let cleared = probe () != cached in
         R.clear_key_cache ();
-        (run ~jobs:1, cleared));
+        ([ run ~jobs:1 ], cleared));
   }
 
 let compact_off =
   {
     knob = "compact off";
     comparison = Decisions_only;
-    pass = (fun run -> (Core.Machine.with_compact false (fun () -> run ~jobs:1), true));
+    passes = (fun run -> ([ Core.Machine.with_compact false (fun () -> run ~jobs:1) ], true));
   }
 
 (* --- the check -------------------------------------------------------------- *)
 
 (* One knob against scenario [s]; says whether the knob engaged. The
-   knob's pass runs before the plain one, so a fresh-keys pass is
+   knob's passes run before the plain one, so a fresh-keys pass is
    compared against a plain pass served from the cache it refilled. *)
 let pair s knob =
-  let result, engaged = knob.pass s.run in
+  let results, engaged = knob.passes s.run in
   let plain = s.run ~jobs:1 in
   let label what = Printf.sprintf "%s / %s: %s" knob.knob s.scenario what in
   match knob.comparison with
   | Bit_identical ->
-      Alcotest.(check bool) (label "bit-identical") true (result = plain);
+      List.iter
+        (fun result -> Alcotest.(check bool) (label "bit-identical") true (result = plain))
+        results;
       engaged
   | Decisions_only ->
-      Alcotest.(check bool) (label "same decisions") true (s.same_decisions result plain);
-      engaged && s.air_bytes result > s.air_bytes plain
+      List.iter
+        (fun result ->
+          Alcotest.(check bool) (label "same decisions") true (s.same_decisions result plain))
+        results;
+      engaged && List.exists (fun result -> s.air_bytes result > s.air_bytes plain) results
 
 (* One knob crossed with several scenarios: it must engage in at least
    one of them. *)
@@ -206,14 +220,15 @@ let row knob pairs =
 
 let check knob s = row knob [ pair s ]
 
-(* The pairs no other suite's case runs. Fresh key material comes last:
-   each of its passes empties the key cache that later rows would
-   otherwise reuse. *)
+(* The pairs no other suite's case runs. Tracing skips the σ sweep and
+   the model walk: both run on abstract rounds and emit no trace event.
+   Fresh key material comes last: each of its passes empties the key
+   cache that later rows would otherwise reuse. *)
 let suite =
   let case knob pairs = Alcotest.test_case knob.knob `Quick (fun () -> row knob pairs) in
   ( "equiv",
     [
-      case jobs [ pair strategies; pair scaling ];
+      case jobs [ pair paper_cells; pair strategies; pair scaling ];
       case profiling
         [
           pair paper_cells;
@@ -223,15 +238,7 @@ let suite =
           pair scaling;
           pair model_walk;
         ];
-      case tracing
-        [
-          pair sigma_sweep;
-          pair paper_cells;
-          pair chaos_batch;
-          pair workload_sweep;
-          pair scaling;
-          pair model_walk;
-        ];
+      case tracing [ pair paper_cells; pair chaos_batch; pair workload_sweep; pair scaling ];
       case compact_off [ pair strategies; pair paper_cells; pair chaos_batch ];
       case fresh_keys
         [

@@ -33,7 +33,8 @@ let test_memo_on_hits () =
 
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 
-(* the span profiler reads the host clock only *)
+(* the span profiler reads the host clock only, whether it runs on this
+   domain (-j 1) or on pool workers too (-j 2) *)
 let test_profiler_invisible_to_results () = Equiv.(check profiling sigma_sweep)
 
 (* tracing turns on mid minting and byte aliasing across every layer of

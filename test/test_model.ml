@@ -72,7 +72,8 @@ let test_exhaustive_sigma_n5 () =
 
 (* The extracted worst-case schedule is a first-class reproducer: replay
    re-executes it and lands on the recorded (deciders, advanced) point;
-   tampering with the expectation is detected. *)
+   tampering with the expectation is detected. The two-round walk's
+   worst schedule also survives a save/load cycle through a file. *)
 let test_worst_schedule_replays () =
   let cfg =
     C.config ~n:4 ~byzantine:[ 3 ] ~budget:1 ~exact_budget:true ~alphabet:silent ~rounds:1
@@ -85,7 +86,22 @@ let test_worst_schedule_replays () =
   Alcotest.(check bool) ("replay reproduces: " ^ v.detail) true v.ok;
   let tampered = { worst with r_expect = Codec.Stall { deciders = d; advanced = a + 1 } } in
   Alcotest.(check bool) "tampered expectation is detected" false
-    (Replay.run (Codec.Rounds tampered)).ok
+    (Replay.run (Codec.Rounds tampered)).ok;
+  let walk_worst, _, _ = safe_exn (C.check (C.config ~n:4 ~rounds:2 ~jobs:1 ())).outcome in
+  let path = Filename.temp_file "worst_walk" ".json" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Codec.save path (Codec.Rounds walk_worst);
+        match Codec.load path with
+        | Ok artifact -> artifact
+        | Error msg -> Alcotest.fail ("saved walk artifact did not load: " ^ msg))
+  in
+  Alcotest.(check bool) "saved walk artifact loads unchanged" true
+    (loaded = Codec.Rounds walk_worst);
+  let v = Replay.run loaded in
+  Alcotest.(check bool) ("two-round walk's worst schedule replays: " ^ v.detail) true v.ok
 
 (* --- jobs-independence -------------------------------------------------------- *)
 

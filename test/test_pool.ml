@@ -112,7 +112,7 @@ let test_rng_derive_order_sensitive () =
 (* --- determinism across jobs on the real harness (rows of test/equiv.ml) ----- *)
 
 let test_sigma_sweep_identical_across_jobs () = Equiv.(check jobs sigma_sweep)
-let test_run_cell_identical_across_jobs () = Equiv.(check jobs paper_cells)
+let test_run_cell_identical_across_jobs () = Equiv.(check jobs run_cell)
 let test_chaos_identical_across_jobs () = Equiv.(check jobs chaos_batch)
 
 let test_metrics_merge () =
