@@ -237,6 +237,107 @@ module Nat = struct
     end
 end
 
+(* Montgomery arithmetic modulo an odd [m] of k limbs, with R = base^k.
+   Operands are k-limb buffers (high zero limbs allowed) holding values
+   below m. Every buffer belongs to one [mod_pow] call: pool domains run
+   calls concurrently, so there is no shared scratch. *)
+module Mont = struct
+  (* -m^-1 mod base for odd [m0] by Newton iteration: m0 is its own
+     inverse mod 8, and each step x <- x(2 - m0 x) doubles the number of
+     correct low bits (3, 6, 12, 24, 48). Native ints wrap mod 2^63, a
+     multiple of base, so the low limb stays exact. *)
+  let neg_inv m0 =
+    let x = ref m0 in
+    for _ = 1 to 4 do
+      x := !x * (2 - (m0 * !x))
+    done;
+    (- !x) land limb_mask
+
+  (* [out] <- a b R^-1 mod m, CIOS with the multiply and reduce passes
+     fused: step i adds a b_i and the multiple q m that clears the low
+     limb, then shifts down one limb. For a, b < m the running sum stays
+     below 2m, so [t.(k)] is 0 or 1, and every column sum stays below
+     2^54. [t] is k+1 limbs of scratch; [out] may alias [a] or [b].
+     Indices are bounded by k = length m by construction. *)
+  let mul ~(m : int array) ~minv ~(t : int array) (a : int array) (b : int array)
+      (out : int array) =
+    let k = Array.length m in
+    Array.fill t 0 (k + 1) 0;
+    for i = 0 to k - 1 do
+      let bi = Array.unsafe_get b i in
+      let s = Array.unsafe_get t 0 + (Array.unsafe_get a 0 * bi) in
+      let q = (s * minv) land limb_mask in
+      let c = ref ((s + (q * Array.unsafe_get m 0)) lsr limb_bits) in
+      for j = 1 to k - 1 do
+        let s =
+          Array.unsafe_get t j + (Array.unsafe_get a j * bi) + (q * Array.unsafe_get m j) + !c
+        in
+        Array.unsafe_set t (j - 1) (s land limb_mask);
+        c := s lsr limb_bits
+      done;
+      let s = Array.unsafe_get t k + !c in
+      Array.unsafe_set t (k - 1) (s land limb_mask);
+      Array.unsafe_set t k (s lsr limb_bits)
+    done;
+    (* t < 2m: subtract m once if t >= m *)
+    let j = ref (k - 1) in
+    while !j >= 0 && t.(!j) = m.(!j) do
+      decr j
+    done;
+    if t.(k) > 0 || !j < 0 || t.(!j) > m.(!j) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = t.(i) - m.(i) - !borrow in
+        out.(i) <- d land limb_mask;
+        borrow := -(d asr limb_bits)
+      done
+    end
+    else Array.blit t 0 out 0 k
+
+  (* b^e mod m for b < m, with a fixed 4-bit exponent window *)
+  let pow (b : Nat.t) (e : Nat.t) (m : Nat.t) : Nat.t =
+    let k = Array.length m in
+    let minv = neg_inv m.(0) and t = Array.make (k + 1) 0 in
+    let mul a b out = mul ~m ~minv ~t a b out in
+    let to_mont v =
+      let r = snd (Nat.divmod (Nat.shift_left v (limb_bits * k)) m) in
+      let out = Array.make k 0 in
+      Array.blit r 0 out 0 (Array.length r);
+      out
+    in
+    (* table.(d) = b^d R mod m *)
+    let table = Array.make 16 [||] in
+    table.(0) <- to_mont (Nat.of_int 1);
+    table.(1) <- to_mont b;
+    for d = 2 to 15 do
+      let v = Array.make k 0 in
+      mul table.(d - 1) table.(1) v;
+      table.(d) <- v
+    done;
+    (* bits 4w..4w+3 of e *)
+    let digit w =
+      let d = ref 0 in
+      for i = 3 downto 0 do
+        d := (2 * !d) + Bool.to_int (Nat.testbit e ((4 * w) + i))
+      done;
+      !d
+    in
+    let windows = (Nat.bit_length e + 3) / 4 in
+    let acc = Array.copy table.(if windows = 0 then 0 else digit (windows - 1)) in
+    for w = windows - 2 downto 0 do
+      for _ = 1 to 4 do
+        mul acc acc acc
+      done;
+      let d = digit w in
+      if d <> 0 then mul acc table.(d) acc
+    done;
+    (* leave Montgomery form: acc 1 R^-1 *)
+    let one = Array.make k 0 in
+    one.(0) <- 1;
+    mul acc one acc;
+    Nat.norm acc
+end
+
 type t = { sg : int; mag : Nat.t }
 (* invariant: sg ∈ {-1, 0, 1}; sg = 0 iff mag is zero *)
 
@@ -247,10 +348,13 @@ let two = { sg = 1; mag = Nat.of_int 2 }
 
 let of_int v = if v = 0 then zero else if v > 0 then mk 1 (Nat.of_int v) else mk (-1) (Nat.of_int (-v))
 
+(* the magnitude max_int + 1 fits in an int only as min_int *)
+let min_int_mag = Nat.add (Nat.of_int max_int) (Nat.of_int 1)
+
 let to_int_opt t =
   match Nat.to_int_opt t.mag with
-  | None -> None
   | Some m -> Some (if t.sg < 0 then -m else m)
+  | None -> if t.sg < 0 && Nat.compare t.mag min_int_mag = 0 then Some min_int else None
 
 let sign t = t.sg
 let neg t = mk (-t.sg) t.mag
@@ -320,14 +424,18 @@ let mod_inv t ~m =
 let mod_pow ~base:b ~exp ~m =
   if m.sg <= 0 then invalid_arg "Znum.mod_pow: modulus must be positive";
   if exp.sg < 0 then invalid_arg "Znum.mod_pow: negative exponent";
-  let b = ref (emod b m) in
-  let result = ref (emod one m) in
-  let nbits = bit_length exp in
-  for i = 0 to nbits - 1 do
-    if testbit exp i then result := emod (mul !result !b) m;
-    if i < nbits - 1 then b := emod (mul !b !b) m
-  done;
-  !result
+  if is_odd m then mk 1 (Mont.pow (emod b m).mag exp.mag m.mag)
+  else begin
+    (* even moduli have no Montgomery form: square-and-multiply *)
+    let b = ref (emod b m) in
+    let result = ref (emod one m) in
+    let nbits = bit_length exp in
+    for i = 0 to nbits - 1 do
+      if testbit exp i then result := emod (mul !result !b) m;
+      if i < nbits - 1 then b := emod (mul !b !b) m
+    done;
+    !result
+  end
 
 (* Decimal I/O through chunks of 10^7 (< 2^26, so a single limb). *)
 let chunk = 10_000_000

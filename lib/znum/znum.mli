@@ -74,6 +74,13 @@ val mod_inv : t -> m:t -> t option
 
 val mod_pow : base:t -> exp:t -> m:t -> t
 (** [mod_pow ~base ~exp ~m] for [exp >= 0], [m > 0]; result in
-    [\[0, m)]. Square-and-multiply with window size 1. *)
+    [\[0, m)]. A negative base or one [>= m] is reduced first.
+
+    For odd [m] (every cryptographic caller) the kernel works in
+    Montgomery form over the 26-bit limbs: [-m^-1 mod 2^26] by Newton
+    iteration, CIOS multiplication into k-limb buffers owned by the
+    call, and a fixed 4-bit exponent window. Even [m] falls back to
+    right-to-left square-and-multiply over {!mul} and {!emod}. Both
+    return the same value, so callers see no difference but speed. *)
 
 val pp : Format.formatter -> t -> unit

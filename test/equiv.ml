@@ -166,9 +166,11 @@ let tracing =
             ([ r ], Obs.Trace2.events () <> [])));
   }
 
-(* The key cache is domain-local, so the pass runs at -j 1 on the
-   domain whose cache was cleared. A probe entry shows the clear took
-   effect; a second clear drops it again. *)
+(* The key cache is domain-local. Each pass starts from a cleared cache
+   on this domain: at -j 1 this domain generates every key, and at -j 2
+   it does so concurrently with a freshly spawned worker, whose cache
+   starts empty. A probe entry shows the clear took effect; a second
+   clear drops it again. *)
 let fresh_keys =
   {
     knob = "fresh key material";
@@ -180,7 +182,10 @@ let fresh_keys =
         R.clear_key_cache ();
         let cleared = probe () != cached in
         R.clear_key_cache ();
-        ([ run ~jobs:1 ], cleared));
+        let serial = run ~jobs:1 in
+        R.clear_key_cache ();
+        let parallel = run ~jobs:2 in
+        ([ serial; parallel ], cleared));
   }
 
 let compact_off =
@@ -193,8 +198,8 @@ let compact_off =
 (* --- the check -------------------------------------------------------------- *)
 
 (* One knob against scenario [s]; says whether the knob engaged. The
-   knob's passes run before the plain one, so a fresh-keys pass is
-   compared against a plain pass served from the cache it refilled. *)
+   knob's passes run before the plain one, so fresh-keys passes are
+   compared against a plain pass served from the cache they refilled. *)
 let pair s knob =
   let results, engaged = knob.passes s.run in
   let plain = s.run ~jobs:1 in

@@ -353,6 +353,24 @@ let test_coin_different_names_vary () =
   done;
   Alcotest.(check int) "both values appear" 2 (Hashtbl.length seen)
 
+(* --- pinned key material ----------------------------------------------------------- *)
+
+(* Key generation and the coin are deterministic functions of their
+   seeds, and ABBA's outputs depend on them (its coin values decide
+   rounds), so a change to the bignum or prime layers must leave these
+   bytes alone. The coin share covers the Schnorr group (through the
+   hashed base and the DLEQ proof), the dealt share and the proof at
+   ABBA's n=4 parameters. *)
+let test_pinned_key_material () =
+  let fingerprint b = hex (Crypto.Sha256.digest b) in
+  Alcotest.(check string) "rsa seed 101 public key"
+    "1bc7193ba0f2810130f079d3fe3fd8acab41667f3acf316569150fae3e9295bd"
+    (fingerprint (Crypto.Rsa.public_to_bytes (Lazy.force rsa_keys).pub));
+  let params, keys = Crypto.Coin.setup (Util.Rng.create ~seed:103L) ~n:4 ~threshold:2 () in
+  Alcotest.(check string) "coin seed 103 share"
+    "a4121ef27d369eac06f6d2f16d3ab1e747532bbedf463cbcd423d74b66d5a181"
+    (fingerprint (Crypto.Coin.share_to_bytes (Crypto.Coin.create_share params keys.(0) ~name:"coin|1")))
+
 (* --- multisig ---------------------------------------------------------------------- *)
 
 let ms_keys =
@@ -446,6 +464,7 @@ let suite =
       Alcotest.test_case "coin ignores invalid" `Quick test_coin_combine_ignores_invalid;
       Alcotest.test_case "coin share serialization" `Quick test_coin_share_serialization;
       Alcotest.test_case "coin values vary" `Quick test_coin_different_names_vary;
+      Alcotest.test_case "pinned key material" `Quick test_pinned_key_material;
       Alcotest.test_case "multisig verify" `Quick test_multisig_verify;
       Alcotest.test_case "multisig bad signature" `Quick test_multisig_bad_signature_not_counted;
       Alcotest.test_case "multisig unknown signer" `Quick test_multisig_out_of_range_signer;

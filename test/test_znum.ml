@@ -35,11 +35,16 @@ let test_int_roundtrip () =
       match Znum.to_int_opt (Znum.of_int v) with
       | Some back -> Alcotest.(check int) (string_of_int v) v back
       | None -> Alcotest.fail "should fit")
-    [ 0; 1; -1; 42; -42; max_int; min_int + 1; 1 lsl 40 ]
+    [ 0; 1; -1; 42; -42; max_int; min_int; min_int + 1; 1 lsl 40 ]
 
 let test_to_int_overflow () =
   let big = Znum.mul (Znum.of_int max_int) (Znum.of_int 17) in
-  Alcotest.(check bool) "too big" true (Znum.to_int_opt big = None)
+  Alcotest.(check bool) "too big" true (Znum.to_int_opt big = None);
+  (* -min_int = max_int + 1 has min_int's magnitude but not its sign *)
+  let past_max = Znum.add (Znum.of_int max_int) Znum.one in
+  Alcotest.(check bool) "max_int + 1" true (Znum.to_int_opt past_max = None);
+  Alcotest.(check bool) "min_int - 1" true
+    (Znum.to_int_opt (Znum.sub (Znum.of_int min_int) Znum.one) = None)
 
 let test_known_product () =
   zcheck "product" "121932631137021795226185032733744855963362292333223746380111126352690"
@@ -164,6 +169,90 @@ let qcheck_modpow_mul =
       in
       Znum.equal lhs rhs)
 
+(* The reference mod_pow: right-to-left square-and-multiply over [mul]
+   and [emod], one bit at a time. *)
+let ref_mod_pow ~base ~exp ~m =
+  let rec go acc b i =
+    if i >= Znum.bit_length exp then acc
+    else begin
+      let acc = if Znum.testbit exp i then Znum.emod (Znum.mul acc b) m else acc in
+      go acc (Znum.emod (Znum.mul b b) m) (i + 1)
+    end
+  in
+  go (Znum.emod Znum.one m) (Znum.emod base m) 0
+
+let limb_bits = 26
+
+(* the value of [limbs] 26-bit limbs, most significant first *)
+let of_limbs limbs =
+  List.fold_left (fun acc l -> Znum.add (Znum.shift_left acc limb_bits) (Znum.of_int l)) Znum.zero limbs
+
+let gen_limb = QCheck.Gen.int_bound ((1 lsl limb_bits) - 1)
+let gen_limbs n = QCheck.Gen.(map of_limbs (list_repeat n gen_limb))
+
+(* exactly [k >= 1] limbs, the top one [top] or else random *)
+let gen_nat ?top k =
+  QCheck.Gen.(
+    let* top = match top with Some t -> return t | None -> int_range 1 ((1 lsl limb_bits) - 1) in
+    let* rest = list_repeat (k - 1) gen_limb in
+    return (of_limbs (top :: rest)))
+
+(* a modulus of 1-40 limbs, odd but for the even case: the small edge
+   cases, a top limb of 1, where the running Montgomery sum is closest to
+   spilling into limb k, and full-width random limbs *)
+let gen_modulus =
+  QCheck.Gen.(
+    let odd v = if Znum.is_odd v then v else Znum.add v Znum.one in
+    let* k = int_range 1 40 in
+    frequency
+      [
+        (1, return Znum.one);
+        (1, return (Znum.of_int 3));
+        (1, return (Znum.of_int ((1 lsl limb_bits) - 1)));
+        (1, return (Znum.of_int ((1 lsl limb_bits) + 1)));
+        (3, map odd (gen_nat ~top:1 k));
+        (8, map odd (gen_nat k));
+        (1, map (fun v -> if Znum.is_odd v then Znum.add v Znum.one else v) (gen_nat k));
+      ])
+
+(* a base of up to one limb more than [m], of either sign, so it is
+   often negative or >= m *)
+let gen_base m =
+  QCheck.Gen.(
+    let k = (Znum.bit_length m + limb_bits - 1) / limb_bits in
+    let* limbs = int_range 0 (k + 1) in
+    let* v = gen_limbs limbs in
+    let* negative = bool in
+    return (if negative then Znum.neg v else v))
+
+let gen_exponent =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Znum.zero);
+        (1, return Znum.one);
+        ( 6,
+          let* bits = int_range 2 1100 in
+          let limbs = (bits + limb_bits - 1) / limb_bits in
+          map (fun v -> Znum.shift_right v ((limbs * limb_bits) - bits)) (gen_limbs limbs) );
+      ])
+
+let qcheck_modpow_reference =
+  let gen =
+    QCheck.Gen.(
+      let* m = gen_modulus in
+      let* base = gen_base m in
+      let* exp = gen_exponent in
+      return (base, exp, m))
+  in
+  let print (base, exp, m) =
+    Printf.sprintf "base=%s exp=%s m=%s" (Znum.to_string base) (Znum.to_string exp)
+      (Znum.to_string m)
+  in
+  QCheck.Test.make ~name:"mod_pow matches square-and-multiply" ~count:200
+    (QCheck.make ~print gen) (fun (base, exp, m) ->
+      Znum.equal (Znum.mod_pow ~base ~exp ~m) (ref_mod_pow ~base ~exp ~m))
+
 (* --- primes ---------------------------------------------------------------- *)
 
 let test_small_primes_table () =
@@ -240,6 +329,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_string_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_distributivity;
       QCheck_alcotest.to_alcotest qcheck_modpow_mul;
+      QCheck_alcotest.to_alcotest qcheck_modpow_reference;
       Alcotest.test_case "small primes table" `Quick test_small_primes_table;
       Alcotest.test_case "primality known values" `Quick test_primality_known;
       Alcotest.test_case "random prime" `Quick test_random_prime_properties;
