@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-baseline bench-compare causal-smoke chaos clean
+.PHONY: all build test fmt check bench bench-baseline bench-compare scaling-compare causal-smoke chaos clean
 
 all: build
 
@@ -35,9 +35,9 @@ causal-smoke:
 # the gate a PR must pass: formatting, a warning-clean build, all tests
 # (including the observer-only equivalence table in test/equiv.ml:
 # -j, profiling, tracing, fresh keys and compact off against plain
-# runs), the chaos smoke sweep, the causal-trace smoke and the perf
-# regression gate
-check: fmt build test chaos causal-smoke bench-compare
+# runs), the chaos smoke sweep, the causal-trace smoke, the perf
+# regression gate and the scaling gate
+check: fmt build test chaos causal-smoke bench-compare scaling-compare
 
 bench:
 	dune exec bench/main.exe -- --quick
@@ -53,6 +53,15 @@ bench-baseline:
 # section still catches any behavioral drift exactly
 bench-compare:
 	dune exec bench/main.exe -- --compare BENCH_baseline.json --threshold 3.0
+
+# scaling gate: re-run the sweep recorded in BENCH_scaling.json with its
+# own sizes, caps and seed. Coverage must match exactly; simulated
+# latency, traffic, airtime and peaks fail on drift beyond the default
+# 50% either way; the allocation words, read per domain, fail only on
+# growth beyond it. Re-record with
+#   dune exec bench/main.exe -- --scaling-out BENCH_scaling.json -j 1
+scaling-compare:
+	dune exec bench/main.exe -- --compare BENCH_scaling.json
 
 clean:
 	dune clean

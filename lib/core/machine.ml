@@ -556,11 +556,21 @@ let pending_add t (m : Message.t) =
     if t.pending_count > t.stats.pending_peak then t.stats.pending_peak <- t.pending_count
   end
 
+(* Duplicates are tallied per frame and reported with one registry
+   update, not one per justification entry. *)
+let count_duplicates t k =
+  if k > 0 then begin
+    t.stats.duplicates <- t.stats.duplicates + k;
+    Obs.Metrics.incr "validation.duplicates" ~by:k
+  end
+
 (* Re-examine the pool in ascending phase order until a fixpoint: a
    message admitted to V may unlock the validation of later ones. *)
 let drain_pending t =
   let admitted_any = ref false in
-  let progress = ref true in
+  let duplicates = ref 0 in
+  (* an empty pool has nothing to re-examine *)
+  let progress = ref (t.pending_count > 0) in
   while !progress do
     progress := false;
     let candidates =
@@ -573,8 +583,7 @@ let drain_pending t =
           List.filter
             (fun m ->
               if Vset.mem_copy t.v m then begin
-                t.stats.duplicates <- t.stats.duplicates + 1;
-                Obs.Metrics.incr "validation.duplicates";
+                incr duplicates;
                 t.pending_count <- t.pending_count - 1;
                 false
               end
@@ -584,10 +593,7 @@ let drain_pending t =
                   admitted_any := true;
                   progress := true
                 end
-                else begin
-                  t.stats.duplicates <- t.stats.duplicates + 1;
-                  Obs.Metrics.incr "validation.duplicates"
-                end;
+                else incr duplicates;
                 t.pending_count <- t.pending_count - 1;
                 false
               end
@@ -598,6 +604,7 @@ let drain_pending t =
         else Hashtbl.replace t.pending key still_pending)
       candidates
   done;
+  count_duplicates t !duplicates;
   !admitted_any
 
 let record_decided_claim t (m : Message.t) =
@@ -638,14 +645,15 @@ let resolvable t =
 let handle_wire t (fr : Msgstore.frame) =
   let store = store t in
   let auth_checks = ref 0 in
+  let duplicates = ref 0 in
+  let unresolved = ref 0 in
   let claims_before = Hashtbl.length t.decided_claims in
   let consider idx =
     let m = Msgstore.get store idx in
     let copy = Vset.copy_index t.v m in
     if copy <> 0 then begin
       if copy = idx then learn t idx;
-      t.stats.duplicates <- t.stats.duplicates + 1;
-      Obs.Metrics.incr "validation.duplicates"
+      incr duplicates
     end
     else begin
       incr auth_checks;
@@ -663,15 +671,15 @@ let handle_wire t (fr : Msgstore.frame) =
   List.iter
     (function
       | Msgstore.Stored idx -> consider idx
-      | Msgstore.Unknown d -> (
-          match Msgstore.resolve store (knows t) d with
-          | Some idx -> consider idx
-          | None ->
-              (* nothing this machine authenticated has this digest; the
-                 sender's next keyframe retransmits it in full *)
-              Obs.Metrics.incr "compact.unresolved"))
+      | Msgstore.Unknown c ->
+          let idx = Msgstore.resolve knows t c in
+          (* 0: nothing this machine authenticated has this digest; the
+             sender's next keyframe retransmits it in full *)
+          if idx <> 0 then consider idx else incr unresolved)
     fr.Msgstore.just;
   consider fr.Msgstore.msg;
+  count_duplicates t !duplicates;
+  if !unresolved > 0 then Obs.Metrics.incr "compact.unresolved" ~by:!unresolved;
   let admitted = drain_pending t in
   let new_claims = Hashtbl.length t.decided_claims > claims_before in
   let events = if admitted || new_claims then update_state t else [] in

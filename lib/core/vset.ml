@@ -5,20 +5,24 @@
    justification entry re-embedded in many frames — resolve to one
    stored copy shared by every V set of the run. *)
 
+(* One phase's row, found by indexing an array spine with the phase.
+   [slots] holds each sender's primary; [extras] holds an equivocating
+   sender's additional differently-valued copies, newest first — at
+   most one stored copy per value, so a slot holds <= 3 messages. The
+   tallies are maintained on insert instead of rescanning the row,
+   because Validation probes count_phase/count_value on every candidate
+   message; messages are never removed, so increments suffice. *)
+type row = {
+  slots : int array;
+  mutable extras : int list array;  (* [||] until the phase's first extra *)
+  mutable senders : int;  (* senders with a primary *)
+  supporters : int array;  (* value code -> senders with a copy of it *)
+}
+
 type t = {
   n : int;
   store : Msgstore.t;
-  by_phase : (int, int array) Hashtbl.t;
-  (* additional differently-valued copies per (sender, phase): an
-     equivocating sender's other messages. At most one stored copy per
-     value, so a slot holds <= 3 messages total. *)
-  extras : (int * int, int list) Hashtbl.t;
-  (* incremental tallies — Validation probes count_phase/count_value on
-     every candidate message, so the counts are maintained on insert
-     instead of rescanning the phase row. Messages are never removed,
-     so increments suffice. *)
-  phase_tally : (int, int) Hashtbl.t;        (* phase -> senders with a primary *)
-  value_tally : (int * int, int) Hashtbl.t;  (* (phase, value code) -> supporters *)
+  mutable rows : row option array;  (* by phase; None = nothing stored *)
   mutable highest : Message.t option;
   mutable total : int;
   (* bumped on every successful insert: the cheap invalidation key for
@@ -30,10 +34,7 @@ let create ~n =
   {
     n;
     store = Msgstore.current ();
-    by_phase = Hashtbl.create 32;
-    extras = Hashtbl.create 4;
-    phase_tally = Hashtbl.create 32;
-    value_tally = Hashtbl.create 32;
+    rows = Array.make 8 None;
     highest = None;
     total = 0;
     version = 0;
@@ -42,40 +43,44 @@ let create ~n =
 let version t = t.version
 let store t = t.store
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let row_at t phase =
+  if phase >= 0 && phase < Array.length t.rows then t.rows.(phase) else None
 
 let row t phase =
-  match Hashtbl.find_opt t.by_phase phase with
-  | Some slots -> slots
+  if phase >= Array.length t.rows then begin
+    let rows = Array.make (max (phase + 1) (2 * Array.length t.rows)) None in
+    Array.blit t.rows 0 rows 0 (Array.length t.rows);
+    t.rows <- rows
+  end;
+  match t.rows.(phase) with
+  | Some r -> r
   | None ->
-      let slots = Array.make t.n 0 in
-      Hashtbl.add t.by_phase phase slots;
-      slots
+      let r =
+        { slots = Array.make t.n 0; extras = [||]; senders = 0; supporters = Array.make 3 0 }
+      in
+      t.rows.(phase) <- Some r;
+      r
+
+let extras_of r sender = if Array.length r.extras = 0 then [] else r.extras.(sender)
 
 let copies t ~sender ~phase =
-  let primary =
-    match Hashtbl.find_opt t.by_phase phase with
-    | None -> []
-    | Some slots ->
-        if sender >= 0 && sender < t.n && slots.(sender) <> 0 then
-          [ Msgstore.get t.store slots.(sender) ]
-        else []
-  in
-  primary
-  @ List.map (Msgstore.get t.store)
-      (Option.value ~default:[] (Hashtbl.find_opt t.extras (sender, phase)))
+  match row_at t phase with
+  | Some r when sender >= 0 && sender < t.n && r.slots.(sender) <> 0 ->
+      Msgstore.get t.store r.slots.(sender)
+      :: List.map (Msgstore.get t.store) (extras_of r sender)
+  | Some _ | None -> []
 
 let add_unprofiled t (m : Message.t) =
-  if m.sender < 0 || m.sender >= t.n then false
+  if m.sender < 0 || m.sender >= t.n || m.phase < 0 then false
   else begin
-    let slots = row t m.phase in
-    if slots.(m.sender) = 0 then begin
-      slots.(m.sender) <- Msgstore.admit t.store m;
+    let r = row t m.phase in
+    let code = Proto.value_to_int m.value in
+    if r.slots.(m.sender) = 0 then begin
+      r.slots.(m.sender) <- Msgstore.admit t.store m;
       t.total <- t.total + 1;
       t.version <- t.version + 1;
-      bump t.phase_tally m.phase;
-      bump t.value_tally (m.phase, Proto.value_to_int m.value);
+      r.senders <- r.senders + 1;
+      r.supporters.(code) <- r.supporters.(code) + 1;
       (match t.highest with
       | Some h when h.phase >= m.phase -> ()
       | Some _ | None -> t.highest <- Some m);
@@ -91,15 +96,14 @@ let add_unprofiled t (m : Message.t) =
       if List.exists (fun (c : Message.t) -> Proto.value_equal c.value m.value) stored
       then false
       else begin
-        Hashtbl.replace t.extras (m.sender, m.phase)
-          (Msgstore.admit t.store m
-          :: Option.value ~default:[] (Hashtbl.find_opt t.extras (m.sender, m.phase)));
+        if Array.length r.extras = 0 then r.extras <- Array.make t.n [];
+        r.extras.(m.sender) <- Msgstore.admit t.store m :: r.extras.(m.sender);
         t.total <- t.total + 1;
         t.version <- t.version + 1;
         (* an extra always sits next to a primary from the same
-           sender, so the phase tally is unchanged; the sender now
-           additionally supports this (previously unseen) value *)
-        bump t.value_tally (m.phase, Proto.value_to_int m.value);
+           sender, so the phase's sender count is unchanged; the sender
+           now additionally supports this (previously unseen) value *)
+        r.supporters.(code) <- r.supporters.(code) + 1;
         true
       end
     end
@@ -114,18 +118,18 @@ let add t (m : Message.t) =
 (* The store is append-only and shared by reference: cloning only
    copies the index rows and tallies. *)
 let clone t =
-  let by_phase = Hashtbl.create (Hashtbl.length t.by_phase) in
-  Hashtbl.iter (fun phase slots -> Hashtbl.add by_phase phase (Array.copy slots)) t.by_phase;
   {
-    n = t.n;
-    store = t.store;
-    by_phase;
-    extras = Hashtbl.copy t.extras;
-    phase_tally = Hashtbl.copy t.phase_tally;
-    value_tally = Hashtbl.copy t.value_tally;
-    highest = t.highest;
-    total = t.total;
-    version = t.version;
+    t with
+    rows =
+      Array.map
+        (Option.map (fun r ->
+             {
+               slots = Array.copy r.slots;
+               extras = Array.copy r.extras;
+               senders = r.senders;
+               supporters = Array.copy r.supporters;
+             }))
+        t.rows;
   }
 
 (* Canonical serialization for state fingerprinting: phases ascending,
@@ -142,70 +146,72 @@ let canonical t buf =
          (match m.origin with Proto.Deterministic -> 0 | Proto.Random -> 1)
          (match m.status with Proto.Undecided -> 0 | Proto.Decided -> 1))
   in
-  let phases = Hashtbl.fold (fun phase _ acc -> phase :: acc) t.by_phase [] in
-  List.iter
-    (fun phase ->
-      Buffer.add_string buf (Printf.sprintf "|p%d:" phase);
-      let slots = Hashtbl.find t.by_phase phase in
-      Array.iteri
-        (fun sender idx ->
-          if idx <> 0 then begin
-            header (Msgstore.get t.store idx);
-            List.iter
-              (fun i -> header (Msgstore.get t.store i))
-              (Option.value ~default:[] (Hashtbl.find_opt t.extras (sender, phase)))
-          end)
-        slots)
-    (List.sort Int.compare phases)
+  Array.iteri
+    (fun phase -> function
+      | None -> ()
+      | Some r ->
+          Buffer.add_string buf (Printf.sprintf "|p%d:" phase);
+          Array.iteri
+            (fun sender idx ->
+              if idx <> 0 then begin
+                header (Msgstore.get t.store idx);
+                List.iter (fun i -> header (Msgstore.get t.store i)) (extras_of r sender)
+              end)
+            r.slots)
+    t.rows
 
 let find t ~sender ~phase =
-  match Hashtbl.find_opt t.by_phase phase with
-  | None -> None
-  | Some slots ->
-      if sender >= 0 && sender < t.n && slots.(sender) <> 0 then
-        Some (Msgstore.get t.store slots.(sender))
-      else None
+  match row_at t phase with
+  | Some r when sender >= 0 && sender < t.n && r.slots.(sender) <> 0 ->
+      Some (Msgstore.get t.store r.slots.(sender))
+  | Some _ | None -> None
 
-let mem t ~sender ~phase = find t ~sender ~phase <> None
+let mem t ~sender ~phase =
+  match row_at t phase with
+  | Some r -> sender >= 0 && sender < t.n && r.slots.(sender) <> 0
+  | None -> false
+
+let rec same_header t (m : Message.t) = function
+  | [] -> 0
+  | idx :: rest ->
+      if Message.header_equal m (Msgstore.get t.store idx) then idx else same_header t m rest
 
 let copy_index t (m : Message.t) =
-  match Hashtbl.find_opt t.by_phase m.phase with
-  | Some slots when m.sender >= 0 && m.sender < t.n && slots.(m.sender) <> 0 -> (
-      let same idx = Message.header_equal m (Msgstore.get t.store idx) in
-      if same slots.(m.sender) then slots.(m.sender)
-      else
-        match Hashtbl.find_opt t.extras (m.sender, m.phase) with
-        | Some extras -> Option.value ~default:0 (List.find_opt same extras)
-        | None -> 0)
+  match row_at t m.phase with
+  | Some r when m.sender >= 0 && m.sender < t.n && r.slots.(m.sender) <> 0 ->
+      let primary = r.slots.(m.sender) in
+      if Message.header_equal m (Msgstore.get t.store primary) then primary
+      else same_header t m (extras_of r m.sender)
   | Some _ | None -> 0
 
 let mem_copy t m = copy_index t m <> 0
 
 let fold_phase t phase f acc =
-  match Hashtbl.find_opt t.by_phase phase with
+  match row_at t phase with
   | None -> acc
-  | Some slots ->
+  | Some r ->
       Array.fold_left
         (fun acc idx -> if idx = 0 then acc else f acc (Msgstore.get t.store idx))
-        acc slots
+        acc r.slots
 
-let count_phase t ~phase =
-  Option.value ~default:0 (Hashtbl.find_opt t.phase_tally phase)
+let count_phase t ~phase = match row_at t phase with Some r -> r.senders | None -> 0
 
 let count_value t ~phase ~value =
   (* distinct senders with ANY copy carrying [value]: an equivocating
      sender supports every value it signed. Stored copies are
      value-distinct per (sender, phase), so each sender bumps a value's
      tally at most once. *)
-  Option.value ~default:0 (Hashtbl.find_opt t.value_tally (phase, Proto.value_to_int value))
+  match row_at t phase with
+  | Some r -> r.supporters.(Proto.value_to_int value)
+  | None -> 0
 
 let messages_at t ~phase =
-  match Hashtbl.find_opt t.by_phase phase with
+  match row_at t phase with
   | None -> []
-  | Some slots ->
+  | Some r ->
       let out = ref [] in
       for sender = t.n - 1 downto 0 do
-        if slots.(sender) <> 0 then out := copies t ~sender ~phase @ !out
+        if r.slots.(sender) <> 0 then out := copies t ~sender ~phase @ !out
       done;
       !out
 

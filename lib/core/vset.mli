@@ -11,9 +11,11 @@
     copy per value is kept, bounding a slot at 3 messages.
 
     The representation is flat: rows of compact indices into the
-    per-run interned {!Msgstore}, so structurally equal messages are
-    stored once per run no matter how many V sets and justification
-    bundles they appear in. *)
+    per-run interned {!Msgstore}, one row per phase found by indexing
+    an array with the phase, so structurally equal messages are stored
+    once per run no matter how many V sets and justification bundles
+    they appear in, and the duplicate test ({!copy_index}) allocates
+    nothing. *)
 
 type t
 
@@ -22,8 +24,8 @@ val create : n:int -> t
 
 val add : t -> Message.t -> bool
 (** [add t m] stores [m] unless a copy from the same (sender, phase)
-    with the same value is already present; returns whether it was
-    stored. *)
+    with the same value is already present, or its sender is outside
+    [0, n) or its phase is negative; returns whether it was stored. *)
 
 val mem : t -> sender:int -> phase:int -> bool
 (** A primary message from this (sender, phase) is present. *)

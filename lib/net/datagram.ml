@@ -22,6 +22,28 @@ let decode raw =
   Util.Codec.R.expect_end r;
   (port, payload)
 
+(* One-entry decode cache keyed on the physical raw buffer. The MAC
+   hands every receiver of one transmission the same buffer, so a
+   broadcast's n-1 deliveries decode it once and share one payload,
+   immutable like the raw bytes it came from. A malformed buffer raises
+   on every delivery and never enters the cache. Domain-local, like the
+   runs that fill it; the sentinel key is a fresh buffer no MAC ever
+   delivers. *)
+type shared = { mutable raw : bytes; mutable port : int; mutable payload : bytes }
+
+let shared_key =
+  Domain.DLS.new_key (fun () -> { raw = Bytes.create 0; port = 0; payload = Bytes.empty })
+
+let decode_shared raw =
+  let c = Domain.DLS.get shared_key in
+  if raw != c.raw then begin
+    let port, payload = decode raw in
+    c.raw <- raw;
+    c.port <- port;
+    c.payload <- payload
+  end;
+  c
+
 let dispatch t ~src ~port payload =
   match Hashtbl.find_opt t.handlers port with
   | Some handler -> handler ~src payload
@@ -30,9 +52,9 @@ let dispatch t ~src ~port payload =
 let create engine mac_layer =
   let t = { engine; mac_layer; handlers = Hashtbl.create 8 } in
   Mac.on_deliver mac_layer (fun ~src raw ->
-      match decode raw with
+      match decode_shared raw with
       | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> ()
-      | port, payload -> dispatch t ~src ~port payload);
+      | c -> dispatch t ~src ~port:c.port c.payload);
   t
 
 let send t ~dst ~port payload =

@@ -30,7 +30,11 @@ val send_latest : t -> ?tag:int -> port:int -> bytes -> unit
 
 val listen : t -> port:int -> (src:int -> bytes -> unit) -> unit
 (** At most one listener per port; a second [listen] replaces the
-    first. *)
+    first. A received datagram is decoded once per transmission: every
+    receiver of one broadcast is handed the same payload buffer, as the
+    MAC hands them the same frame ({!Mac.on_deliver}). Payloads are
+    therefore immutable: listeners must not write to them. A loopback
+    delivery hands the listener the sender's own buffer. *)
 
 val unlisten : t -> port:int -> unit
 (** Removes the port's listener; later datagrams to it are dropped.

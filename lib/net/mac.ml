@@ -244,13 +244,54 @@ let handle_mac_frame t frame =
       end
 
 (* Shared dispatch: the radio has a single receive callback, so the first
-   MAC created on a radio installs a dispatcher over the radio's MACs.
-   The MAC list is attached to the radio itself rather than kept in a
-   global registry, so a finished run's radio and MACs become garbage
-   together. *)
-type Radio.attachment += Macs of t array ref
+   MAC created on a radio installs a dispatcher over the radio's MACs,
+   indexed by node id. The table is attached to the radio itself rather
+   than kept in a global registry, so a finished run's radio and MACs
+   become garbage together. *)
+type Radio.attachment += Macs of t option array
+
+let install_dispatch radio =
+  let macs = Array.make (Radio.size radio) None in
+  Radio.attach radio (Macs macs);
+  (* The radio hands every receiver of one transmission the same
+     physical frame bytes, so a one-entry cache keyed on physical
+     equality decodes once per transmission and shares the decoded
+     frame — payload buffer included, treated as immutable — across
+     the whole fan-out, instead of materializing n-1 private
+     copies. Interleaved deliveries (per-receiver rx delays) only
+     cost a re-decode; the result is byte-identical either way. *)
+  let cache_raw = ref Bytes.empty in
+  let cache_frame : frame option ref = ref None in
+  let decode_shared raw =
+    if raw == !cache_raw then !cache_frame
+    else begin
+      let decoded =
+        match decode_frame raw with
+        | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> None
+        | frame -> Some frame
+      in
+      cache_raw := raw;
+      cache_frame := decoded;
+      decoded
+    end
+  in
+  Radio.on_receive radio (fun receiver ~sender:_ raw ->
+      match (macs.(receiver), decode_shared raw) with
+      | Some mac, Some frame -> handle_mac_frame mac frame
+      | _, None | None, _ -> ());
+  macs
 
 let create engine radio ~id ~rng =
+  let macs =
+    match Radio.attachment radio with
+    | Some (Macs macs) -> macs
+    | Some _ | None -> install_dispatch radio
+  in
+  if id < 0 || id >= Array.length macs then
+    invalid_arg
+      (Printf.sprintf "Mac.create: id %d outside the radio's 0..%d" id (Array.length macs - 1));
+  if Option.is_some macs.(id) then
+    invalid_arg (Printf.sprintf "Mac.create: a MAC for node %d already exists" id);
   let t =
     {
       engine;
@@ -268,40 +309,7 @@ let create engine radio ~id ~rng =
       seen = Hashtbl.create 64;
     }
   in
-  (match Radio.attachment radio with
-  | Some (Macs cell) -> cell := Array.append !cell [| t |]
-  | Some _ | None ->
-      let cell = ref [| t |] in
-      Radio.attach radio (Macs cell);
-      (* The radio hands every receiver of one transmission the same
-         physical frame bytes, so a one-entry cache keyed on physical
-         equality decodes once per transmission and shares the decoded
-         frame — payload buffer included, treated as immutable — across
-         the whole fan-out, instead of materializing n-1 private
-         copies. Interleaved deliveries (per-receiver rx delays) only
-         cost a re-decode; the result is byte-identical either way. *)
-      let cache_raw = ref Bytes.empty in
-      let cache_frame : frame option ref = ref None in
-      let decode_shared raw =
-        if raw == !cache_raw then !cache_frame
-        else begin
-          let decoded =
-            match decode_frame raw with
-            | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> None
-            | frame -> Some frame
-          in
-          cache_raw := raw;
-          cache_frame := decoded;
-          decoded
-        end
-      in
-      Radio.on_receive radio (fun receiver ~sender:_ raw ->
-          match decode_shared raw with
-          | None -> ()
-          | Some frame ->
-              Array.iter
-                (fun mac -> if mac.node_id = receiver then handle_mac_frame mac frame)
-                !cell));
+  macs.(id) <- Some t;
   t
 
 let enqueue t p =

@@ -39,7 +39,10 @@ type t
 
 val create : Engine.t -> Radio.t -> id:int -> rng:Util.Rng.t -> t
 (** One MAC entity for node [id]. All MACs of a network share the radio
-    and must be created before any traffic flows. *)
+    and must be created before any traffic flows. Received frames are
+    dispatched to the MAC of the receiving node by id.
+    @raise Invalid_argument when [id] is outside [0, Radio.size radio)
+    or the radio already has a MAC for [id]. *)
 
 val id : t -> int
 
@@ -63,7 +66,9 @@ val radio : t -> Radio.t
 
 val on_deliver : t -> (src:int -> bytes -> unit) -> unit
 (** Upper-layer delivery callback: fires once per distinct received
-    payload (duplicates from lost ACKs are suppressed). *)
+    payload (duplicates from lost ACKs are suppressed). Every receiver
+    of one transmission is handed the same payload buffer, so delivered
+    bytes are immutable: callbacks must not write to them. *)
 
 val on_drop : t -> (dst:int -> bytes -> unit) -> unit
 (** Fires when a unicast frame exhausts the retry limit. *)

@@ -31,6 +31,41 @@ let test_memo_on_hits () =
   Alcotest.(check bool) "digest hits" true
     (Obs.Metrics.counter_value r.metrics "crypto.verify.cache_hit" > 0)
 
+(* Radio Turquois at n=64, failure-free and unanimous: the regime where
+   justification bundles are large, most entries are duplicates and
+   compact references engage, unlike the n <= 16 runs elsewhere in the
+   suite. The receive path's counters and the latencies are pinned to
+   values recorded before the broadcast fan-out shared decoded payloads,
+   frame decodes and reference cells across receivers. *)
+let test_turquois_n64_pinned () =
+  let r =
+    Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:64
+      ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free ~seed:7L ()
+  in
+  Alcotest.(check int) "all decided" 64 (List.length r.latencies);
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check int) name want (Obs.Metrics.counter_value r.metrics name))
+    [
+      ("validation.duplicates", 462171);
+      ("validation.accepted", 10944);
+      ("codec.decode.memo_hit", 19662);
+      ("codec.decode.memo_miss", 771);
+      ("crypto.verify.cache_hit", 10769);
+      ("crypto.verify.cache_miss", 175);
+      ("compact.unresolved", 23);
+      ("radio.delivered", 19000);
+    ];
+  let latencies =
+    String.concat ";"
+      (List.map
+         (fun (i, l) -> Printf.sprintf "%d:%Lx" i (Int64.bits_of_float l))
+         r.latencies)
+  in
+  Alcotest.(check string) "latencies"
+    "6d7fab9a483d801eed1ef039ccf46905ac4fcd29b76d10632bb6eeedf60dff0f"
+    (Crypto.Sha256.hex_digest_string latencies)
+
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 
 (* the span profiler reads the host clock only, whether it runs on this
@@ -247,6 +282,7 @@ let suite =
       Alcotest.test_case "sweep memo-equivalent and parallel" `Quick
         test_sweep_memo_equivalent_and_parallel;
       Alcotest.test_case "memo on hits" `Quick test_memo_on_hits;
+      Alcotest.test_case "turquois n=64 pinned" `Quick test_turquois_n64_pinned;
       Alcotest.test_case "profiler invisible to results" `Quick
         test_profiler_invisible_to_results;
       Alcotest.test_case "causal tracing invisible to results" `Quick

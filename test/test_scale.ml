@@ -189,6 +189,59 @@ let test_mac_shared_envelope () =
         rest
   | [] -> Alcotest.fail "no deliveries"
 
+let test_datagram_shared_payload () =
+  (* the datagram twin of the MAC case: the MAC shares one frame across
+     a broadcast's receivers and the datagram layer decodes it once, so
+     every receiver gets a payload byte-equal to what was sent AND the
+     same physical buffer *)
+  let n = 6 in
+  let engine = Net.Engine.create () in
+  let rng = Util.Rng.create ~seed:78L in
+  let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
+  let macs =
+    Array.init n (fun id -> Net.Mac.create engine radio ~id ~rng:(Util.Rng.split rng))
+  in
+  let dgs = Array.map (Net.Datagram.create engine) macs in
+  let received = Array.make n [] in
+  Array.iteri
+    (fun i dg ->
+      if i > 0 then
+        Net.Datagram.listen dg ~port:9 (fun ~src:_ payload ->
+            received.(i) <- payload :: received.(i)))
+    dgs;
+  let sent = Bytes.of_string "one-datagram-per-transmission" in
+  Net.Datagram.send dgs.(0) ~dst:`Broadcast ~port:9 sent;
+  Net.Engine.run engine;
+  let heard = List.concat (Array.to_list received) in
+  Alcotest.(check int) "everyone heard it" (n - 1) (List.length heard);
+  List.iter
+    (fun payload -> Alcotest.(check bool) "byte equal" true (Bytes.equal payload sent))
+    heard;
+  (match heard with
+  | first :: rest ->
+      List.iter
+        (fun payload ->
+          Alcotest.(check bool) "one decode shared by the fan-out" true (payload == first))
+        rest
+  | [] -> Alcotest.fail "no deliveries");
+  let unicast = Bytes.of_string "point-to-point" in
+  Net.Datagram.send dgs.(1) ~dst:(`Node 2) ~port:9 unicast;
+  Net.Engine.run engine;
+  (match received.(2) with
+  | payload :: _ ->
+      Alcotest.(check bool) "unicast byte equal" true (Bytes.equal payload unicast)
+  | [] -> Alcotest.fail "unicast lost");
+  Alcotest.(check int) "unicast reaches only its destination" 1 (List.length received.(3));
+  (* the MAC dispatch table is indexed by node id *)
+  let rejects what id =
+    match Net.Mac.create engine radio ~id ~rng:(Util.Rng.split rng) with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Mac.create accepted %s id %d" what id
+  in
+  rejects "a duplicate" 3;
+  rejects "an out-of-range" n;
+  rejects "a negative" (-1)
+
 (* --- sample-based broadcast --------------------------------------------- *)
 
 let pbcast_net ~n ~loss ~seed =
@@ -358,6 +411,7 @@ let suite =
       Alcotest.test_case "medium shared payload" `Quick test_medium_shared_payload;
       Alcotest.test_case "medium deterministic" `Quick test_medium_deterministic;
       Alcotest.test_case "mac shared envelope" `Quick test_mac_shared_envelope;
+      Alcotest.test_case "datagram shared payload" `Quick test_datagram_shared_payload;
       Alcotest.test_case "pbroadcast totality" `Quick test_pbroadcast_totality;
       Alcotest.test_case "pbroadcast consistency" `Quick test_pbroadcast_consistency;
       Alcotest.test_case "state frame bytes pinned" `Quick test_state_frame_bytes_pinned;
