@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-baseline bench-compare scaling-compare causal-smoke chaos clean
+.PHONY: all build test fmt check bench bench-baseline bench-compare scaling-compare causal-smoke ledger-smoke chaos clean
 
 all: build
 
@@ -32,12 +32,19 @@ causal-smoke:
 	  || { echo "causal smoke failed: no tagged sends in the trace"; exit 1; }
 	rm -f /tmp/turquois_causal_smoke.jsonl
 
+# ledger smoke: every benchmark workload on quick inputs, traced and
+# untraced, with the ledger's agreement, liveness and repeat-identity
+# checks (a few seconds), so an engine change that breaks a workload
+# fails here rather than in a benchmark run
+ledger-smoke:
+	dune build @perfledger/smoke
+
 # the gate a PR must pass: formatting, a warning-clean build, all tests
 # (including the observer-only equivalence table in test/equiv.ml:
 # -j, profiling, tracing, fresh keys and compact off against plain
-# runs), the chaos smoke sweep, the causal-trace smoke, the perf
-# regression gate and the scaling gate
-check: fmt build test chaos causal-smoke bench-compare scaling-compare
+# runs), the chaos smoke sweep, the causal-trace smoke, the ledger
+# smoke, the perf regression gate and the scaling gate
+check: fmt build test chaos causal-smoke ledger-smoke bench-compare scaling-compare
 
 bench:
 	dune exec bench/main.exe -- --quick

@@ -20,7 +20,8 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
     @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val at : t -> time:float -> (unit -> unit) -> handle
-(** Absolute-time variant; [time] in the past fires immediately-next. *)
+(** Absolute-time variant; [time] in the past fires immediately-next.
+    @raise Invalid_argument if [time] is NaN. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)

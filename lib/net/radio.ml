@@ -175,27 +175,29 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
              match t.receive with
              | None -> ()
              | Some deliver ->
+                 let now = Engine.now t.engine in
+                 let delivered = ref 0 and omitted = ref 0 in
                  for receiver = 0 to t.n - 1 do
                    if receiver <> sender && not t.down.(receiver) then begin
-                     let now = Engine.now t.engine in
-                     let omit_stochastic () =
-                       (* independent overlays: global, per-receiver, per-link *)
+                     (* independent overlays: global, per-receiver, per-link;
+                        then the adversarial filter. An absent link draws
+                        nothing, so the table is only probed when set. *)
+                     let omit =
                        Util.Rng.bernoulli t.rng t.loss_prob
                        || (t.rx_loss.(receiver) > 0.0
                           && Util.Rng.bernoulli t.rng t.rx_loss.(receiver))
+                       || (Hashtbl.length t.link_loss > 0
+                          &&
+                          match Hashtbl.find_opt t.link_loss (sender, receiver) with
+                          | Some p -> Util.Rng.bernoulli t.rng p
+                          | None -> false)
                        ||
-                       match Hashtbl.find_opt t.link_loss (sender, receiver) with
-                       | Some p -> Util.Rng.bernoulli t.rng p
-                       | None -> false
-                     in
-                     let omit_filter () =
                        match t.filter with
                        | Some f -> f ~now ~tx:sender ~rx:receiver
                        | None -> false
                      in
-                     if omit_stochastic () || omit_filter () then begin
-                       t.stats.losses <- t.stats.losses + 1;
-                       Obs.Metrics.incr "radio.omissions";
+                     if omit then begin
+                       incr omitted;
                        Obs.Metrics.incr "radio.omission_by_rx"
                          ~labels:[ ("rx", "p" ^ string_of_int receiver) ];
                        Obs.Trace2.emit ~time:now ~node:sender
@@ -203,8 +205,7 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
                          (("rx", Obs.Trace2.I receiver) :: mid)
                      end
                      else begin
-                       t.stats.frames_delivered <- t.stats.frames_delivered + 1;
-                       Obs.Metrics.incr "radio.delivered";
+                       incr delivered;
                        (* deliver edges only matter to the causal DAG, and
                           only data frames carry mids — skip the bare ones *)
                        if mid <> [] then
@@ -220,7 +221,12 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
                        else deliver receiver ~sender frame
                      end
                    end
-                 done
+                 done;
+                 (* one registry update per transmission, not per receiver *)
+                 t.stats.losses <- t.stats.losses + !omitted;
+                 t.stats.frames_delivered <- t.stats.frames_delivered + !delivered;
+                 if !omitted > 0 then Obs.Metrics.incr "radio.omissions" ~by:!omitted;
+                 if !delivered > 0 then Obs.Metrics.incr "radio.delivered" ~by:!delivered
            end;
            notify_idle_if_clear t))
   end

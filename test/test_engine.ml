@@ -125,7 +125,14 @@ let test_at_in_past_clamped () =
 let test_bad_delay_rejected () =
   let engine = Net.Engine.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: bad delay") (fun () ->
-      ignore (Net.Engine.schedule engine ~delay:(-1.0) (fun () -> ())))
+      ignore (Net.Engine.schedule engine ~delay:(-1.0) (fun () -> ())));
+  Alcotest.check_raises "nan delay" (Invalid_argument "Engine.schedule: bad delay") (fun () ->
+      ignore (Net.Engine.schedule engine ~delay:Float.nan (fun () -> ())));
+  (* a NaN key compares false both ways against every other key, so
+     it would break the heap order and leave the clock at NaN *)
+  Alcotest.check_raises "nan time" (Invalid_argument "Engine.at: NaN time") (fun () ->
+      ignore (Net.Engine.at engine ~time:Float.nan (fun () -> ())));
+  Alcotest.(check int) "nothing queued" 0 (Net.Engine.heap_size engine)
 
 let test_step () =
   let engine = Net.Engine.create () in
@@ -157,25 +164,22 @@ let test_heap_stress () =
    pending) until it reaches the front, and the peaks are sampled when
    an event is scheduled. *)
 module Reference = struct
-  type ev = { time : float; seq : int; id : int; mutable cancelled : bool }
+  type ev = { time : float; seq : int; action : unit -> unit; mutable cancelled : bool }
 
   type t = {
     mutable queue : ev list;
     mutable clock : float;
     mutable next_seq : int;
-    mutable fired : int list;  (** newest first *)
     mutable live_peak : int;
     mutable queued_peak : int;
   }
 
-  let create () =
-    { queue = []; clock = 0.0; next_seq = 0; fired = []; live_peak = 0; queued_peak = 0 }
-
+  let create () = { queue = []; clock = 0.0; next_seq = 0; live_peak = 0; queued_peak = 0 }
   let pending t = List.length (List.filter (fun e -> not e.cancelled) t.queue)
   let heap_size t = List.length t.queue
 
-  let at t ~time id =
-    let ev = { time = Float.max time t.clock; seq = t.next_seq; id; cancelled = false } in
+  let at t ~time action =
+    let ev = { time = Float.max time t.clock; seq = t.next_seq; action; cancelled = false } in
     t.next_seq <- t.next_seq + 1;
     t.queue <-
       List.merge (fun a b -> compare (a.time, a.seq) (b.time, b.seq)) t.queue [ ev ];
@@ -185,71 +189,189 @@ module Reference = struct
 
   let cancel ev = ev.cancelled <- true
 
-  let rec run t ~until =
+  (* pops the front, firing it unless cancelled; the action may schedule
+     or cancel, so the queue is re-read after it *)
+  let step t =
     match t.queue with
-    | ev :: rest when ev.time <= until ->
+    | [] -> ()
+    | ev :: rest ->
         t.queue <- rest;
         if not ev.cancelled then begin
           t.clock <- ev.time;
-          t.fired <- ev.id :: t.fired
-        end;
-        run t ~until
+          ev.action ()
+        end
+
+  let rec run ?(max_events = max_int) t ~until =
+    match t.queue with
+    | ev :: _ when ev.time <= until && max_events > 0 ->
+        step t;
+        run ~max_events:(max_events - 1) t ~until
     | _ -> ()
+
+  let rec run_while t predicate =
+    if t.queue <> [] && predicate () then begin
+      step t;
+      run_while t predicate
+    end
 end
+
+(* One side of the comparison: the engine or the reference, behind the
+   same operations, with the handles it returned (in scheduling order)
+   and what each event observed when it fired. *)
+type 'h side = {
+  now : unit -> float;
+  schedule : delay:float -> (unit -> unit) -> 'h;
+  at : time:float -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  pending : unit -> int;
+  size : unit -> int;
+  mutable handles : 'h array;
+  mutable fired : (int * float * int * int) list;  (** newest first *)
+}
+
+(* What a scheduled event does when it fires, besides recording itself:
+   schedule a child for its own time (at delay 0, or at its absolute
+   time), or cancel the handle scheduled right after it (typically the
+   next member of its same-time run) or the newest handle. *)
+type kind = Plain | Nest_zero | Nest_now | Cancel_next | Cancel_last
+
+type due = Delay of float | At of float
+
+(* an op applied to both sides alike *)
+type on_both = { each : 'h. 'h side -> unit }
+
+let rec schedule_item side due id kind =
+  let idx = Array.length side.handles in
+  let action () = fire side idx id kind in
+  let h =
+    match due with
+    | Delay delay -> side.schedule ~delay action
+    | At time -> side.at ~time action
+  in
+  side.handles <- Array.append side.handles [| h |]
+
+and fire side idx id kind =
+  side.fired <- (id, side.now (), side.pending (), side.size ()) :: side.fired;
+  let child = id + 100_000 in
+  match kind with
+  | Plain -> ()
+  | Nest_zero -> schedule_item side (Delay 0.0) child Plain
+  | Nest_now -> schedule_item side (At (side.now ())) child Plain
+  | Cancel_next ->
+      if idx + 1 < Array.length side.handles then side.cancel side.handles.(idx + 1)
+  | Cancel_last -> side.cancel side.handles.(Array.length side.handles - 1)
+
+let engine_side engine =
+  {
+    now = (fun () -> Net.Engine.now engine);
+    schedule = (fun ~delay f -> Net.Engine.schedule engine ~delay f);
+    at = (fun ~time f -> Net.Engine.at engine ~time f);
+    cancel = Net.Engine.cancel engine;
+    pending = (fun () -> Net.Engine.pending engine);
+    size = (fun () -> Net.Engine.heap_size engine);
+    handles = [||];
+    fired = [];
+  }
+
+let model_side (model : Reference.t) =
+  {
+    now = (fun () -> model.clock);
+    schedule = (fun ~delay f -> Reference.at model ~time:(model.clock +. delay) f);
+    at = (fun ~time f -> Reference.at model ~time f);
+    cancel = Reference.cancel;
+    pending = (fun () -> Reference.pending model);
+    size = (fun () -> Reference.heap_size model);
+    handles = [||];
+    fired = [];
+  }
 
 (* Interprets one op list against the engine and the reference and
    compares the full observable trajectory: fire order, clock, pending
-   and raw queue size after every op, and the peaks. Ops cover
-   equal-deadline ties (quantized delays), cancels (double cancels and
-   cancels of fired events included), partial run horizons, and far
-   deadlines, up to an absolute 1e12 s. *)
+   and raw queue size after every op and inside every fired event, and
+   the peaks. Ops cover equal-deadline ties (quantized delays), events
+   that schedule for their own time from inside a same-time run
+   (interleaved with top-level schedules for that time), cancels of
+   any member of a run from outside and from inside it (double cancels
+   and cancels of fired events included), stops in the middle of a run
+   (horizons, event budgets, predicates), and far deadlines, up to an
+   absolute 1e12 s. *)
 let engine_matches_reference ops =
   let engine = Net.Engine.create () in
   let model = Reference.create () in
-  let fired = ref [] in
-  let note i () = fired := i :: !fired in
-  let handles = ref [||] in
-  let keep h ev = handles := Array.append !handles [| (h, ev) |] in
+  let e = engine_side engine and m = model_side model in
+  let both { each } =
+    each e;
+    each m
+  in
   let observe () =
     ( (Net.Engine.now engine, Net.Engine.pending engine, Net.Engine.heap_size engine),
       (model.clock, Reference.pending model, Reference.heap_size model) )
   in
+  let quantized a = float_of_int (a mod 32) *. 0.125 in
   let trajectory =
     List.mapi
       (fun i (op, a, b) ->
-        (match op mod 6 with
+        (match op mod 12 with
         | 0 | 1 | 2 ->
             let delay =
-              if op mod 6 = 2 && b mod 7 = 0 then float_of_int (a mod 1000) *. 50.0
-              else float_of_int (a mod 32) *. 0.125
+              if op mod 12 = 2 && b mod 7 = 0 then float_of_int (a mod 1000) *. 50.0
+              else quantized a
             in
-            keep
-              (Net.Engine.schedule engine ~delay (note i))
-              (Reference.at model ~time:(model.clock +. delay) i)
+            both { each = (fun s -> schedule_item s (Delay delay) i Plain) }
         | 3 ->
-            let m = Array.length !handles in
-            if m > 0 then begin
-              let h, ev = !handles.(a mod m) in
-              Net.Engine.cancel engine h;
-              Reference.cancel ev
-            end
+            both
+              {
+                each =
+                  (fun s ->
+                    let n = Array.length s.handles in
+                    if n > 0 then s.cancel s.handles.(a mod n));
+              }
         | 4 ->
             let until = Net.Engine.now engine +. (float_of_int (a mod 8) *. 0.5) in
             Net.Engine.run ~until engine;
             Reference.run model ~until
-        | _ -> keep (Net.Engine.at engine ~time:1.0e12 (note i)) (Reference.at model ~time:1.0e12 i));
+        | 5 -> both { each = (fun s -> schedule_item s (At 1.0e12) i Plain) }
+        | 6 ->
+            let kind = if b mod 2 = 0 then Nest_zero else Nest_now in
+            both { each = (fun s -> schedule_item s (Delay (quantized a)) i kind) }
+        | 7 ->
+            let kind = if b mod 2 = 0 then Cancel_next else Cancel_last in
+            both { each = (fun s -> schedule_item s (Delay (quantized a)) i kind) }
+        | 8 ->
+            Net.Engine.run ~max_events:(a mod 5) engine;
+            Reference.run ~max_events:(a mod 5) model ~until:Float.infinity
+        | 9 ->
+            let stop_after s =
+              let target = List.length s.fired + 1 + (a mod 4) in
+              fun () -> List.length s.fired < target
+            in
+            Net.Engine.run_while engine (stop_after e);
+            Reference.run_while model (stop_after m)
+        | 10 ->
+            (* the newest handles: last, middle and first members of the
+               most recent run *)
+            both
+              {
+                each =
+                  (fun s ->
+                    let n = Array.length s.handles in
+                    if n > 0 then s.cancel s.handles.(max 0 (n - 1 - (a mod 3))));
+              }
+        | _ ->
+            let time = Net.Engine.now engine +. quantized a in
+            both { each = (fun s -> schedule_item s (At time) i Plain) });
         observe ())
       ops
   in
   Net.Engine.run engine;
   Reference.run model ~until:Float.infinity;
   List.for_all (fun (e, m) -> e = m) (trajectory @ [ observe () ])
-  && !fired = model.fired
+  && e.fired = m.fired
   && Net.Engine.live_peak engine = model.live_peak
   && Net.Engine.queued_peak engine = model.queued_peak
 
 let qcheck_engine_matches_reference =
-  QCheck.Test.make ~count:200 ~name:"heap matches the reference model"
+  QCheck.Test.make ~count:300 ~name:"heap matches the reference model"
     QCheck.(list_of_size Gen.(int_range 10 120) (triple small_nat small_nat small_nat))
     engine_matches_reference
 

@@ -66,6 +66,46 @@ let test_turquois_n64_pinned () =
     "6d7fab9a483d801eed1ef039ccf46905ac4fcd29b76d10632bb6eeedf60dff0f"
     (Crypto.Sha256.hex_digest_string latencies)
 
+(* Radio Sampled at n=64, failure-free and unanimous: unicast traffic
+   from 64 contenders on one medium, so nearly every engine event is a
+   MAC idle wake-up, DIFS check or backoff slot. The MAC and radio
+   counters, the engine peaks and the latencies are pinned to values
+   recorded before same-time runs of events shared one heap entry and
+   the radio fan-out stopped updating the registry per receiver. *)
+let test_sampled_n64_pinned () =
+  let r =
+    Harness.Runner.run ~protocol:Harness.Runner.Sampled ~n:64
+      ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free ~seed:7L ()
+  in
+  Alcotest.(check int) "all decided" 64 (List.length r.latencies);
+  List.iter
+    (fun (name, labels, want) ->
+      Alcotest.(check int)
+        (name ^ Obs.Metrics.labels_to_string labels)
+        want
+        (Obs.Metrics.counter_value r.metrics ~labels name))
+    [
+      ("mac.difs_waits", [], 592091);
+      ("mac.backoff_slots", [], 104143);
+      ("mac.retries", [], 564);
+      ("mac.tx", [ ("class", "bcast") ], 0);
+      ("mac.tx", [ ("class", "ucast") ], 5893);
+      ("mac.tx", [ ("class", "ack") ], 5606);
+      ("radio.delivered", [], 688159);
+      ("radio.omissions", [], 36278);
+    ];
+  Alcotest.(check int) "engine.live_peak" 130 r.events_live_peak;
+  Alcotest.(check int) "engine.queued_peak" 130 r.events_queued_peak;
+  let latencies =
+    String.concat ";"
+      (List.map
+         (fun (i, l) -> Printf.sprintf "%d:%Lx" i (Int64.bits_of_float l))
+         r.latencies)
+  in
+  Alcotest.(check string) "latencies"
+    "67fb598059010888b40a0245c77902de80c242749f119c1f05f5d15e3a77357a"
+    (Crypto.Sha256.hex_digest_string latencies)
+
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 
 (* the span profiler reads the host clock only, whether it runs on this
@@ -283,6 +323,7 @@ let suite =
         test_sweep_memo_equivalent_and_parallel;
       Alcotest.test_case "memo on hits" `Quick test_memo_on_hits;
       Alcotest.test_case "turquois n=64 pinned" `Quick test_turquois_n64_pinned;
+      Alcotest.test_case "sampled n=64 pinned" `Quick test_sampled_n64_pinned;
       Alcotest.test_case "profiler invisible to results" `Quick
         test_profiler_invisible_to_results;
       Alcotest.test_case "causal tracing invisible to results" `Quick
