@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench bench-baseline bench-compare scaling-compare causal-smoke ledger-smoke chaos clean
+.PHONY: all build test fmt check bench-baseline bench-compare scaling-compare causal-smoke ledger-smoke chaos clean
 
 all: build
 
@@ -46,26 +46,23 @@ ledger-smoke:
 # smoke, the perf regression gate and the scaling gate
 check: fmt build test chaos causal-smoke ledger-smoke bench-compare scaling-compare
 
-bench:
-	dune exec bench/main.exe -- --quick
-
 # regenerate the committed regression-gate baseline (run on the machine
 # that will run bench-compare; wall-clock sections are host-dependent)
 bench-baseline:
 	dune exec bench/main.exe -- --baseline-out BENCH_baseline.json
 
-# perf regression gate: re-run the gate grid and diff it against the
-# committed baseline. The threshold is deliberately generous (+300%) —
-# wall clock on shared CI boxes is noisy; the deterministic airtime
-# section still catches any behavioral drift exactly
+# perf regression gate: re-run the gate grid with the baseline's seed
+# and diff it against the committed baseline. The wall-clock bound is
+# deliberately generous (+300%) — wall clock on shared CI boxes is
+# noisy; the deterministic airtime section still catches any behavioral
+# drift exactly
 bench-compare:
-	dune exec bench/main.exe -- --compare BENCH_baseline.json --threshold 3.0
+	dune exec bench/main.exe -- --compare BENCH_baseline.json
 
 # scaling gate: re-run the sweep recorded in BENCH_scaling.json with its
-# own sizes, caps and seed. Coverage must match exactly; simulated
-# latency, traffic, airtime and peaks fail on drift beyond the default
-# 50% either way; the allocation words, read per domain, fail only on
-# growth beyond it. Re-record with
+# own sizes, caps and seed. Every field must match exactly except the
+# allocation words, read per domain, which fail only on growth beyond
+# +50%. Re-record with
 #   dune exec bench/main.exe -- --scaling-out BENCH_scaling.json -j 1
 scaling-compare:
 	dune exec bench/main.exe -- --compare BENCH_scaling.json

@@ -4,8 +4,14 @@
      tables     — regenerate the paper's Tables 1-3 (latency per fault load)
      sigma      — sweep the omission budget around the liveness bound
      phases     — decision-phase distributions (paper 7.3)
+     ablations  — design-choice ablations and the sigma-edge adversary vs iid loss
+     messages   — radio frames and bytes per consensus (message complexity)
      run        — one verbose consensus execution (or replay a saved reproducer)
-     modelcheck — exhaustively check all adversary schedules of a small group *)
+     workload   — the pipelined consensus service under open-loop client load
+     scaling    — Turquois vs sample-based consensus past n=16
+     chaos      — randomized fault injection with invariant checking
+     modelcheck — exhaustively check all adversary schedules of a small group
+     analyze    — explain a run from its exported JSONL trace *)
 
 open Cmdliner
 
@@ -142,6 +148,27 @@ let phases_cmd =
   Cmd.v
     (Cmd.info "phases" ~doc:"Turquois decision-phase distributions (paper 7.3)")
     Term.(const run_phases $ n_arg $ reps_arg 30 $ seed_arg $ jobs_arg)
+
+(* --- ablations --------------------------------------------------------------- *)
+
+let run_ablations reps seed jobs =
+  print_string
+    (Harness.Sweeps.render_ablations ~n:10
+       (Harness.Sweeps.ablations ~n:10 ~reps ~base_seed:seed ~jobs ()));
+  print_newline ();
+  print_string
+    (Harness.Sweeps.render_sigma_edge
+       (Harness.Sweeps.sigma_edge_vs_loss ~ns:[ 4; 7 ] ~reps ~base_seed:seed ()));
+  0
+
+let ablations_cmd =
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Design-choice ablations (authentication cost, retransmission pacing; Turquois, \
+          n=10) and the sigma-edge omission adversary against iid loss at the same rate \
+          (n=4 and n=7)")
+    Term.(const run_ablations $ reps_arg 10 $ seed_arg $ jobs_arg)
 
 (* --- messages ---------------------------------------------------------------- *)
 
@@ -840,6 +867,7 @@ let main_cmd =
       tables_cmd;
       sigma_cmd;
       phases_cmd;
+      ablations_cmd;
       messages_cmd;
       run_cmd;
       workload_cmd;

@@ -200,16 +200,16 @@ type doc = {
   points : point list;
 }
 
-let to_json ~schema_version ~ns ~turquois_cap ~radio_cap ~timeout ~seed points =
+let to_json d =
   Obs.Json.Obj
     [
       ("bench", Obs.Json.String "scaling");
-      ("bench_schema_version", Obs.Json.Int schema_version);
-      ("sizes", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) ns));
-      ("turquois_cap", Obs.Json.Int turquois_cap);
-      ("radio_cap", Obs.Json.Int radio_cap);
-      ("timeout_s", Obs.Json.Float timeout);
-      ("seed", Obs.Json.String (Int64.to_string seed));
+      ("bench_schema_version", Obs.Json.Int Gate.schema_version);
+      ("sizes", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) d.ns));
+      ("turquois_cap", Obs.Json.Int d.turquois_cap);
+      ("radio_cap", Obs.Json.Int d.radio_cap);
+      ("timeout_s", Obs.Json.Float d.timeout);
+      ("seed", Obs.Json.String (Int64.to_string d.seed));
       ( "points",
         Obs.Json.List
           (List.map
@@ -234,14 +234,53 @@ let to_json ~schema_version ~ns ~turquois_cap ~radio_cap ~timeout ~seed points =
                    ("minor_words", Obs.Json.Int p.minor_words);
                    ("major_words", Obs.Json.Int p.major_words);
                  ])
-             points) );
+             d.points) );
     ]
+
+(* The allocation words are exact only up to a small domain-cache
+   warmup constant, so they may only grow within a bound; every other
+   field is a deterministic function of the seed. *)
+let fields points =
+  List.concat_map
+    (fun p ->
+      let field rule name value =
+        { Gate.key = Printf.sprintf "%s n=%d/%s" p.protocol p.n name; rule; value }
+      in
+      let exact name value = field Gate.Exact name value in
+      let count name value = exact name (float_of_int value) in
+      let words name value = field Gate.words_growth name (float_of_int value) in
+      [
+        count "honest" p.honest;
+        count "decided" p.decided;
+        exact "mean_latency_s" p.mean_latency;
+        exact "max_latency_s" p.max_latency;
+        exact "duration_s" p.duration;
+        count "msgs" p.msgs;
+        count "bytes" p.bytes;
+        exact "airtime_s" p.airtime;
+        count "live_peak" p.live_peak;
+        count "queued_peak" p.queued_peak;
+        count "arena_hw" p.arena_hw;
+        count "timed_out" (Bool.to_int p.timed_out);
+        words "mem_words" p.mem_words;
+        words "minor_words" p.minor_words;
+        words "major_words" p.major_words;
+      ])
+    points
 
 let of_json json =
   let open Obs.Json in
   let ( let* ) o f = match o with Some v -> f v | None -> Error "malformed scaling doc" in
   let* bench = Option.bind (member "bench" json) to_str in
+  let version = Option.bind (member "bench_schema_version" json) to_int in
   if bench <> "scaling" then Error "not a scaling document"
+  else if version <> Some Gate.schema_version then
+    Error
+      (Printf.sprintf
+         "scaling schema version %s; this build writes version %d (regenerate it with \
+          --scaling-out)"
+         (Option.fold ~none:"missing" ~some:string_of_int version)
+         Gate.schema_version)
   else
     let* ns =
       match Option.bind (member "sizes" json) to_list with
@@ -256,11 +295,7 @@ let of_json json =
           |> Option.map List.rev
     in
     let* turquois_cap = Option.bind (member "turquois_cap" json) to_int in
-    (* absent in schema <= 3 documents: those predate the Sampled-radio
-       task kind, so no radio points were run *)
-    let radio_cap =
-      Option.value ~default:0 (Option.bind (member "radio_cap" json) to_int)
-    in
+    let* radio_cap = Option.bind (member "radio_cap" json) to_int in
     let* timeout = Option.bind (member "timeout_s" json) to_float in
     let* seed =
       Option.bind (member "seed" json) (fun j ->
@@ -285,9 +320,8 @@ let of_json json =
       let* arena_hw = int "arena_hw" in
       let* timed_out = Option.bind (member "timed_out" p) to_bool in
       let* mem_words = int "mem_words" in
-      (* absent in schema <= 3 documents; 0 = not measured *)
-      let minor_words = Option.value ~default:0 (int "minor_words") in
-      let major_words = Option.value ~default:0 (int "major_words") in
+      let* minor_words = int "minor_words" in
+      let* major_words = int "major_words" in
       Ok
         {
           protocol;

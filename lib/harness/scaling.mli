@@ -69,27 +69,24 @@ val render : point list -> string
 type doc = {
   ns : int list;
   turquois_cap : int;
-  radio_cap : int;  (** 0 in documents predating the radio task *)
+  radio_cap : int;  (** largest n of the Sampled-radio task *)
   timeout : float;
   seed : int64;
   points : point list;
 }
-(** A parsed scaling document: the sweep parameters it was generated
-    with (so [--compare] can re-run the identical grid) plus its
-    points. *)
+(** A scaling document: the sweep parameters it was generated with (so
+    a gate can re-run the identical grid) plus its points. *)
 
-val to_json :
-  schema_version:int ->
-  ns:int list ->
-  turquois_cap:int ->
-  radio_cap:int ->
-  timeout:float ->
-  seed:int64 ->
-  point list ->
-  Obs.Json.t
-(** Self-describing document (["bench" = "scaling"]) for
-    [BENCH_scaling.json]; records the sweep parameters and includes
-    the allocation-word fields. *)
+val to_json : doc -> Obs.Json.t
+(** Self-describing document (["bench"] = ["scaling"], with
+    {!Gate.schema_version}) for [BENCH_scaling.json], allocation-word
+    fields included. *)
 
 val of_json : Obs.Json.t -> (doc, string) result
-(** Parses a document produced by {!to_json} (for [--compare]). *)
+(** Parses a document produced by {!to_json}; [Error] for any other
+    kind or schema version. *)
+
+val fields : point list -> Gate.field list
+(** The gate's view of the points, keyed ["<protocol> n=<n>/<field>"]:
+    the three allocation-word counts under {!Gate.words_growth}, every
+    other field {!Gate.Exact} ([timed_out] as 0 or 1). *)

@@ -250,3 +250,93 @@ let render_ablations ~n rows =
   in
   Printf.sprintf "Ablations (Turquois, n=%d)\n%s" n
     (Util.Tablefmt.render ~header ~rows:table_rows ())
+
+type edge_row = {
+  edge_n : int;
+  edge_sigma : int;
+  rate : float;
+  edge : Util.Stats.summary;
+  iid : Util.Stats.summary;
+  edge_stalls : int;
+  iid_stalls : int;
+  edge_runs : int;
+}
+
+let sigma_edge_vs_loss ~ns ?(reps = 10) ?(base_seed = 1000L) () =
+  let timeout = 10.0 in
+  let censored_latencies (r : Runner.result) =
+    List.map
+      (fun i ->
+        match List.assoc_opt i r.latencies with
+        | Some l -> 1000.0 *. l
+        | None -> 1000.0 *. timeout)
+      r.correct
+  in
+  let stalls runs = List.length (List.filter (fun (r : Runner.result) -> r.timed_out) runs) in
+  List.map
+    (fun n ->
+      let k = n - Net.Fault.max_f n in
+      let run i ~loss_prob ?attach () =
+        Runner.run ~protocol:Runner.Turquois ~n ~dist:Runner.Divergent
+          ~load:Net.Fault.Failure_free
+          ~conditions:{ Net.Fault.loss_prob; jam_windows = [] }
+          ?attach ~timeout
+          ~seed:(Int64.add base_seed (Int64.of_int (7000 + i)))
+          ()
+      in
+      (* pass 1: the adaptive adversary, counting the drops it spends *)
+      let edge_runs, drops =
+        List.split
+          (List.init reps (fun i ->
+               let handle = ref None in
+               let r =
+                 run i ~loss_prob:0.0
+                   ~attach:(fun radio ->
+                     handle := Some (Net.Fault.sigma_edge radio ~n ~k ~t:0 ()))
+                   ()
+               in
+               (r, Option.fold ~none:0 ~some:Net.Fault.sigma_edge_drops !handle)))
+      in
+      let opportunities =
+        List.fold_left (fun a (r : Runner.result) -> a + (r.frames_sent * (n - 1))) 0 edge_runs
+      in
+      let rate =
+        if opportunities = 0 then 0.0
+        else float_of_int (List.fold_left ( + ) 0 drops) /. float_of_int opportunities
+      in
+      (* pass 2: iid loss at the rate the adversary actually achieved *)
+      let iid_runs = List.init reps (fun i -> run i ~loss_prob:rate ()) in
+      {
+        edge_n = n;
+        edge_sigma = Net.Fault.sigma ~n ~k ~t:0;
+        rate;
+        edge = Util.Stats.summarize (List.concat_map censored_latencies edge_runs);
+        iid = Util.Stats.summarize (List.concat_map censored_latencies iid_runs);
+        edge_stalls = stalls edge_runs;
+        iid_stalls = stalls iid_runs;
+        edge_runs = reps;
+      })
+    ns
+
+let render_sigma_edge rows =
+  let header =
+    [ "n"; "sigma"; "omission rate"; "sigma-edge"; "stalls"; "static loss"; "stalls" ]
+  in
+  let table_rows =
+    List.map
+      (fun row ->
+        [
+          string_of_int row.edge_n;
+          string_of_int row.edge_sigma;
+          Printf.sprintf "%.1f%%" (100.0 *. row.rate);
+          Printf.sprintf "%.1f ms" row.edge.mean;
+          Printf.sprintf "%d/%d" row.edge_stalls row.edge_runs;
+          Printf.sprintf "%.1f ms" row.iid.mean;
+          Printf.sprintf "%d/%d" row.iid_stalls row.edge_runs;
+        ])
+      rows
+  in
+  Printf.sprintf
+    "Adaptive adversary (Turquois, divergent): sigma-edge omissions vs iid loss at the \
+     same rate\n%s"
+    (Util.Tablefmt.render ~header ~rows:table_rows ())

@@ -79,3 +79,26 @@ val ablations :
       pacing matters. *)
 
 val render_ablations : n:int -> ablation_row list -> string
+
+type edge_row = {
+  edge_n : int;
+  edge_sigma : int;
+  rate : float;  (** per-receiver omission rate the adversary achieved *)
+  edge : Util.Stats.summary;  (** latency, ms, censored at the timeout *)
+  iid : Util.Stats.summary;  (** the same at iid loss of [rate] *)
+  edge_stalls : int;  (** runs that timed out *)
+  iid_stalls : int;
+  edge_runs : int;
+}
+
+val sigma_edge_vs_loss : ns:int list -> ?reps:int -> ?base_seed:int64 -> unit -> edge_row list
+(** Turquois, divergent, failure-free, per group size: [reps] (default
+    10) runs under the adaptive {!Net.Fault.sigma_edge} omission
+    adversary, then as many under iid loss at the per-receiver rate
+    the adversary achieved, on the same seeds. Every correct process
+    contributes its decision latency, censored at the 10 s timeout when
+    it never decides: the adversary sits exactly at the Section 5
+    bound, so starving a victim is expected, and dropping it from the
+    mean would hide precisely the delay the adversary buys. *)
+
+val render_sigma_edge : edge_row list -> string

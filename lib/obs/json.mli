@@ -1,11 +1,10 @@
 (** Minimal JSON tree, printer and parser.
 
-    Deliberately dependency-free: the observability layer exports metric
-    snapshots and JSONL traces and must read them back in [analyze]
-    without pulling a JSON package into the build. Integers and floats
-    are kept distinct by syntax — a [Float] always prints with a ['.']
-    or an exponent, so values round-trip through {!to_string} and
-    {!parse}. *)
+    Deliberately dependency-free: the observability layer exports JSONL
+    traces and must read them back in [analyze] without pulling a JSON
+    package into the build. Integers and floats are kept distinct by
+    syntax — a [Float] always prints with a ['.'] or an exponent, so
+    values round-trip through {!to_string} and {!parse}. *)
 
 type t =
   | Null

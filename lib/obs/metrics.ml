@@ -185,30 +185,3 @@ let render_table snap =
     List.map (fun s -> [ s.name; labels_to_string s.labels; value_to_string s.value ]) snap
   in
   Util.Tablefmt.render ~header ~rows ()
-
-let to_json snap =
-  Json.List
-    (List.map
-       (fun s ->
-         let base =
-           [
-             ("name", Json.String s.name);
-             ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.labels));
-           ]
-         in
-         let rest =
-           match s.value with
-           | Counter c -> [ ("type", Json.String "counter"); ("value", Json.Int c) ]
-           | Gauge g -> [ ("type", Json.String "gauge"); ("value", Json.Float g) ]
-           | Histogram h ->
-               [
-                 ("type", Json.String "histogram");
-                 ("lo", Json.Float h.lo);
-                 ("hi", Json.Float h.hi);
-                 ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.counts)));
-                 ("total", Json.Int h.total);
-                 ("sum", Json.Float h.sum);
-               ]
-         in
-         Json.Obj (base @ rest))
-       snap)

@@ -74,5 +74,3 @@ val merge : snapshot list -> snapshot
 val labels_to_string : labels -> string
 val render_table : snapshot -> string
 (** Human-readable table (metric | labels | value). *)
-
-val to_json : snapshot -> Json.t
