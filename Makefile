@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check bench-baseline bench-compare scaling-compare causal-smoke ledger-smoke chaos clean
+.PHONY: all build test fmt check examples bench-baseline bench-compare scaling-compare causal-smoke ledger-smoke chaos clean
 
 all: build
 
@@ -39,12 +39,20 @@ causal-smoke:
 ledger-smoke:
 	dune build @perfledger/smoke
 
+# examples: run every standalone program in examples/ (a few seconds);
+# each exits non-zero on an agreement or validity violation, and they
+# are the only callers of some library defaults they exercise
+examples: build
+	for f in examples/*.ml; do \
+	  ./_build/default/$${f%.ml}.exe > /dev/null || { echo "example $$f failed"; exit 1; }; \
+	done
+
 # the gate a PR must pass: formatting, a warning-clean build, all tests
 # (including the observer-only equivalence table in test/equiv.ml:
 # -j, profiling, tracing, fresh keys and compact off against plain
-# runs), the chaos smoke sweep, the causal-trace smoke, the ledger
-# smoke, the perf regression gate and the scaling gate
-check: fmt build test chaos causal-smoke ledger-smoke bench-compare scaling-compare
+# runs), the examples, the chaos smoke sweep, the causal-trace smoke,
+# the ledger smoke, the perf regression gate and the scaling gate
+check: fmt build test examples chaos causal-smoke ledger-smoke bench-compare scaling-compare
 
 # regenerate the committed regression-gate baseline (run on the machine
 # that will run bench-compare; wall-clock sections are host-dependent)

@@ -268,7 +268,7 @@ let run_single replay protocol n divergent load seed loss trace metrics trace_js
       Some
         (fun radio ->
           let k = n - Net.Fault.max_f n in
-          ignore (Net.Fault.sigma_edge radio ~n ~k ~t:0 ()))
+          ignore (Net.Fault.sigma_edge radio ~n ~k ~t:0))
   in
   let result =
     Harness.Runner.run ~protocol ~n ~dist ~load ~conditions ~seed ?attach ()
@@ -303,7 +303,8 @@ let run_single replay protocol n divergent load seed loss trace metrics trace_js
   | None -> ()
   | Some file ->
       let written = Obs.Trace2.export_file file in
-      Printf.printf "\nwrote %d trace events to %s\n" written file);
+      Printf.printf "\nwrote %d trace events to %s (%d dropped at the trace limit)\n" written
+        file (Obs.Trace2.dropped ()));
   if trace then begin
     Obs.Trace2.stop ();
     print_endline "\n--- protocol-level trace (radio tx suppressed; use the Trace API for all) ---";
@@ -790,7 +791,7 @@ let run_analyze file n k t causal timeline require_causal =
   | Error msg ->
       Printf.eprintf "analyze: %s\n" msg;
       1
-  | Ok (events, skipped) ->
+  | Ok (events, skipped, dropped) ->
       if skipped > 0 then
         Printf.eprintf "analyze: skipped %d malformed line(s) in %s\n" skipped file;
       if events = [] then begin
@@ -798,7 +799,7 @@ let run_analyze file n k t causal timeline require_causal =
         1
       end
       else begin
-        print_string (Obs.Analyze.analyze ?n ?k ?t events);
+        print_string (Obs.Analyze.analyze ?n ?k ?t ~dropped events);
         if timeline then begin
           print_newline ();
           print_string (Obs.Timeline.render ?n events)

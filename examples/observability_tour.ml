@@ -48,6 +48,6 @@ let () =
 
   match Obs.Trace2.load_file file with
   | Error msg -> Printf.eprintf "reload failed: %s\n" msg
-  | Ok (events, _skipped) ->
-      print_string (Obs.Analyze.analyze events);
+  | Ok (events, _skipped, dropped) ->
+      print_string (Obs.Analyze.analyze ~dropped events);
       Sys.remove file

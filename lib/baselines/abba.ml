@@ -1,14 +1,5 @@
 type behavior = Correct | Attacker
 
-type stats = {
-  mutable messages_sent : int;
-  mutable signatures_created : int;
-  mutable signatures_verified : int;
-  mutable shares_verified : int;
-  mutable coins_flipped : int;
-  mutable rounds : int;
-}
-
 type group_keys = {
   gk_n : int;
   gk_f : int;
@@ -159,7 +150,6 @@ type t = {
   mutable decision : int option;
   rounds : (int, round_state) Hashtbl.t;
   mutable decide_cb : (value:int -> round:int -> unit) option;
-  stats : stats;
   mutable started : bool;
   mutable initial : int;
 }
@@ -167,7 +157,6 @@ type t = {
 let id t = Net.Node.id t.node
 let decision t = t.decision
 let round t = t.round_i
-let stats t = t.stats
 let on_decide t f = t.decide_cb <- Some f
 let n t = t.keys.gk_n
 let f t = t.keys.gk_f
@@ -223,12 +212,10 @@ let cached table key compute =
       v
 
 let my_sign t msg =
-  t.stats.signatures_created <- t.stats.signatures_created + 1;
   Net.Node.charge t.node Net.Cost.rsa_sign;
   Crypto.Rsa.sign t.keys.rsa.(id t).sec msg
 
 let verify_sig t ~signer msg ~signature =
-  t.stats.signatures_verified <- t.stats.signatures_verified + 1;
   Net.Node.charge t.node Net.Cost.rsa_verify;
   signer >= 0 && signer < n t
   &&
@@ -239,7 +226,6 @@ let verify_sig t ~signer msg ~signature =
 
 let verify_ms t ~msg ~k ms =
   let count = Crypto.Multisig.count ms in
-  t.stats.signatures_verified <- t.stats.signatures_verified + count;
   Net.Node.charge t.node (float_of_int count *. Net.Cost.rsa_verify);
   let key =
     Printf.sprintf "m|%d|%s|%s" k (Bytes.to_string msg)
@@ -248,7 +234,6 @@ let verify_ms t ~msg ~k ms =
   cached (verify_cache ()) key (fun () -> Crypto.Multisig.verify ~keys:t.keys.pubs ~msg ~k ms)
 
 let verify_share t ~round share =
-  t.stats.shares_verified <- t.stats.shares_verified + 1;
   Net.Node.charge t.node Net.Cost.coin_share_verify;
   let key =
     Printf.sprintf "c|%d|%s" round (Bytes.to_string (Crypto.Coin.share_to_bytes share))
@@ -268,7 +253,6 @@ let send_to_all t message =
   let raw = encode message in
   for dst = 0 to n t - 1 do
     if dst <> id t then begin
-      t.stats.messages_sent <- t.stats.messages_sent + 1;
       Obs.Metrics.incr "proto.msgs_sent" ~labels:[ ("proto", "abba") ];
       Net.Rlink.send t.link ~dst raw
     end
@@ -445,7 +429,6 @@ and try_advance t =
                 (b, just)
             | None ->
                 (* all abstained: flip the threshold coin *)
-                t.stats.coins_flipped <- t.stats.coins_flipped + 1;
                 Obs.Metrics.incr "proto.coin_flips" ~labels:[ ("proto", "abba") ];
                 let shares = Hashtbl.fold (fun _ s acc -> s :: acc) rs.shares [] in
                 Net.Node.charge t.node
@@ -466,7 +449,6 @@ and try_advance t =
           end
         in
         t.round_i <- next_round;
-        t.stats.rounds <- t.stats.rounds + 1;
         Obs.Metrics.incr "proto.round_changes" ~labels:[ ("proto", "abba") ];
         Obs.Trace2.emit
           ~time:(Net.Engine.now (Net.Node.engine t.node))
@@ -508,15 +490,6 @@ let create node ~keys ?(behavior = Correct) ?(port = 800) ~proposal () =
     decision = None;
     rounds = Hashtbl.create 8;
     decide_cb = None;
-    stats =
-      {
-        messages_sent = 0;
-        signatures_created = 0;
-        signatures_verified = 0;
-        shares_verified = 0;
-        coins_flipped = 0;
-        rounds = 0;
-      };
     started = false;
     initial = proposal;
   }

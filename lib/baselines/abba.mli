@@ -30,15 +30,6 @@ type behavior =
           invalid signatures and justifications, forcing verification
           work at correct processes. *)
 
-type stats = {
-  mutable messages_sent : int;
-  mutable signatures_created : int;
-  mutable signatures_verified : int;
-  mutable shares_verified : int;
-  mutable coins_flipped : int;
-  mutable rounds : int;
-}
-
 (** Key material shared by one protocol group (pre-distributed, as in
     the paper's methodology). *)
 type group_keys
@@ -64,4 +55,3 @@ val on_decide : t -> (value:int -> round:int -> unit) -> unit
 val id : t -> int
 val decision : t -> int option
 val round : t -> int
-val stats : t -> stats

@@ -1,12 +1,5 @@
 type behavior = Correct | Attacker
 
-type stats = {
-  mutable rb_casts : int;
-  mutable messages_sent : int;
-  mutable delivered : int;
-  mutable rounds : int;
-}
-
 (* A protocol payload: (round, step, value, dflag). The d-flag is
    Bracha's "decision proposal" marker, legal only in step-2 messages. *)
 type payload = { round : int; step : int; value : int; dflag : bool }
@@ -44,14 +37,12 @@ type t = {
   pending : (int * int * int, payload) Hashtbl.t;
   rb_instances : (int * int * int, rb_state) Hashtbl.t;
   mutable decide_cb : (value:int -> round:int -> unit) option;
-  stats : stats;
   mutable started : bool;
 }
 
 let id t = Net.Node.id t.node
 let decision t = t.decision
 let round t = t.round_i
-let stats t = t.stats
 let on_decide t f = t.decide_cb <- Some f
 
 let encode_rb m =
@@ -93,7 +84,6 @@ let send_to_all t raw =
   (* self-delivery is local; the transport carries the other n-1 copies *)
   for dst = 0 to t.n - 1 do
     if dst <> id t then begin
-      t.stats.messages_sent <- t.stats.messages_sent + 1;
       Obs.Metrics.incr "proto.msgs_sent" ~labels:[ ("proto", "bracha") ];
       Net.Rlink.send t.link ~dst raw
     end
@@ -178,7 +168,6 @@ let justified t body =
 (* --- consensus state machine ------------------------------------------- *)
 
 let rec rb_cast t body =
-  t.stats.rb_casts <- t.stats.rb_casts + 1;
   Obs.Metrics.incr "proto.rb_casts" ~labels:[ ("proto", "bracha") ];
   let self = id t in
   send_to_all t (encode_rb { kind = Init; origin = self; body });
@@ -190,7 +179,6 @@ and deliver t origin body =
   if not (Hashtbl.mem row origin) && not (Hashtbl.mem t.pending (origin, body.round, body.step))
   then begin
     Hashtbl.replace t.pending (origin, body.round, body.step) body;
-    t.stats.delivered <- t.stats.delivered + 1;
     drain_pending t
   end
 
@@ -268,7 +256,6 @@ and try_advance t =
         end;
         t.dflag_i <- false;
         t.round_i <- t.round_i + 1;
-        t.stats.rounds <- t.stats.rounds + 1;
         Obs.Metrics.incr "proto.round_changes" ~labels:[ ("proto", "bracha") ];
         Obs.Trace2.emit
           ~time:(Net.Engine.now (Net.Node.engine t.node))
@@ -359,7 +346,6 @@ let create node ~n ~f ?(behavior = Correct) ?(port = 700) ~proposal () =
       pending = Hashtbl.create 32;
       rb_instances = Hashtbl.create 64;
       decide_cb = None;
-      stats = { rb_casts = 0; messages_sent = 0; delivered = 0; rounds = 0 };
       started = false;
     }
   in

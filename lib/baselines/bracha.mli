@@ -20,13 +20,6 @@ type behavior =
       (** §7.2 strategy: opposite value in steps 0 and 1, d-flag
           withheld in step 2. *)
 
-type stats = {
-  mutable rb_casts : int;      (** reliable-broadcast instances started *)
-  mutable messages_sent : int; (** point-to-point protocol messages *)
-  mutable delivered : int;     (** RB deliveries *)
-  mutable rounds : int;        (** rounds completed *)
-}
-
 type t
 
 val create :
@@ -46,4 +39,3 @@ val on_decide : t -> (value:int -> round:int -> unit) -> unit
 val id : t -> int
 val decision : t -> int option
 val round : t -> int
-val stats : t -> stats

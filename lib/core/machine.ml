@@ -75,12 +75,10 @@ type t = {
 
 let id t = Keyring.owner t.keyring
 let phase t = t.phase_i
-let current_value t = t.v_i
 let current_status t = t.status_i
 let decision t = t.decision
 let decision_phase t = t.decision_phase
 let stats t = t.stats
-let vset t = t.v
 
 let create cfg ~keyring ~rng ?(behavior = Correct) ~proposal () =
   Proto.validate_config cfg;
@@ -407,15 +405,6 @@ let emit t ~justify =
 
 let emit_as t ~strategy ~justify =
   if t.phase_i > t.cfg.max_phases then Quiet else emit_strategy t strategy ~justify
-
-let prepare t ~justify =
-  match emit t ~justify with
-  | Quiet -> None
-  | Broadcast env -> Some env
-  | Per_receiver _ ->
-      (* broadcast-only drivers see an equivocator as silent; shells that
-         support unicast use [emit] directly *)
-      None
 
 (* --- state transitions (task T2) ---------------------------------------- *)
 

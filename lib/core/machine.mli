@@ -42,12 +42,10 @@ val create :
 
 val id : t -> int
 val phase : t -> int
-val current_value : t -> Proto.value
 val current_status : t -> Proto.status
 val decision : t -> int option
 val decision_phase : t -> int option
 val stats : t -> stats
-val vset : t -> Vset.t
 
 type transmission =
   | Quiet  (** nothing this opportunity *)
@@ -83,10 +81,6 @@ val emit_as : t -> strategy:Strategy.t -> justify:bool -> transmission
     for externally-driven adversaries that pick a fresh strategy every
     round (the model checker's Byzantine enumeration). Frames are signed
     with the machine's keyring; [Quiet] past the key horizon. *)
-
-val prepare : t -> justify:bool -> Message.envelope option
-(** {!emit} restricted to broadcast: [Quiet] and [Per_receiver] map to
-    [None]. Kept for broadcast-only drivers. *)
 
 val handle : t -> Message.envelope -> event list * int
 (** Task T2 for one arriving envelope: authenticity checks, the pending

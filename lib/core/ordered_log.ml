@@ -94,9 +94,11 @@ let mem_stats t =
       Hashtbl.length t.rebroadcast + Hashtbl.length t.retry + Hashtbl.length t.help;
   }
 
+let base_port = 15000
+
 let create node cfg ~keyring ~capacity ?(window = 1) ?(max_batch = 64)
     ?(payload_wait = 0.050) ?(noop_wait = 0.020) ?(payload_grace = 2.0)
-    ?help_retention ?(base_port = 15000) ?(retain_deliveries = true) () =
+    ?help_retention ?(retain_deliveries = true) () =
   if capacity < 1 then invalid_arg "Ordered_log.create: capacity must be positive";
   if window < 1 then invalid_arg "Ordered_log.create: window must be positive";
   if max_batch < 1 then invalid_arg "Ordered_log.create: max_batch must be positive";

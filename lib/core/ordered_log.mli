@@ -65,12 +65,11 @@ val create :
   ?noop_wait:float ->
   ?payload_grace:float ->
   ?help_retention:int ->
-  ?base_port:int ->
   ?retain_deliveries:bool ->
   unit ->
   t
-(** All processes must use identical [capacity], [window], [max_batch]
-    and [base_port]. [window] (default 1) is the pipeline depth: how
+(** All processes must use identical [capacity], [window] and
+    [max_batch]. [window] (default 1) is the pipeline depth: how
     many undecided slots may run concurrently per process. [max_batch]
     (default 64) caps commands per slot. [payload_wait] (default 50 ms)
     is how long a non-proposer waits for a slot's payload before voting
@@ -85,8 +84,8 @@ val create :
     so a further-behind straggler can still learn skip decisions at any
     depth but can recover committed bytes only within the retention
     horizon. Size it generously (e.g. [capacity]) for long unattended
-    workloads. Payload frames use [base_port - 1]; consensus
-    instance [s] uses [base_port + s]. [retain_deliveries] (default
+    workloads. Payload frames use port 14999; consensus instance [s]
+    uses port 15000 + [s]. [retain_deliveries] (default
     true) keeps the in-memory history returned by {!delivered}; switch
     it off for long workloads to keep memory at O(window).
     @raise Invalid_argument on non-positive capacity, window or

@@ -44,19 +44,13 @@ type t = {
   mutable tick_handle : Net.Engine.handle option;
   mutable started : bool;
   mutable decide_cb : (value:int -> phase:int -> unit) option;
-  mutable phase_cb : (phase:int -> unit) option;
   shell_stats : stats;
 }
 
 let id t = Net.Node.id t.node
 let phase t = Machine.phase t.machine
-let current_value t = Machine.current_value t.machine
-let current_status t = Machine.current_status t.machine
 let decision t = Machine.decision t.machine
-let decision_phase t = Machine.decision_phase t.machine
-let vset t = Machine.vset t.machine
 let on_decide t f = t.decide_cb <- Some f
-let on_phase_change t f = t.phase_cb <- Some f
 
 let stats t =
   let m = Machine.stats t.machine in
@@ -97,7 +91,6 @@ let create node cfg ~keyring ?(behavior = Correct) ?(port = 443)
     tick_handle = None;
     started = false;
     decide_cb = None;
-    phase_cb = None;
     shell_stats =
       {
         ticks = 0;
@@ -233,13 +226,11 @@ let react t events =
   List.iter
     (fun event ->
       match event with
-      | Machine.Phase_changed p -> begin
+      | Machine.Phase_changed p ->
           phase_changed := true;
           Obs.Metrics.incr "proto.phase_changes" ~labels:[ ("proto", "turquois") ];
           Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
-            ~layer:"turquois" ~label:"phase" [ ("phase", Obs.Trace2.I p) ];
-          match t.phase_cb with Some f -> f ~phase:p | None -> ()
-        end
+            ~layer:"turquois" ~label:"phase" [ ("phase", Obs.Trace2.I p) ]
       | Machine.Decided { value; phase } -> begin
           Obs.Metrics.incr "proto.decisions" ~labels:[ ("proto", "turquois") ];
           Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)

@@ -104,14 +104,7 @@ val stop : t -> unit
 val on_decide : t -> (value:int -> phase:int -> unit) -> unit
 (** Called exactly once, when the decision variable is first set. *)
 
-val on_phase_change : t -> (phase:int -> unit) -> unit
-
 val id : t -> int
 val phase : t -> int
-val current_value : t -> Proto.value
-val current_status : t -> Proto.status
 val decision : t -> int option
-val decision_phase : t -> int option
 val stats : t -> stats
-val vset : t -> Vset.t
-(** The live V set — read-only use (tests, instrumentation). *)

@@ -130,8 +130,3 @@ let share_of_bytes b =
   let z = Znum.of_bytes_be (Util.Codec.R.bytes_lp r) in
   Util.Codec.R.expect_end r;
   { sh_owner; value; c; z }
-
-let share_size params =
-  let pbytes = (Znum.bit_length params.group.p + 7) / 8 in
-  let qbytes = (Znum.bit_length params.group.q + 7) / 8 in
-  2 + (4 + pbytes) + (4 + qbytes) + (4 + qbytes)

@@ -47,6 +47,3 @@ val combine : params -> name:string -> share list -> int option
 val share_to_bytes : share -> bytes
 val share_of_bytes : bytes -> share
 (** @raise Util.Codec.Malformed / Truncated on garbage. *)
-
-val share_size : params -> int
-(** Wire size of one share in bytes (message-size accounting). *)

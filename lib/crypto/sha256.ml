@@ -132,8 +132,6 @@ let update ctx data =
     ctx.block_len <- len - !pos
   end
 
-let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
-
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finalized <- true;

@@ -10,7 +10,6 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> bytes -> unit
-val update_string : ctx -> string -> unit
 val finalize : ctx -> bytes
 (** Returns the 32-byte digest. The context must not be reused. *)
 

@@ -112,16 +112,15 @@ let run ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ?(adversary = Random_
     incr round;
     let dropped = choose_dropped () in
     let is_dropped s r = List.mem (s, r) dropped in
-    (* broadcast phase: everyone prepares (self-insertion happens in
-       prepare), then deliveries happen "simultaneously" *)
-    let envelopes =
-      Array.map (fun m -> Core.Machine.prepare m ~justify:true) machines
-    in
+    (* broadcast phase: everyone emits (self-insertion happens in
+       emit), then deliveries happen "simultaneously"; correct and
+       Attacker machines only ever broadcast *)
+    let transmissions = Array.map (fun m -> Core.Machine.emit m ~justify:true) machines in
     Array.iteri
-      (fun s envelope ->
-        match envelope with
-        | None -> ()
-        | Some env ->
+      (fun s transmission ->
+        match transmission with
+        | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> ()
+        | Core.Machine.Broadcast env ->
             List.iter
               (fun r ->
                 if r <> s then begin
@@ -139,7 +138,7 @@ let run ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ?(adversary = Random_
                   end
                 end)
               (List.init n (fun i -> i)))
-      envelopes;
+      transmissions;
     let deciders_now =
       List.length (List.filter (fun i -> decided_round.(i) <> None) correct)
     in
@@ -209,7 +208,7 @@ module Driven = struct
     sim.round <- sim.round + 1;
     let n = Array.length sim.machines in
     let is_dropped s r = List.mem (s, r) drops in
-    (* everyone prepares first (self-insertion happens inside emit), then
+    (* everyone emits first (self-insertion happens inside emit), then
        deliveries happen "simultaneously"; Byzantine machines follow the
        round's scripted strategy, defaulting to silence (a crash) *)
     let transmissions =
@@ -312,16 +311,17 @@ let single_round ~n ~k ?(byzantine = []) ?(adversary = Sigma_edge) ~omissions ~s
   let correct = List.filter (fun i -> not (List.mem i byzantine)) (List.init n (fun i -> i)) in
   let dropped = choose_dropped ~rng ~adversary ~correct ~omissions in
   let is_dropped s r = List.mem (s, r) dropped in
-  let envelopes = Array.map (fun m -> Core.Machine.prepare m ~justify:true) machines in
+  (* correct machines broadcast, silent ones stay quiet *)
+  let transmissions = Array.map (fun m -> Core.Machine.emit m ~justify:true) machines in
   Array.iteri
-    (fun s envelope ->
-      match envelope with
-      | None -> ()
-      | Some env ->
+    (fun s transmission ->
+      match transmission with
+      | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> ()
+      | Core.Machine.Broadcast env ->
           List.iter
             (fun r ->
               if r <> s && List.mem r correct && not (is_dropped s r) then
                 ignore (Core.Machine.handle machines.(r) env))
             (List.init n (fun i -> i)))
-    envelopes;
+    transmissions;
   List.length (List.filter (fun i -> Core.Machine.phase machines.(i) > 1) correct)

@@ -292,7 +292,7 @@ let sigma_edge_vs_loss ~ns ?(reps = 10) ?(base_seed = 1000L) () =
                let r =
                  run i ~loss_prob:0.0
                    ~attach:(fun radio ->
-                     handle := Some (Net.Fault.sigma_edge radio ~n ~k ~t:0 ()))
+                     handle := Some (Net.Fault.sigma_edge radio ~n ~k ~t:0))
                    ()
                in
                (r, Option.fold ~none:0 ~some:Net.Fault.sigma_edge_drops !handle)))

@@ -9,18 +9,11 @@ type t
 
 val create : Engine.t -> t
 
-val busy_until : t -> float
-(** Time at which the node's core becomes free. *)
-
 val enqueue : t -> (unit -> unit) -> unit
 (** [enqueue t job] runs [job] as soon as the core is free (now, if
     idle). Jobs run in FIFO order of their ready times. *)
 
 val charge : t -> float -> unit
 (** [charge t cost] accounts [cost] seconds of computation to the job
-    currently running (extends [busy_until]). Call from inside a job. *)
-
-val completion_time : t -> float
-(** Alias of {!busy_until}; the moment the currently-queued work ends —
-    the earliest time an output produced by the running job can leave
-    the node. *)
+    currently running (pushes back the moment the core is free). Call
+    from inside a job. *)

@@ -66,9 +66,6 @@ let apply_crashes ?(at = fun _ -> 0.0) radio ~n load =
 let sigma ~n ~k ~t = (((n - t + 1) / 2) * (n - k - t)) + k - 2
 
 type sigma_edge = {
-  se_victims : int array;
-  se_budget_per_round : int;
-  se_round : float;
   mutable se_current_round : int;
   mutable se_left : int;
   mutable se_drops : int;
@@ -76,37 +73,25 @@ type sigma_edge = {
 
 let sigma_edge_drops a = a.se_drops
 
-let sigma_edge radio ~n ~k ~t ?(round = 10.0e-3) ?(margin = 0) ?victims () =
-  if round <= 0.0 then invalid_arg "Fault.sigma_edge: bad round";
-  let bound = max 0 (sigma ~n ~k ~t + margin) in
-  let victims =
-    match victims with
-    | Some v -> Array.of_list v
-    | None ->
-        (* starve the low ids: the high ids are the conventional faulty
-           set, so these victims are correct processes whose silence the
-           k-of-n termination rule can least afford *)
-        Array.init (min n (n - k - t + 1)) (fun i -> i)
-  in
-  let a =
-    {
-      se_victims = victims;
-      se_budget_per_round = bound;
-      se_round = round;
-      se_current_round = -1;
-      se_left = 0;
-      se_drops = 0;
-    }
-  in
+(* the budget replenishes every protocol tick *)
+let sigma_edge_round = 10.0e-3
+
+let sigma_edge radio ~n ~k ~t =
+  let bound = max 0 (sigma ~n ~k ~t) in
+  (* starve the low ids: the high ids are the conventional faulty set,
+     so these victims are correct processes whose silence the k-of-n
+     termination rule can least afford *)
+  let victims = Array.init (min n (n - k - t + 1)) (fun i -> i) in
+  let a = { se_current_round = -1; se_left = 0; se_drops = 0 } in
   Radio.set_filter radio
     (Some
        (fun ~now ~tx:_ ~rx ->
-         let round_no = int_of_float (now /. a.se_round) in
+         let round_no = int_of_float (now /. sigma_edge_round) in
          if round_no <> a.se_current_round then begin
            a.se_current_round <- round_no;
-           a.se_left <- a.se_budget_per_round
+           a.se_left <- bound
          end;
-         if a.se_left > 0 && Array.exists (( = ) rx) a.se_victims then begin
+         if a.se_left > 0 && Array.exists (( = ) rx) victims then begin
            a.se_left <- a.se_left - 1;
            a.se_drops <- a.se_drops + 1;
            Obs.Metrics.incr "fault.sigma_edge_drops";
@@ -117,7 +102,7 @@ let sigma_edge radio ~n ~k ~t ?(round = 10.0e-3) ?(margin = 0) ?victims () =
     ~label:"sigma_edge"
     [
       ("budget", Obs.Trace2.I bound);
-      ("round_s", Obs.Trace2.F round);
+      ("round_s", Obs.Trace2.F sigma_edge_round);
       ( "victims",
         Obs.Trace2.S
           (String.concat "," (Array.to_list (Array.map string_of_int victims))) );

@@ -60,8 +60,8 @@ val apply_crashes : ?at:(int -> float) -> Radio.t -> n:int -> load -> unit
 
     An omission adversary that, instead of dropping frames at an iid
     rate, spends a per-round budget of exactly
-    σ = ⌈(n−t)/2⌉(n−k−t)+k−2 (+ [margin]) drops on a fixed victim set —
-    the worst-case schedule of the Section 5 liveness analysis, applied
+    σ = ⌈(n−t)/2⌉(n−k−t)+k−2 drops on a fixed victim set — the
+    worst-case schedule of the Section 5 liveness analysis, applied
     online to the simulated radio via {!Radio.set_filter}. *)
 
 val sigma : n:int -> k:int -> t:int -> int
@@ -70,14 +70,11 @@ val sigma : n:int -> k:int -> t:int -> int
 
 type sigma_edge
 
-val sigma_edge :
-  Radio.t -> n:int -> k:int -> t:int -> ?round:float -> ?margin:int ->
-  ?victims:int list -> unit -> sigma_edge
-(** Installs the adversary's drop filter on the radio. [round] is the
-    budget-replenish interval (default the 10 ms protocol tick);
-    [margin] is added to σ (default 0 — sit exactly at the bound);
-    [victims] defaults to the n−k−t+1 lowest ids, i.e. the paper's
-    "silence whole victims, then starve one more" pattern among the
+val sigma_edge : Radio.t -> n:int -> k:int -> t:int -> sigma_edge
+(** Installs the adversary's drop filter on the radio. The budget
+    replenishes every 10 ms protocol tick and sits exactly at σ; the
+    victims are the n−k−t+1 lowest ids, i.e. the paper's "silence
+    whole victims, then starve one more" pattern among the
     conventionally correct processes. *)
 
 val sigma_edge_drops : sigma_edge -> int

@@ -36,12 +36,3 @@ let set_timer t ~delay callback =
   Engine.schedule t.engine ~delay (fun () -> Cpu.enqueue t.node_cpu callback)
 
 let cancel_timer t handle = Engine.cancel t.engine handle
-
-let every t ~period callback =
-  let rec loop () =
-    ignore
-      (Engine.schedule t.engine ~delay:period (fun () ->
-           Cpu.enqueue t.node_cpu callback;
-           loop ()))
-  in
-  loop ()

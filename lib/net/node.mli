@@ -44,8 +44,3 @@ val set_timer : t -> delay:float -> (unit -> unit) -> Engine.handle
 (** One-shot timer; the callback runs on the CPU queue. *)
 
 val cancel_timer : t -> Engine.handle -> unit
-
-val every : t -> period:float -> (unit -> unit) -> unit
-(** Fixed-period recurring timer (first firing after one period). The
-    callback runs on the CPU queue; periods are measured on the engine
-    clock, so a busy CPU delays the callback but not the schedule. *)

@@ -100,7 +100,6 @@ let jam t ~from ~until = t.jam_windows <- (from, until) :: t.jam_windows
 let on_receive t f = t.receive <- Some f
 let attachment t = t.attachment
 let attach t a = t.attachment <- Some a
-let busy_until t = t.busy_end
 let busy t = t.busy_end > Engine.now t.engine
 let idle_since t s = t.busy_end <= s
 let stats t = t.stats

@@ -89,9 +89,6 @@ val transmit : t -> ?kind:string -> sender:int -> duration:float -> bytes -> uni
 val busy : t -> bool
 (** Carrier sense at the current instant. *)
 
-val busy_until : t -> float
-(** End of the latest ongoing transmission ([now] or earlier if idle). *)
-
 val idle_since : t -> float -> bool
 (** [idle_since t s] is true when the medium has been continuously idle
     from time [s] to now. *)

@@ -89,12 +89,12 @@ let apply radio sched =
 
 (* --- random generation ------------------------------------------------------ *)
 
-let random ~rng ~n ~duration ?(events = 6) ?(allow_crashes = true) () =
+let random ~rng ~n ~duration ?(events = 6) () =
   let pick_node () = Util.Rng.int rng n in
   let pick_time () = Util.Rng.float rng duration in
   let entry () =
     let at = pick_time () in
-    let kind = Util.Rng.int rng (if allow_crashes then 6 else 5) in
+    let kind = Util.Rng.int rng 6 in
     let action =
       match kind with
       | 0 -> Set_loss (Util.Rng.float rng 0.3)

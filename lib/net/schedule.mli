@@ -43,9 +43,7 @@ val apply : Radio.t -> t -> unit
 (** Arms every entry on the radio's engine (entries at or before the
     current time fire immediately). Call once, before the run. *)
 
-val random :
-  rng:Util.Rng.t -> n:int -> duration:float -> ?events:int ->
-  ?allow_crashes:bool -> unit -> t
+val random : rng:Util.Rng.t -> n:int -> duration:float -> ?events:int -> unit -> t
 (** A randomized schedule of [events] injections (default 6) over
     [duration] seconds. Every generated [Crash] is paired with a later
     [Recover], and the global loss overlay is cleared at the horizon, so

@@ -517,23 +517,30 @@ let resolve_params ?n ?k ?t meta events =
   let t = match (t, meta.m_t) with Some v, _ -> v | None, Some v -> v | None, None -> 0 in
   (n, k, t)
 
-let analyze ?n ?k ?t events =
+let analyze ?n ?k ?t ~dropped events =
   let meta = read_meta events in
   let n, k, t = resolve_params ?n ?k ?t meta events in
   let buf = Buffer.create 4096 in
   let times = List.map (fun e -> e.Trace2.time) events in
-  let span =
+  let first, last =
     match times with
-    | [] -> 0.0
-    | t0 :: _ -> List.fold_left Float.max t0 times -. List.fold_left Float.min t0 times
+    | [] -> (0.0, 0.0)
+    | t0 :: _ -> (List.fold_left Float.min t0 times, List.fold_left Float.max t0 times)
   in
   Buffer.add_string buf
     (Printf.sprintf "Trace analysis: %s n=%d %s %s (seed %s)\n" meta.m_protocol n meta.m_dist
        meta.m_load meta.m_seed);
   Buffer.add_string buf
-    (Printf.sprintf "  %d events spanning %.1f ms; k=%d t=%d%s\n\n" (List.length events)
-       (span *. 1000.0) k t
+    (Printf.sprintf "  %d events spanning %.1f ms; k=%d t=%d%s\n" (List.length events)
+       ((last -. first) *. 1000.0) k t
        (if meta.m_crashed = "" then "" else "; crashed: " ^ meta.m_crashed));
+  if dropped > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  TRUNCATED: %d events dropped at the trace limit; this file covers only %.1f-%.1f \
+          ms of the run\n"
+         dropped (first *. 1000.0) (last *. 1000.0));
+  Buffer.add_char buf '\n';
   let medium, _omissions = medium_breakdown events in
   Buffer.add_string buf medium;
   Buffer.add_char buf '\n';

@@ -18,7 +18,10 @@
 
 val sigma : n:int -> k:int -> t:int -> int
 
-val analyze : ?n:int -> ?k:int -> ?t:int -> Trace2.event list -> string
+val analyze : ?n:int -> ?k:int -> ?t:int -> dropped:int -> Trace2.event list -> string
+(** [dropped] is the count of events the trace sink dropped at its
+    limit ({!Trace2.load_file}); when positive, the report's header
+    gains a notice line naming it and the time span the events cover. *)
 
 val causal : ?n:int -> ?k:int -> ?t:int -> Trace2.event list -> string
 (** Causal upgrade of the stall report ([analyze --causal]): rebuilds

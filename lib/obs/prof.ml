@@ -180,21 +180,6 @@ let render_table stats =
       ~header:[ "span"; "count"; "total"; "mean"; "p50<"; "p99<"; "max" ]
       ~rows ()
 
-let to_json stats =
-  Json.List
-    (List.map
-       (fun st ->
-         Json.Obj
-           [
-             ("span", Json.String st.name);
-             ("count", Json.Int st.count);
-             ("total_ns", Json.Float st.total_ns);
-             ("max_ns", Json.Float st.max_ns);
-             ( "log2_ns_buckets",
-               Json.List (Array.to_list (Array.map (fun c -> Json.Int c) st.buckets)) );
-           ])
-       stats)
-
 (* per-run scoping: like the memo caches, span accumulators reset at
    every run boundary so a profile read after a run covers exactly that
    run *)

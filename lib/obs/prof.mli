@@ -64,4 +64,3 @@ val bucket_quantile : stat -> float -> float
 (** Upper bucket edge (ns) for the given quantile, 0 when empty. *)
 
 val render_table : stat list -> string
-val to_json : stat list -> Json.t

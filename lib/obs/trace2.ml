@@ -133,22 +133,24 @@ let parse_line line =
 
 (* Bumped whenever the event vocabulary changes incompatibly; exports
    carry it as a leading pseudo-event so [load_file] can refuse traces
-   written by a different generation instead of mis-parsing them. *)
+   written by a different generation instead of mis-parsing them. The
+   header also records how many events the sink dropped at its limit,
+   so a truncated file says so. *)
 let schema_version = 2
 
-let schema_header =
+let schema_header () =
   {
     time = 0.0;
     node = -1;
     layer = "trace";
     label = "schema";
-    fields = [ ("version", I schema_version) ];
+    fields = [ ("version", I schema_version); ("dropped", I (dropped ())) ];
   }
 
 let is_schema_header e = e.layer = "trace" && e.label = "schema"
 
 let export_channel oc =
-  output_string oc (to_jsonl_line schema_header);
+  output_string oc (to_jsonl_line (schema_header ()));
   output_char oc '\n';
   let n = ref 0 in
   List.iter
@@ -172,6 +174,7 @@ let load_file path =
         (fun () ->
           let events = ref [] in
           let skipped = ref 0 in
+          let dropped = ref 0 in
           let bad_version = ref None in
           (try
              while !bad_version = None do
@@ -179,7 +182,11 @@ let load_file path =
                if String.trim line <> "" then begin
                  match parse_line line with
                  | Ok e when is_schema_header e -> (
-                     (* version check; headerless legacy traces load as-is *)
+                     (* version check; headerless legacy traces load as-is,
+                        and a header without a drop count reads as 0 *)
+                     (match List.assoc_opt "dropped" e.fields with
+                     | Some (I d) -> dropped := d
+                     | _ -> ());
                      match List.assoc_opt "version" e.fields with
                      | Some (I v) when v = schema_version -> ()
                      | Some (I v) -> bad_version := Some v
@@ -198,4 +205,4 @@ let load_file path =
                    path
                    (if v < 0 then "missing/malformed" else string_of_int v)
                    schema_version)
-          | None -> Ok (List.rev !events, !skipped))
+          | None -> Ok (List.rev !events, !skipped, !dropped))

@@ -55,8 +55,8 @@ val parse_line : string -> (event, string) result
 val schema_version : int
 (** Version of the exported event vocabulary. Exports start with a
     pseudo-event line [{"layer":"trace","label":"schema",...}] carrying
-    it; [load_file] rejects files whose header names a different
-    version. *)
+    it and the sink's {!dropped} count; [load_file] rejects files whose
+    header names a different version. *)
 
 val export_channel : out_channel -> int
 (** Writes a schema header line, then the collected events as JSONL;
@@ -64,8 +64,10 @@ val export_channel : out_channel -> int
 
 val export_file : string -> int
 
-val load_file : string -> (event list * int, string) result
-(** Events plus the count of unparseable lines (tolerated and
-    skipped). The schema header, when present, is checked against
-    {!schema_version} — a mismatch is an [Error] — and filtered from
-    the returned events; headerless legacy traces are accepted. *)
+val load_file : string -> (event list * int * int, string) result
+(** Events, the count of unparseable lines (tolerated and skipped) and
+    the count of events the sink dropped at its limit before the export
+    (0 when the header does not record it). The schema header, when
+    present, is checked against {!schema_version} — a mismatch is an
+    [Error] — and filtered from the returned events; headerless legacy
+    traces are accepted. *)

@@ -11,8 +11,8 @@
    - deliveries are quantized onto a grid of [quantum] seconds, and all
      messages landing on one grid tick share a single engine event;
    - in-flight records live in a flat preallocated {!Arena} (no
-     per-event allocation), and a multicast shares one immutable
-     payload buffer across every receiver instead of per-receiver
+     per-event allocation), and a payload sent to many receivers is
+     delivered by reference to each of them instead of per-receiver
      copies. *)
 
 type slot = { mutable s_src : int; mutable s_dst : int; mutable s_payload : bytes }
@@ -29,46 +29,35 @@ type t = {
   engine : Net.Engine.t;
   rng : Util.Rng.t;
   n : int;
-  latency : float;
-  jitter : float;
-  quantum : float;
-  mutable loss : float;
+  loss : float;
   arena : slot Arena.t;
   pending : (int, int list ref) Hashtbl.t; (* grid tick -> slot indices, newest first *)
   handlers : (src:int -> bytes -> unit) option array;
-  down : bool array;
   stats : stats;
 }
 
-let create engine rng ~n ?(latency = 2.0e-3) ?(jitter = 1.0e-3) ?(loss = 0.0)
-    ?(quantum = 5.0e-4) () =
+(* base propagation latency, uniform jitter on top of it, and the
+   delivery grid, all in seconds *)
+let latency = 2.0e-3
+let jitter = 1.0e-3
+let quantum = 5.0e-4
+
+let create engine rng ~n ?(loss = 0.0) () =
   if n < 2 then invalid_arg "Medium.create: need n >= 2";
-  if latency <= 0.0 || jitter < 0.0 || quantum <= 0.0 then
-    invalid_arg "Medium.create: bad timing";
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Medium.create: loss must be in [0,1)";
   {
     engine;
     rng;
     n;
-    latency;
-    jitter;
-    quantum;
     loss;
     arena = Arena.create (fun () -> { s_src = 0; s_dst = 0; s_payload = Bytes.empty });
     pending = Hashtbl.create 64;
     handlers = Array.make n None;
-    down = Array.make n false;
     stats = { msgs_sent = 0; bytes_sent = 0; airtime = 0.0; delivered = 0; dropped = 0 };
   }
 
 let engine t = t.engine
-let size t = t.n
 let stats t = t.stats
-let set_loss t p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Medium.set_loss";
-  t.loss <- p
-let set_down t i v = t.down.(i) <- v
-let is_down t i = t.down.(i)
 let set_handler t ~node f = t.handlers.(node) <- Some f
 let arena_high_water t = Arena.high_water t.arena
 let in_flight t = Arena.in_use t.arena
@@ -85,44 +74,31 @@ let flush t tick =
           let src = s.s_src and dst = s.s_dst and payload = s.s_payload in
           s.s_payload <- Bytes.empty;
           Arena.free t.arena idx;
-          if not t.down.(dst) then begin
-            t.stats.delivered <- t.stats.delivered + 1;
-            match t.handlers.(dst) with Some f -> f ~src payload | None -> ()
-          end)
+          t.stats.delivered <- t.stats.delivered + 1;
+          match t.handlers.(dst) with Some f -> f ~src payload | None -> ())
         (List.rev !cell)
 
 let send t ~src ~dst payload =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Medium.send: bad endpoint";
-  if not t.down.(src) then begin
-    let len = Bytes.length payload in
-    t.stats.msgs_sent <- t.stats.msgs_sent + 1;
-    t.stats.bytes_sent <- t.stats.bytes_sent + len;
-    t.stats.airtime <- t.stats.airtime +. Net.Mac.airtime_unicast ~payload_bytes:len;
-    if Util.Rng.bernoulli t.rng t.loss then t.stats.dropped <- t.stats.dropped + 1
-    else begin
-      let delay =
-        t.latency +. if t.jitter > 0.0 then Util.Rng.float t.rng t.jitter else 0.0
-      in
-      let tick =
-        int_of_float ((Net.Engine.now t.engine +. delay) /. t.quantum) + 1
-      in
-      let idx = Arena.alloc t.arena in
-      let s = Arena.get t.arena idx in
-      s.s_src <- src;
-      s.s_dst <- dst;
-      s.s_payload <- payload;
-      match Hashtbl.find_opt t.pending tick with
-      | Some cell -> cell := idx :: !cell
-      | None ->
-          Hashtbl.add t.pending tick (ref [ idx ]);
-          ignore
-            (Net.Engine.at t.engine ~time:(float_of_int tick *. t.quantum) (fun () ->
-                 flush t tick))
-    end
+  let len = Bytes.length payload in
+  t.stats.msgs_sent <- t.stats.msgs_sent + 1;
+  t.stats.bytes_sent <- t.stats.bytes_sent + len;
+  t.stats.airtime <- t.stats.airtime +. Net.Mac.airtime_unicast ~payload_bytes:len;
+  if Util.Rng.bernoulli t.rng t.loss then t.stats.dropped <- t.stats.dropped + 1
+  else begin
+    let delay = latency +. Util.Rng.float t.rng jitter in
+    let tick = int_of_float ((Net.Engine.now t.engine +. delay) /. quantum) + 1 in
+    let idx = Arena.alloc t.arena in
+    let s = Arena.get t.arena idx in
+    s.s_src <- src;
+    s.s_dst <- dst;
+    s.s_payload <- payload;
+    match Hashtbl.find_opt t.pending tick with
+    | Some cell -> cell := idx :: !cell
+    | None ->
+        Hashtbl.add t.pending tick (ref [ idx ]);
+        ignore
+          (Net.Engine.at t.engine ~time:(float_of_int tick *. quantum) (fun () ->
+               flush t tick))
   end
-
-(* one immutable envelope shared by every receiver; loss and jitter
-   still draw independently per destination *)
-let multicast t ~src ~dsts payload =
-  List.iter (fun dst -> send t ~src ~dst payload) dsts

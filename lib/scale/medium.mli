@@ -1,10 +1,10 @@
 (** Scalable abstract message medium for n >> 16.
 
-    A generic lossy datagram network: per-message iid loss, base
-    latency plus uniform jitter, airtime accounted with the 802.11b
-    unicast formula. Deliveries are quantized onto a [quantum]-second
-    grid so one engine event serves every message landing on a tick,
-    and in-flight records recycle through a flat {!Arena} — the
+    A generic lossy datagram network: per-message iid loss, a 2 ms
+    base latency plus up to 1 ms of uniform jitter, airtime accounted
+    with the 802.11b unicast formula. Deliveries are quantized onto a
+    0.5 ms grid so one engine event serves every message landing on a
+    tick, and in-flight records recycle through a flat {!Arena} — the
     delivery bookkeeping stays sub-quadratic in n. *)
 
 type t
@@ -17,35 +17,19 @@ type stats = {
   mutable dropped : int;
 }
 
-val create :
-  Net.Engine.t ->
-  Util.Rng.t ->
-  n:int ->
-  ?latency:float ->
-  ?jitter:float ->
-  ?loss:float ->
-  ?quantum:float ->
-  unit ->
-  t
-(** Defaults: latency 2 ms, jitter 1 ms, loss 0, quantum 0.5 ms. *)
+val create : Net.Engine.t -> Util.Rng.t -> n:int -> ?loss:float -> unit -> t
+(** [loss] is the per-message drop probability (default 0). *)
 
 val engine : t -> Net.Engine.t
-val size : t -> int
 val stats : t -> stats
-val set_loss : t -> float -> unit
-val set_down : t -> int -> bool -> unit
-val is_down : t -> int -> bool
 
 val set_handler : t -> node:int -> (src:int -> bytes -> unit) -> unit
 (** Delivery callback for [node]; replaces any previous handler. *)
 
 val send : t -> src:int -> dst:int -> bytes -> unit
 (** Queues one message. The payload is delivered by reference — treat
-    it as immutable after sending. *)
-
-val multicast : t -> src:int -> dsts:int list -> bytes -> unit
-(** [send] to each destination, sharing one immutable payload buffer
-    across the whole fan-out (loss and jitter draw per destination). *)
+    it as immutable after sending, so one buffer can serve a whole
+    fan-out. *)
 
 val in_flight : t -> int
 val arena_high_water : t -> int

@@ -68,7 +68,6 @@ type t = {
   mutable phase : int;
   mutable value : int;
   mutable decided : int option;
-  mutable decision_phase : int;
   mutable started : bool;
   mutable stopped : bool;
   mutable phase_ticks : int;
@@ -110,7 +109,6 @@ let create net sampler cfg ~id ~coin_seed ?(behavior = Correct) ~proposal () =
     phase = 1;
     value = proposal;
     decided = None;
-    decision_phase = -1;
     started = false;
     stopped = false;
     phase_ticks = 0;
@@ -133,8 +131,6 @@ let create net sampler cfg ~id ~coin_seed ?(behavior = Correct) ~proposal () =
 let id t = t.node_id
 let phase t = t.phase
 let decision t = t.decided
-let decision_phase t = t.decision_phase
-let current_value t = t.value
 let on_decide t f = t.decide_cb <- Some f
 
 let tag t phase = phase mod t.cfg.epochs
@@ -240,7 +236,6 @@ let decide t v =
   if t.decided = None then begin
     t.decided <- Some v;
     t.value <- v;
-    t.decision_phase <- t.phase;
     Obs.Metrics.incr "proto.decisions" ~labels;
     (match t.decide_cb with Some f -> f ~value:v ~phase:t.phase | None -> ());
     push_claims t
@@ -397,5 +392,3 @@ let start t =
     enter_phase t 1;
     arm t
   end
-
-let stop t = t.stopped <- true

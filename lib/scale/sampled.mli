@@ -55,11 +55,7 @@ val create :
 val id : t -> int
 val phase : t -> int
 val decision : t -> int option
-val decision_phase : t -> int
-val current_value : t -> int
 val on_decide : t -> (value:int -> phase:int -> unit) -> unit
 
 val start : t -> unit
 (** Registers the listen hook, pushes phase 1 and arms the tick. *)
-
-val stop : t -> unit

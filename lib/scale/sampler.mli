@@ -19,9 +19,6 @@ val sample : t -> owner:int -> tag:int -> k:int -> int array
 
 val in_sample : t -> owner:int -> tag:int -> k:int -> int -> bool
 
-val inverse : t -> tag:int -> k:int -> int list array
-(** [inverse t ~tag ~k].(p) lists the owners whose (tag, k) sample
-    contains [p], ascending — the senders p accepts pushes from. *)
-
 val incoming : t -> node:int -> tag:int -> k:int -> int array
-(** Array form of [inverse _ .(node)]. *)
+(** The owners whose (tag, k) sample contains [node], ascending — the
+    senders [node] accepts pushes from. *)

@@ -1,30 +1,23 @@
 (* Transport abstraction the sample-based protocols run over.
 
-   Three carriers share one first-class record: the scalable abstract
-   {!Medium} (big n), the full radio/MAC node stack (faithful 802.11b
-   costs via unicast frames), and {!Net.Rlink} reliable links (the
-   TCP-like mesh the Bracha/ABBA baselines use). The protocols only
-   see point-to-point sends, per-node timers and a listen hook, so a
-   run's carrier is a constructor argument, not a code path. *)
+   Two carriers share one first-class record: the scalable abstract
+   {!Medium} (big n) and the full radio/MAC node stack (faithful
+   802.11b costs via unicast frames). The protocols only see
+   point-to-point sends, per-node timers and a listen hook, so a run's
+   carrier is a constructor argument, not a code path. *)
 
 type t = {
-  n : int;
-  now : unit -> float;
   send : src:int -> dst:int -> bytes -> unit;
   timer : node:int -> delay:float -> (unit -> unit) -> unit;
   register : node:int -> (src:int -> bytes -> unit) -> unit;
 }
 
-let size t = t.n
-let now t = t.now ()
 let send t ~src ~dst payload = t.send ~src ~dst payload
 let timer t ~node ~delay f = t.timer ~node ~delay f
 let register t ~node f = t.register ~node f
 
 let of_medium m =
   {
-    n = Medium.size m;
-    now = (fun () -> Net.Engine.now (Medium.engine m));
     send = (fun ~src ~dst payload -> Medium.send m ~src ~dst payload);
     timer =
       (fun ~node:_ ~delay f -> ignore (Net.Engine.schedule (Medium.engine m) ~delay f));
@@ -32,31 +25,10 @@ let of_medium m =
   }
 
 let of_nodes nodes ~port =
-  if Array.length nodes = 0 then invalid_arg "Transport.of_nodes: empty";
   {
-    n = Array.length nodes;
-    now = (fun () -> Net.Engine.now (Net.Node.engine nodes.(0)));
     send = (fun ~src ~dst payload -> Net.Node.unicast nodes.(src) ~dst ~port payload);
     timer = (fun ~node ~delay f -> ignore (Net.Node.set_timer nodes.(node) ~delay f));
     register =
       (fun ~node f ->
         Net.Node.listen nodes.(node) ~port (fun ~src payload -> f ~src payload));
-  }
-
-let of_rlinks nodes ~port =
-  if Array.length nodes = 0 then invalid_arg "Transport.of_rlinks: empty";
-  let links =
-    Array.map
-      (fun node ->
-        Net.Rlink.create (Net.Node.engine node) (Net.Node.datagram node)
-          (Net.Node.cpu node) ~port ())
-      nodes
-  in
-  {
-    n = Array.length nodes;
-    now = (fun () -> Net.Engine.now (Net.Node.engine nodes.(0)));
-    send = (fun ~src ~dst payload -> Net.Rlink.send links.(src) ~dst payload);
-    timer = (fun ~node ~delay f -> ignore (Net.Node.set_timer nodes.(node) ~delay f));
-    register =
-      (fun ~node f -> Net.Rlink.on_receive links.(node) (fun ~src raw -> f ~src raw));
   }

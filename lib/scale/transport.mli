@@ -1,12 +1,9 @@
 (** Carrier abstraction for the sample-based protocols: point-to-point
     sends, per-node timers and a listen hook. Constructors exist for
-    the scalable abstract {!Medium}, the radio/MAC node stack and the
-    {!Net.Rlink} reliable-link mesh. *)
+    the scalable abstract {!Medium} and the radio/MAC node stack. *)
 
 type t
 
-val size : t -> int
-val now : t -> float
 val send : t -> src:int -> dst:int -> bytes -> unit
 val timer : t -> node:int -> delay:float -> (unit -> unit) -> unit
 
@@ -18,7 +15,3 @@ val of_medium : Medium.t -> t
 val of_nodes : Net.Node.t array -> port:int -> t
 (** Over the radio/MAC stack; sends become acknowledged 802.11b
     unicast frames on the shared medium. *)
-
-val of_rlinks : Net.Node.t array -> port:int -> t
-(** Over a mesh of reliable ordered links (one {!Net.Rlink} per node,
-    implicit pairwise connections). *)

@@ -40,17 +40,6 @@ val t_critical_95 : int -> float
     distribution with [df] degrees of freedom (tabulated, interpolated,
     asymptotic 1.96 for large [df]). *)
 
-(** Online accumulator (Welford) for streaming measurements. *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-end
-
 (** Fixed-bin histogram over a closed range; used for phase-count and
     round-count distributions. *)
 module Histogram : sig

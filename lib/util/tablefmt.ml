@@ -1,7 +1,14 @@
 type align = Left | Right | Center
 
+(* display width of a UTF-8 cell: its code points, so the two-byte "±"
+   of [latency_cell] pads as one column *)
+let display_width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
 let pad align width s =
-  let n = String.length s in
+  let n = display_width s in
   if n >= width then s
   else
     let fill = width - n in
@@ -29,7 +36,7 @@ let render ?align ~header ~rows () =
   let widths =
     List.mapi
       (fun i h ->
-        List.fold_left (fun w row -> max w (String.length (List.nth row i))) (String.length h) rows)
+        List.fold_left (fun w row -> max w (display_width (List.nth row i))) (display_width h) rows)
       header
   in
   let line ch =

@@ -517,5 +517,3 @@ let to_bytes_be ?len t =
   in
   go t.mag (out_len - 1);
   out
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

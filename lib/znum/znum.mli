@@ -83,4 +83,3 @@ val mod_pow : base:t -> exp:t -> m:t -> t
     right-to-left square-and-multiply over {!mul} and {!emod}. Both
     return the same value, so callers see no difference but speed. *)
 
-val pp : Format.formatter -> t -> unit

@@ -257,7 +257,7 @@ let test_analyze_attributes_faults () =
       phase ~time:0.20 ~node:0 5;
     ]
   in
-  let report = Obs.Analyze.analyze ~n:4 ~k:3 ~t:0 events in
+  let report = Obs.Analyze.analyze ~n:4 ~k:3 ~t:0 ~dropped:0 events in
   let contains sub =
     let ls = String.length sub and lr = String.length report in
     let rec go i = i + ls <= lr && (String.sub report i ls = sub || go (i + 1)) in

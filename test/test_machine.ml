@@ -4,6 +4,11 @@
 module P = Core.Proto
 module M = Core.Machine
 
+(* the frame a machine broadcasts now, if any: these tests build only
+   correct and Attacker machines, which never send per-receiver frames *)
+let broadcast m ~justify =
+  match M.emit m ~justify with M.Broadcast env -> Some env | M.Quiet | M.Per_receiver _ -> None
+
 let make_group ?(n = 4) ?(seed = 300L) ?(proposals = [| 1; 1; 1; 1 |]) ?(byzantine = []) () =
   let rng = Util.Rng.create ~seed in
   let cfg = { (P.default_config ~n) with max_phases = 60 } in
@@ -19,7 +24,7 @@ let make_group ?(n = 4) ?(seed = 300L) ?(proposals = [| 1; 1; 1; 1 |]) ?(byzanti
 (* one lossless synchronous round: everyone broadcasts with justification,
    everyone receives everything *)
 let round machines =
-  let envelopes = Array.map (fun m -> M.prepare m ~justify:true) machines in
+  let envelopes = Array.map (fun m -> broadcast m ~justify:true) machines in
   Array.iteri
     (fun s env ->
       match env with
@@ -98,7 +103,7 @@ let test_adoption_catches_up () =
   let laggard = machines.(3) in
   let rest = [ machines.(0); machines.(1); machines.(2) ] in
   for _ = 1 to 3 do
-    let envelopes = List.map (fun m -> (M.id m, M.prepare m ~justify:true)) rest in
+    let envelopes = List.map (fun m -> (M.id m, broadcast m ~justify:true)) rest in
     List.iter
       (fun (s, env) ->
         match env with
@@ -110,12 +115,12 @@ let test_adoption_catches_up () =
   Alcotest.(check (option int)) "others decided" (Some 1) (M.decision machines.(0));
   Alcotest.(check int) "laggard still at 1" 1 (M.phase laggard);
   (* one justified message is enough to adopt the decided state *)
-  (match M.prepare machines.(0) ~justify:true with
+  (match broadcast machines.(0) ~justify:true with
   | Some env ->
       let events, _ = M.handle laggard env in
       Alcotest.(check bool) "decided event" true
         (List.exists (function M.Decided _ -> true | M.Phase_changed _ -> false) events)
-  | None -> Alcotest.fail "prepare failed");
+  | None -> Alcotest.fail "no broadcast");
   Alcotest.(check (option int)) "laggard decided" (Some 1) (M.decision laggard)
 
 let test_key_horizon_exhaustion () =
@@ -123,15 +128,15 @@ let test_key_horizon_exhaustion () =
   let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:4 () in
   let cfg = { (P.default_config ~n:4) with max_phases = 4 } in
   let m = M.create cfg ~keyring:keyrings.(0) ~rng ~proposal:1 () in
-  Alcotest.(check bool) "phase 1 ok" true (M.prepare m ~justify:false <> None)
+  Alcotest.(check bool) "phase 1 ok" true (broadcast m ~justify:false <> None)
 
 let test_attacker_message_content () =
   let _, machines = make_group ~byzantine:[ 0 ] () in
-  match M.prepare machines.(0) ~justify:false with
+  match broadcast machines.(0) ~justify:false with
   | Some env ->
       (* attacker in a CONVERGE phase flips its value (all propose 1) *)
       Alcotest.(check bool) "flipped" true (P.value_equal env.msg.value P.V0)
-  | None -> Alcotest.fail "prepare failed"
+  | None -> Alcotest.fail "no broadcast"
 
 let test_stats_accumulate () =
   let _, machines = make_group () in
@@ -144,7 +149,7 @@ let test_same_state_detection () =
   let _, machines = make_group () in
   Alcotest.(check bool) "before any broadcast" false
     (M.same_state_as_last_broadcast machines.(0));
-  ignore (M.prepare machines.(0) ~justify:false);
+  ignore (broadcast machines.(0) ~justify:false);
   Alcotest.(check bool) "unchanged state" true (M.same_state_as_last_broadcast machines.(0))
 
 (* --- randomized safety: agreement and validity hold under arbitrary
@@ -161,7 +166,7 @@ let run_random_schedule ~n ~byzantine ~proposals ~drop_prob ~rounds ~seed =
           ~proposal:proposals.(i) ())
   in
   for _ = 1 to rounds do
-    let envelopes = Array.map (fun m -> M.prepare m ~justify:(Util.Rng.bool rng)) machines in
+    let envelopes = Array.map (fun m -> broadcast m ~justify:(Util.Rng.bool rng)) machines in
     (* deliver in random order with random omissions *)
     let deliveries = ref [] in
     Array.iteri
@@ -236,7 +241,7 @@ let test_compact_wire_equivalence () =
         let trace = ref [] in
         let rounds = ref 0 in
         while Array.exists (fun m -> M.decision m = None) machines && !rounds < 40 do
-          let envelopes = Array.map (fun m -> M.prepare m ~justify:true) machines in
+          let envelopes = Array.map (fun m -> broadcast m ~justify:true) machines in
           Array.iteri
             (fun s env ->
               match env with
@@ -281,7 +286,7 @@ let test_compact_framing_and_unresolved_refs () =
       (* everyone is now past phase 1, so justified envelopes are nonempty *)
       let sender = machines.(0) in
       let env =
-        match M.prepare sender ~justify:true with
+        match broadcast sender ~justify:true with
         | Some env -> env
         | None -> Alcotest.fail "expected a broadcast"
       in
@@ -328,7 +333,7 @@ let test_forged_full_never_resolvable () =
   let _, machines = make_group ~seed:907L () in
   let receiver = machines.(1) in
   let valid =
-    match M.prepare machines.(3) ~justify:false with
+    match broadcast machines.(3) ~justify:false with
     | Some env -> env.Core.Message.msg
     | None -> Alcotest.fail "expected a broadcast"
   in

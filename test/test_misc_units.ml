@@ -20,6 +20,27 @@ let test_table_pads_short_rows () =
   let s = Util.Tablefmt.render ~header:[ "a"; "b"; "c" ] ~rows:[ [ "only-one" ] ] () in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+(* a "mean ± ci" cell is wider in bytes than on screen: every line of
+   the box must still span the same number of code points *)
+let test_table_display_width () =
+  let s =
+    Util.Tablefmt.render ~header:[ "variant"; "latency (ms)" ]
+      ~rows:
+        [ [ "paper"; Util.Tablefmt.latency_cell ~mean:10.28 ~ci:0.2 ]; [ "ascii"; "20.41" ] ]
+      ()
+  in
+  let code_points l =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 <> 0x80 then n + 1 else n) 0 l
+  in
+  let widths =
+    List.filter_map
+      (fun l -> if l = "" then None else Some (code_points l))
+      (String.split_on_char '\n' s)
+  in
+  Alcotest.(check (list int)) "every line equally wide"
+    (List.map (fun _ -> List.hd widths) widths)
+    widths
+
 let test_latency_cell () =
   Alcotest.(check string) "format" "12.35 ± 1.20" (Util.Tablefmt.latency_cell ~mean:12.345 ~ci:1.2)
 
@@ -75,14 +96,14 @@ let test_certificate_rescues_deep_laggard () =
   (* ten lossless rounds among the fast three: they decide at phase 3 and
      keep advancing to ~phase 13 *)
   for _ = 1 to 10 do
-    let envelopes = List.map (fun m -> (Core.Machine.id m, Core.Machine.prepare m ~justify:true)) fast in
+    let transmissions = List.map (fun m -> (Core.Machine.id m, Core.Machine.emit m ~justify:true)) fast in
     List.iter
-      (fun (s, env) ->
-        match env with
-        | None -> ()
-        | Some env ->
+      (fun (s, tx) ->
+        match tx with
+        | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> ()
+        | Core.Machine.Broadcast env ->
             List.iter (fun m -> if Core.Machine.id m <> s then ignore (Core.Machine.handle m env)) fast)
-      envelopes
+      transmissions
   done;
   List.iter
     (fun m -> Alcotest.(check (option int)) "fast decided" (Some 1) (Core.Machine.decision m))
@@ -95,9 +116,9 @@ let test_certificate_rescues_deep_laggard () =
      chain is not replayable, but three decided claims form a quorum *)
   List.iter
     (fun m ->
-      match Core.Machine.prepare m ~justify:true with
-      | Some env -> ignore (Core.Machine.handle laggard env)
-      | None -> Alcotest.fail "prepare failed")
+      match Core.Machine.emit m ~justify:true with
+      | Core.Machine.Broadcast env -> ignore (Core.Machine.handle laggard env)
+      | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> Alcotest.fail "no broadcast")
     fast;
   Alcotest.(check (option int)) "laggard decided by certificate" (Some 1)
     (Core.Machine.decision laggard)
@@ -114,20 +135,20 @@ let test_certificate_needs_quorum () =
   in
   let fast = [ machines.(0); machines.(1); machines.(2) ] in
   for _ = 1 to 10 do
-    let envelopes = List.map (fun m -> (Core.Machine.id m, Core.Machine.prepare m ~justify:true)) fast in
+    let transmissions = List.map (fun m -> (Core.Machine.id m, Core.Machine.emit m ~justify:true)) fast in
     List.iter
-      (fun (s, env) ->
-        match env with
-        | None -> ()
-        | Some env ->
+      (fun (s, tx) ->
+        match tx with
+        | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> ()
+        | Core.Machine.Broadcast env ->
             List.iter (fun m -> if Core.Machine.id m <> s then ignore (Core.Machine.handle m env)) fast)
-      envelopes
+      transmissions
   done;
   let laggard = machines.(3) in
   (* a single decided claim: below the quorum of 3 *)
-  (match Core.Machine.prepare machines.(0) ~justify:false with
-  | Some env -> ignore (Core.Machine.handle laggard env)
-  | None -> Alcotest.fail "prepare failed");
+  (match Core.Machine.emit machines.(0) ~justify:false with
+  | Core.Machine.Broadcast env -> ignore (Core.Machine.handle laggard env)
+  | Core.Machine.Quiet | Core.Machine.Per_receiver _ -> Alcotest.fail "no broadcast");
   Alcotest.(check (option int)) "one claim is not enough" None (Core.Machine.decision laggard)
 
 let suite =
@@ -135,6 +156,7 @@ let suite =
     [
       Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "table short rows" `Quick test_table_pads_short_rows;
+      Alcotest.test_case "table display width" `Quick test_table_display_width;
       Alcotest.test_case "latency cell" `Quick test_latency_cell;
       Alcotest.test_case "cost monotone" `Quick test_cost_monotone_in_size;
       Alcotest.test_case "cost hierarchy" `Quick test_cost_hierarchy;

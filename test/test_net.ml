@@ -257,13 +257,6 @@ let test_node_timers () =
   Net.Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "only the live timer" [ 0.5 ] !fired
 
-let test_node_every () =
-  let engine, _, nodes = make_nodes () in
-  let count = ref 0 in
-  Net.Node.every nodes.(0) ~period:0.1 (fun () -> incr count);
-  Net.Engine.run engine ~until:0.55;
-  Alcotest.(check int) "five periods" 5 !count
-
 (* --- reliable link ------------------------------------------------------------------ *)
 
 let make_rlinks ?(loss = 0.0) ?(auth = false) ?(seed = 37L) () =
@@ -397,7 +390,6 @@ let suite =
       Alcotest.test_case "datagram ports" `Quick test_datagram_port_dispatch;
       Alcotest.test_case "datagram loopback" `Quick test_datagram_broadcast_loopback;
       Alcotest.test_case "node timers" `Quick test_node_timers;
-      Alcotest.test_case "node every" `Quick test_node_every;
       Alcotest.test_case "rlink ordered" `Quick test_rlink_ordered_delivery;
       Alcotest.test_case "rlink heavy loss" `Quick test_rlink_reliable_under_heavy_loss;
       Alcotest.test_case "rlink bidirectional" `Quick test_rlink_bidirectional;

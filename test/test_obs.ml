@@ -172,7 +172,7 @@ let test_trace2_file_roundtrip () =
   Obs.Trace2.clear ();
   (match Obs.Trace2.load_file file with
   | Error msg -> Alcotest.fail msg
-  | Ok (events, skipped) ->
+  | Ok (events, skipped, _) ->
       Alcotest.(check int) "written count" 2 written;
       Alcotest.(check int) "no skipped lines" 0 skipped;
       Alcotest.(check bool) "events round-trip" true (events = original));
@@ -228,7 +228,7 @@ let test_analyze_reports_sigma () =
   Obs.Trace2.stop ();
   Obs.Trace2.clear ();
   Alcotest.(check bool) "run decided" false r.timed_out;
-  let report = Obs.Analyze.analyze events in
+  let report = Obs.Analyze.analyze ~dropped:0 events in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -278,8 +278,31 @@ let test_schema_header_roundtrip () =
   (* ...but filtered from the loaded events *)
   (match Obs.Trace2.load_file file with
   | Error e -> Alcotest.fail e
-  | Ok (events, _) ->
+  | Ok (events, _, _) ->
       Alcotest.(check int) "header filtered out" 1 (List.length events));
+  Sys.remove file
+
+(* a file cut short by the sink's limit says so: the header carries the
+   drop count, and the analyzer names it with the span the file covers *)
+let test_truncated_trace_reports_drops () =
+  fresh ();
+  Obs.Trace2.start ~limit:5 ();
+  for i = 0 to 9 do
+    Obs.Trace2.emit ~time:(float_of_int i *. 0.001) ~node:0 ~layer:"mac" ~label:"retry" []
+  done;
+  let file = Filename.temp_file "test_obs_truncated" ".jsonl" in
+  ignore (Obs.Trace2.export_file file);
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  (match Obs.Trace2.load_file file with
+  | Error e -> Alcotest.fail e
+  | Ok (events, _, dropped) ->
+      Alcotest.(check int) "kept" 5 (List.length events);
+      Alcotest.(check int) "dropped" 5 dropped;
+      let report = Obs.Analyze.analyze ~dropped events in
+      Alcotest.(check bool) "notice names the drops" true
+        (contains "5 events dropped" report);
+      Alcotest.(check bool) "notice names the span" true (contains "0.0-4.0 ms" report));
   Sys.remove file
 
 let test_schema_version_mismatch_rejected () =
@@ -380,7 +403,7 @@ let well_formed name events =
         true
         (String.length report > 0))
     [
-      ("analyze", Obs.Analyze.analyze events);
+      ("analyze", Obs.Analyze.analyze ~dropped:0 events);
       ("causal", Obs.Analyze.causal events);
       ("timeline", Obs.Timeline.render events);
     ]
@@ -432,7 +455,7 @@ let test_causal_end_to_end_sigma_edge () =
   let n = 8 in
   let attach radio =
     let k = n - Net.Fault.max_f n in
-    ignore (Net.Fault.sigma_edge radio ~n ~k ~t:0 ())
+    ignore (Net.Fault.sigma_edge radio ~n ~k ~t:0)
   in
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n
@@ -485,6 +508,8 @@ let suite =
       Alcotest.test_case "analyze sigma formula" `Quick test_analyze_sigma_formula;
       Alcotest.test_case "unlabeled metrics fast path" `Quick test_unlabeled_fast_path;
       Alcotest.test_case "schema header roundtrip" `Quick test_schema_header_roundtrip;
+      Alcotest.test_case "truncated trace reports drops" `Quick
+        test_truncated_trace_reports_drops;
       Alcotest.test_case "schema version mismatch rejected" `Quick
         test_schema_version_mismatch_rejected;
       Alcotest.test_case "causal dag and chain" `Quick test_causal_dag_and_chain;

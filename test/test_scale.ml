@@ -113,7 +113,9 @@ let test_medium_shared_payload () =
     Scale.Medium.set_handler medium ~node (fun ~src:_ bytes ->
         received := bytes :: !received)
   done;
-  Scale.Medium.multicast medium ~src:0 ~dsts:[ 1; 2; 3; 4; 5; 6; 7 ] payload;
+  for dst = 1 to 7 do
+    Scale.Medium.send medium ~src:0 ~dst payload
+  done;
   Net.Engine.run engine;
   Alcotest.(check int) "all delivered" 7 (List.length !received);
   List.iter
@@ -242,51 +244,6 @@ let test_datagram_shared_payload () =
   rejects "an out-of-range" n;
   rejects "a negative" (-1)
 
-(* --- sample-based broadcast --------------------------------------------- *)
-
-let pbcast_net ~n ~loss ~seed =
-  let engine = Net.Engine.create () in
-  let rng = Util.Rng.create ~seed in
-  let medium = Scale.Medium.create engine (Util.Rng.split rng) ~n ~loss () in
-  let net = Scale.Transport.of_medium medium in
-  let sampler = Scale.Sampler.create ~seed:(Util.Rng.derive ~base:seed [ 1 ]) ~n in
-  let cfg = Scale.Pbroadcast.default_config ~n in
-  let nodes = Array.init n (fun id -> Scale.Pbroadcast.create net sampler cfg ~id ()) in
-  (engine, nodes)
-
-let test_pbroadcast_totality () =
-  let n = 64 in
-  let engine, nodes = pbcast_net ~n ~loss:0.05 ~seed:2026L in
-  Array.iter Scale.Pbroadcast.start nodes;
-  let payload = Bytes.of_string "probabilistic-total" in
-  Scale.Pbroadcast.broadcast nodes.(3) payload;
-  Net.Engine.run engine;
-  let delivered =
-    Array.to_list nodes
-    |> List.filter_map (fun node -> Scale.Pbroadcast.delivered node ~origin:3)
-  in
-  Alcotest.(check int) "everyone delivers under iid loss" n (List.length delivered);
-  List.iter
-    (fun got -> Alcotest.(check bool) "right payload" true (Bytes.equal got payload))
-    delivered
-
-let test_pbroadcast_consistency () =
-  let n = 64 in
-  let engine, nodes = pbcast_net ~n ~loss:0.02 ~seed:31L in
-  Array.iter Scale.Pbroadcast.start nodes;
-  Scale.Pbroadcast.broadcast_equivocate nodes.(0) (Bytes.of_string "AAAA")
-    (Bytes.of_string "BBBB");
-  Net.Engine.run engine;
-  let delivered =
-    Array.to_list nodes
-    |> List.filteri (fun i _ -> i > 0)
-    |> List.filter_map (fun node -> Scale.Pbroadcast.delivered node ~origin:0)
-    |> List.map Bytes.to_string
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check bool) "no two correct nodes deliver different payloads" true
-    (List.length delivered <= 1)
-
 (* --- sample-based consensus --------------------------------------------- *)
 
 (* The harness sizes the contended-radio tick from the encoded vote
@@ -378,28 +335,6 @@ let test_sampled_over_nodes () =
   Array.iter Scale.Sampled.start nodes;
   ignore (check_sampled_agreement ~n ~engine ~nodes ~faulty:(fun _ -> false))
 
-let test_sampled_over_rlinks () =
-  (* and by the reliable-link mesh the Bracha/ABBA baselines use *)
-  let n = 8 in
-  let engine = Net.Engine.create () in
-  let rng = Util.Rng.create ~seed:33L in
-  let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
-  let stacks =
-    Array.init n (fun id -> Net.Node.create engine radio ~id ~rng:(Util.Rng.split rng))
-  in
-  let net = Scale.Transport.of_rlinks stacks ~port:7700 in
-  let sampler = Scale.Sampler.create ~seed:22L ~n in
-  (* the ARQ mesh over the contended 802.11b medium delivers slower
-     than the abstract medium: give each phase time to land *)
-  let cfg = { (Scale.Sampled.default_config ~n) with tick = 0.5 } in
-  let nodes =
-    Array.init n (fun id ->
-        Scale.Sampled.create net sampler cfg ~id ~coin_seed:98L
-          ~proposal:(1 - (id land 1)) ())
-  in
-  Array.iter Scale.Sampled.start nodes;
-  ignore (check_sampled_agreement ~n ~engine ~nodes ~faulty:(fun _ -> false))
-
 let suite =
   ( "scale",
     [
@@ -412,12 +347,9 @@ let suite =
       Alcotest.test_case "medium deterministic" `Quick test_medium_deterministic;
       Alcotest.test_case "mac shared envelope" `Quick test_mac_shared_envelope;
       Alcotest.test_case "datagram shared payload" `Quick test_datagram_shared_payload;
-      Alcotest.test_case "pbroadcast totality" `Quick test_pbroadcast_totality;
-      Alcotest.test_case "pbroadcast consistency" `Quick test_pbroadcast_consistency;
       Alcotest.test_case "state frame bytes pinned" `Quick test_state_frame_bytes_pinned;
       Alcotest.test_case "sampled validity" `Quick test_sampled_validity;
       Alcotest.test_case "sampled agreement, byzantine mix" `Quick
         test_sampled_agreement_byzantine;
       Alcotest.test_case "sampled over radio/MAC stack" `Quick test_sampled_over_nodes;
-      Alcotest.test_case "sampled over rlink mesh" `Quick test_sampled_over_rlinks;
     ] )

@@ -77,14 +77,6 @@ let test_summarize () =
   feq "max" 30.0 s.max;
   feq "median" 20.0 s.median
 
-let test_online_matches_batch () =
-  let xs = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ] in
-  let online = Util.Stats.Online.create () in
-  List.iter (Util.Stats.Online.add online) xs;
-  Alcotest.(check int) "count" 8 (Util.Stats.Online.count online);
-  feq ~eps:1e-9 "mean" (Util.Stats.mean xs) (Util.Stats.Online.mean online);
-  feq ~eps:1e-9 "stddev" (Util.Stats.stddev xs) (Util.Stats.Online.stddev online)
-
 let test_histogram () =
   let h = Util.Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
   List.iter (Util.Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 5.0; 9.9; -3.0; 42.0 ];
@@ -121,7 +113,6 @@ let suite =
       Alcotest.test_case "t critical values" `Quick test_t_critical;
       Alcotest.test_case "ci95" `Quick test_ci95;
       Alcotest.test_case "summarize" `Quick test_summarize;
-      Alcotest.test_case "online accumulator" `Quick test_online_matches_batch;
       Alcotest.test_case "histogram" `Quick test_histogram;
       QCheck_alcotest.to_alcotest qcheck_ci_nonnegative;
       QCheck_alcotest.to_alcotest qcheck_mean_bounded;
