@@ -249,11 +249,17 @@ let corrupt sig_ =
     Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x5a));
   b
 
+let proto = [ ("proto", "abba") ]
+let msgs_sent = Obs.Metrics.counter ~labels:proto "proto.msgs_sent"
+let decisions = Obs.Metrics.counter ~labels:proto "proto.decisions"
+let coin_flips = Obs.Metrics.counter ~labels:proto "proto.coin_flips"
+let round_changes = Obs.Metrics.counter ~labels:proto "proto.round_changes"
+
 let send_to_all t message =
   let raw = encode message in
   for dst = 0 to n t - 1 do
     if dst <> id t then begin
-      Obs.Metrics.incr "proto.msgs_sent" ~labels:[ ("proto", "abba") ];
+      Obs.Metrics.incr msgs_sent;
       Net.Rlink.send t.link ~dst raw
     end
   done
@@ -402,11 +408,12 @@ and try_advance t =
             let b = List.hd mvs in
             if t.decision = None then begin
               t.decision <- Some b;
-              Obs.Metrics.incr "proto.decisions" ~labels:[ ("proto", "abba") ];
-              Obs.Trace2.emit
-                ~time:(Net.Engine.now (Net.Node.engine t.node))
-                ~node:(id t) ~layer:"abba" ~label:"decide"
-                [ ("value", Obs.Trace2.I b); ("round", Obs.Trace2.I t.round_i) ];
+              Obs.Metrics.incr decisions;
+              if Obs.Trace2.enabled () then
+                Obs.Trace2.emit
+                  ~time:(Net.Engine.now (Net.Node.engine t.node))
+                  ~node:(id t) ~layer:"abba" ~label:"decide"
+                  [ ("value", Obs.Trace2.I b); ("round", Obs.Trace2.I t.round_i) ];
               match t.decide_cb with
               | Some cb -> cb ~value:b ~round:t.round_i
               | None -> ()
@@ -429,7 +436,7 @@ and try_advance t =
                 (b, just)
             | None ->
                 (* all abstained: flip the threshold coin *)
-                Obs.Metrics.incr "proto.coin_flips" ~labels:[ ("proto", "abba") ];
+                Obs.Metrics.incr coin_flips;
                 let shares = Hashtbl.fold (fun _ s acc -> s :: acc) rs.shares [] in
                 Net.Node.charge t.node
                   (Net.Cost.coin_combine
@@ -449,11 +456,12 @@ and try_advance t =
           end
         in
         t.round_i <- next_round;
-        Obs.Metrics.incr "proto.round_changes" ~labels:[ ("proto", "abba") ];
-        Obs.Trace2.emit
-          ~time:(Net.Engine.now (Net.Node.engine t.node))
-          ~node:(id t) ~layer:"abba" ~label:"round"
-          [ ("round", Obs.Trace2.I next_round) ];
+        Obs.Metrics.incr round_changes;
+        if Obs.Trace2.enabled () then
+          Obs.Trace2.emit
+            ~time:(Net.Engine.now (Net.Node.engine t.node))
+            ~node:(id t) ~layer:"abba" ~label:"round"
+            [ ("round", Obs.Trace2.I next_round) ];
         t.stage <- Wait_prevotes;
         send_prevote t ~round:next_round ~value:next_value ~just:next_just
       end

@@ -80,11 +80,18 @@ let plausible body =
   && (body.value = 0 || body.value = 1)
   && ((not body.dflag) || body.step = 2)
 
+let proto = [ ("proto", "bracha") ]
+let msgs_sent = Obs.Metrics.counter ~labels:proto "proto.msgs_sent"
+let rb_casts = Obs.Metrics.counter ~labels:proto "proto.rb_casts"
+let decisions = Obs.Metrics.counter ~labels:proto "proto.decisions"
+let coin_flips = Obs.Metrics.counter ~labels:proto "proto.coin_flips"
+let round_changes = Obs.Metrics.counter ~labels:proto "proto.round_changes"
+
 let send_to_all t raw =
   (* self-delivery is local; the transport carries the other n-1 copies *)
   for dst = 0 to t.n - 1 do
     if dst <> id t then begin
-      Obs.Metrics.incr "proto.msgs_sent" ~labels:[ ("proto", "bracha") ];
+      Obs.Metrics.incr msgs_sent;
       Net.Rlink.send t.link ~dst raw
     end
   done
@@ -168,7 +175,7 @@ let justified t body =
 (* --- consensus state machine ------------------------------------------- *)
 
 let rec rb_cast t body =
-  Obs.Metrics.incr "proto.rb_casts" ~labels:[ ("proto", "bracha") ];
+  Obs.Metrics.incr rb_casts;
   let self = id t in
   send_to_all t (encode_rb { kind = Init; origin = self; body });
   (* local shortcut: our own INITIAL reaches us instantly *)
@@ -239,11 +246,12 @@ and try_advance t =
           if t.decision = None then begin
             t.decision <- Some best_w;
             t.decided_round <- t.round_i;
-            Obs.Metrics.incr "proto.decisions" ~labels:[ ("proto", "bracha") ];
-            Obs.Trace2.emit
-              ~time:(Net.Engine.now (Net.Node.engine t.node))
-              ~node:(id t) ~layer:"bracha" ~label:"decide"
-              [ ("value", Obs.Trace2.I best_w); ("round", Obs.Trace2.I t.round_i) ];
+            Obs.Metrics.incr decisions;
+            if Obs.Trace2.enabled () then
+              Obs.Trace2.emit
+                ~time:(Net.Engine.now (Net.Node.engine t.node))
+                ~node:(id t) ~layer:"bracha" ~label:"decide"
+                [ ("value", Obs.Trace2.I best_w); ("round", Obs.Trace2.I t.round_i) ];
             match t.decide_cb with
             | Some cb -> cb ~value:best_w ~round:t.round_i
             | None -> ()
@@ -251,16 +259,17 @@ and try_advance t =
         end
         else if d_best >= t.f + 1 then t.v_i <- best_w
         else begin
-          Obs.Metrics.incr "proto.coin_flips" ~labels:[ ("proto", "bracha") ];
+          Obs.Metrics.incr coin_flips;
           t.v_i <- Util.Rng.coin (Net.Node.rng t.node)
         end;
         t.dflag_i <- false;
         t.round_i <- t.round_i + 1;
-        Obs.Metrics.incr "proto.round_changes" ~labels:[ ("proto", "bracha") ];
-        Obs.Trace2.emit
-          ~time:(Net.Engine.now (Net.Node.engine t.node))
-          ~node:(id t) ~layer:"bracha" ~label:"round"
-          [ ("round", Obs.Trace2.I t.round_i) ];
+        Obs.Metrics.incr round_changes;
+        if Obs.Trace2.enabled () then
+          Obs.Trace2.emit
+            ~time:(Net.Engine.now (Net.Node.engine t.node))
+            ~node:(id t) ~layer:"bracha" ~label:"round"
+            [ ("round", Obs.Trace2.I t.round_i) ];
         t.step_i <- 0);
     broadcast_current t;
     try_advance t

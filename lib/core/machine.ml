@@ -408,8 +408,10 @@ let emit_as t ~strategy ~justify =
 
 (* --- state transitions (task T2) ---------------------------------------- *)
 
+let coin_flips = Obs.Metrics.counter ~labels:[ ("proto", "turquois") ] "proto.coin_flips"
+
 let local_coin t =
-  Obs.Metrics.incr "proto.coin_flips" ~labels:[ ("proto", "turquois") ];
+  Obs.Metrics.incr coin_flips;
   t.coin_flips <- t.coin_flips + 1;
   if Util.Rng.bool t.rng then Proto.V1 else Proto.V0
 
@@ -545,12 +547,16 @@ let pending_add t (m : Message.t) =
     if t.pending_count > t.stats.pending_peak then t.stats.pending_peak <- t.pending_count
   end
 
+let duplicate_entries = Obs.Metrics.counter "validation.duplicates"
+let rejected_auth = Obs.Metrics.counter ~labels:[ ("rule", "auth") ] "validation.rejected"
+let unresolved_refs = Obs.Metrics.counter "compact.unresolved"
+
 (* Duplicates are tallied per frame and reported with one registry
    update, not one per justification entry. *)
 let count_duplicates t k =
   if k > 0 then begin
     t.stats.duplicates <- t.stats.duplicates + k;
-    Obs.Metrics.incr "validation.duplicates" ~by:k
+    Obs.Metrics.incr duplicate_entries ~by:k
   end
 
 (* Re-examine the pool in ascending phase order until a fixpoint: a
@@ -653,7 +659,7 @@ let handle_wire t (fr : Msgstore.frame) =
       end
       else begin
         t.stats.rejected_auth <- t.stats.rejected_auth + 1;
-        Obs.Metrics.incr "validation.rejected" ~labels:[ ("rule", "auth") ]
+        Obs.Metrics.incr rejected_auth
       end
     end
   in
@@ -668,7 +674,7 @@ let handle_wire t (fr : Msgstore.frame) =
     fr.Msgstore.just;
   consider fr.Msgstore.msg;
   count_duplicates t !duplicates;
-  if !unresolved > 0 then Obs.Metrics.incr "compact.unresolved" ~by:!unresolved;
+  if !unresolved > 0 then Obs.Metrics.incr unresolved_refs ~by:!unresolved;
   let admitted = drain_pending t in
   let new_claims = Hashtbl.length t.decided_claims > claims_before in
   let events = if admitted || new_claims then update_state t else [] in

@@ -148,13 +148,18 @@ let rec first_known known k = function
 
 let resolve known k c = first_known known k c.idxs
 
+let memo_hits = Obs.Metrics.counter "codec.decode.memo_hit"
+let memo_misses = Obs.Metrics.counter "codec.decode.memo_miss"
+let verify_hits = Obs.Metrics.counter "crypto.verify.cache_hit"
+let verify_misses = Obs.Metrics.counter "crypto.verify.cache_miss"
+
 let decode_unprofiled t payload =
   Mutex.lock t.lock;
   let cached = Hashtbl.find_opt t.frames payload in
   Mutex.unlock t.lock;
   match cached with
   | Some fr ->
-      Obs.Metrics.incr "codec.decode.memo_hit";
+      Obs.Metrics.incr memo_hits;
       fr
   | None ->
       (* malformed payloads raise out before reaching the table *)
@@ -174,7 +179,7 @@ let decode_unprofiled t payload =
             Hashtbl.replace t.frames (Bytes.copy payload) fr;
             fr)
       in
-      Obs.Metrics.incr "codec.decode.memo_miss";
+      Obs.Metrics.incr memo_misses;
       fr
 
 (* profiled wrapper; a malformed payload raises out without a sample *)
@@ -186,12 +191,12 @@ let decode t payload =
 
 let proof_hash s =
   if Bytes.length s.proof_hash > 0 then begin
-    Obs.Metrics.incr "crypto.verify.cache_hit";
+    Obs.Metrics.incr verify_hits;
     s.proof_hash
   end
   else begin
     let h = Crypto.Sha256.digest s.m.proof in
-    Obs.Metrics.incr "crypto.verify.cache_miss";
+    Obs.Metrics.incr verify_misses;
     s.proof_hash <- h;
     h
   end

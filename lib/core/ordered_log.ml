@@ -193,13 +193,17 @@ type frame =
          claims from distinct senders contain an honest one, so a
          straggler can adopt the outcome without re-running consensus *)
 
-let encode_payload_frame ~slot batch =
+(* a proposer re-ships its batch every tick of the grace window: the
+   digest it already holds is passed in, not recomputed *)
+let encode_payload ~slot ~digest batch =
   let w = Util.Codec.W.create ~capacity:(48 + Bytes.length batch) () in
   Util.Codec.W.u8 w 0;
   Util.Codec.W.varint w slot;
-  Util.Codec.W.bytes_lp w (batch_digest batch);
+  Util.Codec.W.bytes_lp w digest;
   Util.Codec.W.bytes_lp w batch;
   Util.Codec.W.contents w
+
+let encode_payload_frame ~slot batch = encode_payload ~slot ~digest:(batch_digest batch) batch
 
 let encode_echo_frame ~slot ~digest =
   let w = Util.Codec.W.create ~capacity:(40 + Bytes.length digest) () in
@@ -295,8 +299,18 @@ let count_for inner digest =
   Hashtbl.fold (fun _ d acc -> if Bytes.equal d digest then acc + 1 else acc) inner 0
 
 let trace t label slot =
-  Obs.Trace2.emit ~time:(now t) ~node:(me t) ~layer:"log" ~label
-    [ ("slot", Obs.Trace2.I slot) ]
+  if Obs.Trace2.enabled () then
+    Obs.Trace2.emit ~time:(now t) ~node:(me t) ~layer:"log" ~label
+      [ ("slot", Obs.Trace2.I slot) ]
+
+let slots_delivered = Obs.Metrics.counter "log.slot.delivered"
+let slots_committed = Obs.Metrics.counter "log.slot.committed"
+let slots_skipped = Obs.Metrics.counter "log.slot.skipped"
+let payloads_certified = Obs.Metrics.counter "log.payload.certified"
+let payloads_forged = Obs.Metrics.counter "log.payload.forged"
+let batch_slots = Obs.Metrics.counter "log.batch.slots"
+let batch_commands = Obs.Metrics.counter "log.batch.commands"
+let outcomes_adopted = Obs.Metrics.counter "log.outcome.adopted"
 
 (* --- the quiescent payload tick -------------------------------------------- *)
 
@@ -330,9 +344,9 @@ and payload_tick t =
       match Hashtbl.find_opt t.rebroadcast slot with
       | Some until when time <= until -> begin
           match Hashtbl.find_opt t.payloads slot with
-          | Some (batch, _) ->
+          | Some (batch, digest) ->
               Net.Node.broadcast t.node ~port:t.payload_port
-                (encode_payload_frame ~slot batch)
+                (encode_payload ~slot ~digest batch)
           | None -> Hashtbl.remove t.rebroadcast slot
         end
       | Some _ ->
@@ -473,7 +487,7 @@ let rec flush_deliveries t =
       Hashtbl.remove t.retry slot;
       if t.retain_deliveries then t.deliveries <- (slot, payload) :: t.deliveries;
       trace t "deliver" slot;
-      Obs.Metrics.incr "log.slot.delivered";
+      Obs.Metrics.incr slots_delivered;
       (match t.deliver_cb with Some f -> f ~slot ~payload | None -> ());
       prune t;
       flush_deliveries t);
@@ -532,7 +546,7 @@ and record_ready t ~slot ~src ~digest =
     if Proto.past_faulty t.cfg count then send_ready t ~slot ~digest;
     if Proto.past_double_faulty t.cfg count && not (Hashtbl.mem t.certs slot) then begin
       Hashtbl.replace t.certs slot digest;
-      Obs.Metrics.incr "log.payload.certified";
+      Obs.Metrics.incr payloads_certified;
       maybe_complete_commit t ~slot
     end
   end
@@ -569,10 +583,10 @@ and fill_slot t slot =
     let digest = batch_digest batch in
     Hashtbl.replace t.payloads slot (batch, digest);
     Hashtbl.replace t.rebroadcast slot (now t +. t.payload_grace);
-    Net.Node.broadcast t.node ~port:t.payload_port (encode_payload_frame ~slot batch);
+    Net.Node.broadcast t.node ~port:t.payload_port (encode_payload ~slot ~digest batch);
     send_echo t ~slot ~digest;
-    Obs.Metrics.incr "log.batch.slots";
-    Obs.Metrics.incr ~by:(List.length commands) "log.batch.commands";
+    Obs.Metrics.incr batch_slots;
+    Obs.Metrics.incr ~by:(List.length commands) batch_commands;
     ensure_tick t;
     propose_slot t ~slot 1
   end
@@ -673,7 +687,7 @@ and maybe_adopt_claim t ~slot =
           Hashtbl.fold (fun _ c acc -> if c = committed then acc + 1 else acc) inner 0
         in
         let adopt committed =
-          Obs.Metrics.incr "log.outcome.adopted";
+          Obs.Metrics.incr outcomes_adopted;
           close_slot t ~slot ~value:(if committed then 1 else 0)
         in
         if Proto.past_faulty t.cfg (matching true) then adopt true
@@ -684,7 +698,7 @@ and close_slot t ~slot ~value =
     t.open_undecided <- t.open_undecided - 1;
     (if value = 1 then begin
        trace t "commit" slot;
-       Obs.Metrics.incr "log.slot.committed";
+       Obs.Metrics.incr slots_committed;
        Hashtbl.replace t.outcomes slot Committed_awaiting_payload;
        maybe_complete_commit t ~slot;
        (* still awaiting the certificate or the bytes: retry my votes
@@ -707,7 +721,7 @@ and close_slot t ~slot ~value =
      end
      else begin
        trace t "skip" slot;
-       Obs.Metrics.incr "log.slot.skipped";
+       Obs.Metrics.incr slots_skipped;
        (* my own batch did not reach a quorum in time: requeue its
           commands at the front so the submissions are not lost *)
        (if proposer_of t slot = me t then
@@ -778,9 +792,30 @@ let accept_payload t ~slot ~digest ~batch =
   (* an already-open slot we had not voted on yet *)
   if slot < t.next_open then propose_slot t ~slot 1
 
+(* content the group has vouched for: a certificate, or f+1 READYs *)
+let vouched t ~slot ~digest =
+  match Hashtbl.find_opt t.certs slot with
+  | Some certified -> Bytes.equal certified digest
+  | None -> (
+      match Hashtbl.find_opt t.readys slot with
+      | Some inner -> Proto.past_faulty t.cfg (count_for inner digest)
+      | None -> false)
+
+let holds t ~slot ~digest =
+  match Hashtbl.find_opt t.payloads slot with
+  | Some (_, d) -> Bytes.equal d digest
+  | None -> false
+
+(* Every copy of a batch would otherwise be hashed again on arrival.
+   Two kinds of copy change nothing whatever their digest, so they skip
+   the hash: the proposer's non-empty batch for a slot whose payload is
+   already held, and a READY attaching the batch already held. *)
 let handle_frame t ~src raw =
   match decode_frame raw with
   | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> ()
+  | Payload { slot; batch; _ }
+    when src = proposer_of t slot && (not (batch_is_empty batch)) && Hashtbl.mem t.payloads slot ->
+      ()
   | Payload { slot; digest; batch } ->
       if live t slot && Bytes.equal digest (batch_digest batch) then begin
         if src = proposer_of t slot then begin
@@ -788,29 +823,16 @@ let handle_frame t ~src raw =
             Hashtbl.replace t.noops slot ();
             if slot < t.next_open then propose_slot t ~slot 0
           end
-          else if not (Hashtbl.mem t.payloads slot) then
-            accept_payload t ~slot ~digest ~batch
+          else accept_payload t ~slot ~digest ~batch
         end
         else begin
           (* not the slot's proposer: only adopt content the group has
-             already vouched for (certificate, or f+1 READYs) *)
-          let vouched =
-            match Hashtbl.find_opt t.certs slot with
-            | Some certified -> Bytes.equal certified digest
-            | None -> (
-                match Hashtbl.find_opt t.readys slot with
-                | Some inner -> Proto.past_faulty t.cfg (count_for inner digest)
-                | None -> false)
-          in
-          let held_matches =
-            match Hashtbl.find_opt t.payloads slot with
-            | Some (_, d) -> Bytes.equal d digest
-            | None -> false
-          in
-          if vouched && not held_matches then accept_payload t ~slot ~digest ~batch
+             already vouched for *)
+          let vouched = vouched t ~slot ~digest in
+          if vouched && not (holds t ~slot ~digest) then accept_payload t ~slot ~digest ~batch
           else if not vouched then begin
             trace t "forged" slot;
-            Obs.Metrics.incr "log.payload.forged"
+            Obs.Metrics.incr payloads_forged
           end
         end
       end
@@ -823,22 +845,11 @@ let handle_frame t ~src raw =
       if live t slot then begin
         record_ready t ~slot ~src ~digest;
         (match batch with
-        | Some b when Bytes.equal digest (batch_digest b) ->
-            let backed =
-              match Hashtbl.find_opt t.certs slot with
-              | Some certified -> Bytes.equal certified digest
-              | None -> (
-                  match Hashtbl.find_opt t.readys slot with
-                  | Some inner -> Proto.past_faulty t.cfg (count_for inner digest)
-                  | None -> false)
-            in
-            let held_matches =
-              match Hashtbl.find_opt t.payloads slot with
-              | Some (_, d) -> Bytes.equal d digest
-              | None -> false
-            in
-            if backed && not held_matches then
-              accept_payload t ~slot ~digest ~batch:b
+        | Some b
+          when (not (holds t ~slot ~digest))
+               && Bytes.equal digest (batch_digest b)
+               && vouched t ~slot ~digest ->
+            accept_payload t ~slot ~digest ~batch:b
         | Some _ | None -> ());
         (* only a bare READY signals need — a READY carrying the batch
            is itself a help response, and answering it in kind would

@@ -103,16 +103,25 @@ let create node cfg ~keyring ?(behavior = Correct) ?(port = 443)
       };
   }
 
+let proto = [ ("proto", "turquois") ]
+let broadcasts = Obs.Metrics.counter ~labels:proto "proto.broadcasts"
+let msgs_sent = Obs.Metrics.counter ~labels:proto "proto.msgs_sent"
+let justified = Obs.Metrics.counter ~labels:proto "proto.justified"
+let equivocations = Obs.Metrics.counter ~labels:proto "proto.equivocations"
+let ticks = Obs.Metrics.counter ~labels:proto "proto.ticks"
+let phase_changes = Obs.Metrics.counter ~labels:proto "proto.phase_changes"
+let decisions = Obs.Metrics.counter ~labels:proto "proto.decisions"
+
 let count_broadcast t (envelope : Message.envelope) =
   (match t.auth_cost with
   | Onetime_cost -> ()  (* signing reveals a precomputed key: free *)
   | Rsa_cost -> Net.Node.charge t.node Net.Cost.rsa_sign);
   t.shell_stats.broadcasts <- t.shell_stats.broadcasts + 1;
-  Obs.Metrics.incr "proto.broadcasts" ~labels:[ ("proto", "turquois") ];
-  Obs.Metrics.incr "proto.msgs_sent" ~labels:[ ("proto", "turquois") ];
+  Obs.Metrics.incr broadcasts;
+  Obs.Metrics.incr msgs_sent;
   if envelope.justification <> [] then begin
     t.shell_stats.justified_broadcasts <- t.shell_stats.justified_broadcasts + 1;
-    Obs.Metrics.incr "proto.justified" ~labels:[ ("proto", "turquois") ]
+    Obs.Metrics.incr justified
   end
 
 let broadcast_state t ~justify =
@@ -121,26 +130,20 @@ let broadcast_state t ~justify =
   | Machine.Broadcast envelope ->
       count_broadcast t envelope;
       let bytes = Machine.encode_envelope t.machine envelope in
-      let mid =
+      if Obs.Trace2.enabled () then begin
         (* causal id minted at the broadcast site; lower layers alias it
            onto their re-encodings so radio events can name the message *)
-        if Obs.Trace2.enabled () then begin
-          let m =
-            Obs.Causal.next_send ~sender:(id t) ~phase:envelope.msg.Message.phase
-          in
-          Obs.Causal.register bytes m;
-          [ ("mid", Obs.Trace2.S m) ]
-        end
-        else []
-      in
-      Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
-        ~layer:"turquois" ~label:"broadcast"
-        ([
-           ("msg", Obs.Trace2.S (Message.describe envelope.msg));
-           ("phase", Obs.Trace2.I envelope.msg.Message.phase);
-           ("justifying", Obs.Trace2.I (List.length envelope.justification));
-         ]
-        @ mid);
+        let mid = Obs.Causal.next_send ~sender:(id t) ~phase:envelope.msg.Message.phase in
+        Obs.Causal.register bytes mid;
+        Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
+          ~layer:"turquois" ~label:"broadcast"
+          [
+            ("msg", Obs.Trace2.S (Message.describe envelope.msg));
+            ("phase", Obs.Trace2.I envelope.msg.Message.phase);
+            ("justifying", Obs.Trace2.I (List.length envelope.justification));
+            ("mid", Obs.Trace2.S mid);
+          ]
+      end;
       (* a queued-but-unsent frame of the same flavor is superseded in
          place: under contention the newest state replaces the stale
          one instead of queueing behind it. Plain and justified frames
@@ -173,15 +176,16 @@ let broadcast_state t ~justify =
       List.iter
         (fun (rx, (envelope : Message.envelope)) ->
           count_broadcast t envelope;
-          Obs.Metrics.incr "proto.equivocations" ~labels:[ ("proto", "turquois") ];
+          Obs.Metrics.incr equivocations;
           let bytes = encode_once envelope in
-          Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
-            ~layer:"turquois" ~label:"equivocate"
-            ([
-               ("to", Obs.Trace2.I rx);
-               ("msg", Obs.Trace2.S (Message.describe envelope.msg));
-             ]
-            @ (if Obs.Trace2.enabled () then Obs.Causal.mid_field bytes else []));
+          if Obs.Trace2.enabled () then
+            Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
+              ~layer:"turquois" ~label:"equivocate"
+              ([
+                 ("to", Obs.Trace2.I rx);
+                 ("msg", Obs.Trace2.S (Message.describe envelope.msg));
+               ]
+              @ Obs.Causal.mid_field bytes);
           Net.Node.unicast t.node ~dst:rx ~port:t.port bytes)
         frames
 
@@ -200,7 +204,7 @@ and on_tick t =
     t.ticks_since_decision <- t.ticks_since_decision + 1;
   if t.ticks_since_decision <= t.linger_ticks then begin
     t.shell_stats.ticks <- t.shell_stats.ticks + 1;
-    Obs.Metrics.incr "proto.ticks" ~labels:[ ("proto", "turquois") ];
+    Obs.Metrics.incr ticks;
     (* same state as the previous broadcast? then the optimistic small
        message was not enough — attach the justification (Section 6.2).
        Justified frames are an order of magnitude longer than plain
@@ -228,14 +232,16 @@ let react t events =
       match event with
       | Machine.Phase_changed p ->
           phase_changed := true;
-          Obs.Metrics.incr "proto.phase_changes" ~labels:[ ("proto", "turquois") ];
-          Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
-            ~layer:"turquois" ~label:"phase" [ ("phase", Obs.Trace2.I p) ]
+          Obs.Metrics.incr phase_changes;
+          if Obs.Trace2.enabled () then
+            Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
+              ~layer:"turquois" ~label:"phase" [ ("phase", Obs.Trace2.I p) ]
       | Machine.Decided { value; phase } -> begin
-          Obs.Metrics.incr "proto.decisions" ~labels:[ ("proto", "turquois") ];
-          Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
-            ~layer:"turquois" ~label:"decide"
-            [ ("value", Obs.Trace2.I value); ("phase", Obs.Trace2.I phase) ];
+          Obs.Metrics.incr decisions;
+          if Obs.Trace2.enabled () then
+            Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
+              ~layer:"turquois" ~label:"decide"
+              [ ("value", Obs.Trace2.I value); ("phase", Obs.Trace2.I phase) ];
           match t.decide_cb with Some f -> f ~value ~phase | None -> ()
         end)
     events;

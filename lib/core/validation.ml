@@ -1,6 +1,58 @@
-type verdict = Valid | Invalid of string
+type rule = Phase | Value | Status
 
-let invalidf fmt = Printf.ksprintf (fun s -> Invalid s) fmt
+(* What a failed rule saw, rendered into text only on request by
+   {!describe}: rejection is the common case on the receive path, and
+   nothing there reads the text. *)
+type failure =
+  | Phase_below_one of int
+  | Phase_beyond_horizon of int
+  | Phase_support of { phase : int; support : int }
+  | Bot_at_binary_phase of int
+  | Coin_at_binary_phase of int
+  | Value_support of { kind : Proto.phase_kind; value : Proto.value; support : int; at : int }
+  | Decide_coin
+  | Bot_split of { at : int; zeros : int; ones : int }
+  | Converge_bot
+  | Coin_support of { bots : int; at : int }
+  | Undecided_split of { phase : int; at : int; zeros : int; ones : int }
+  | Decided_bot
+  | Decided_early
+  | Decided_support of { value : Proto.value; phase : int }
+
+type verdict = (unit, failure) result
+
+let rule = function
+  | Phase_below_one _ | Phase_beyond_horizon _ | Phase_support _ -> Phase
+  | Bot_at_binary_phase _ | Coin_at_binary_phase _ | Value_support _ | Decide_coin | Bot_split _
+  | Converge_bot | Coin_support _ ->
+      Value
+  | Undecided_split _ | Decided_bot | Decided_early | Decided_support _ -> Status
+
+let rule_name = function Phase -> "phase" | Value -> "value" | Status -> "status"
+
+let describe = function
+  | Phase_below_one phase -> Printf.sprintf "phase %d below 1" phase
+  | Phase_beyond_horizon phase -> Printf.sprintf "phase %d beyond key horizon" phase
+  | Phase_support { phase; support } ->
+      Printf.sprintf "phase %d: only %d messages at phase %d" phase support (phase - 1)
+  | Bot_at_binary_phase phase -> Printf.sprintf "phase %d cannot carry bot" phase
+  | Coin_at_binary_phase phase -> Printf.sprintf "phase %d cannot carry a coin value" phase
+  | Value_support { kind; value; support; at } ->
+      Printf.sprintf "%s value %s: %d supporters at phase %d"
+        (match kind with Proto.Lock -> "lock" | Proto.Decide -> "decide" | Proto.Converge -> "converge")
+        (Proto.value_to_string value) support at
+  | Decide_coin -> "decide-phase value cannot be a coin value"
+  | Bot_split { at; zeros; ones } -> Printf.sprintf "bot value: split at phase %d is %d/%d" at zeros ones
+  | Converge_bot -> "converge-phase message cannot carry bot"
+  | Coin_support { bots; at } -> Printf.sprintf "coin value: only %d bot messages at phase %d" bots at
+  | Undecided_split { phase; at; zeros; ones } ->
+      Printf.sprintf "undecided at phase %d: split at %d is %d/%d and no bot witness" phase at
+        zeros ones
+  | Decided_bot -> "decided message cannot carry bot"
+  | Decided_early -> "no process can decide before phase 3"
+  | Decided_support { value; phase } ->
+      Printf.sprintf "decided %s at phase %d lacks a deciding quorum" (Proto.value_to_string value)
+        phase
 
 (* Closed forms of "the largest p < phi with p mod 3 = r" (0 when none
    exists). Lock phases are p ≡ 2 (mod 3) starting at 2; decide phases
@@ -16,62 +68,55 @@ let highest_decide_phase_below phi =
   if m < 3 then 0 else m - (m mod 3)
 
 let check_phase cfg v (m : Message.t) =
-  if m.phase < 1 then invalidf "phase %d below 1" m.phase
-  else if m.phase > cfg.Proto.max_phases then invalidf "phase %d beyond key horizon" m.phase
-  else if m.phase = 1 then Valid
+  if m.phase < 1 then Error (Phase_below_one m.phase)
+  else if m.phase > cfg.Proto.max_phases then Error (Phase_beyond_horizon m.phase)
+  else if m.phase = 1 then Ok ()
   else begin
     let support = Vset.count_phase v ~phase:(m.phase - 1) in
-    if Proto.quorum_exceeded cfg support then Valid
-    else invalidf "phase %d: only %d messages at phase %d" m.phase support (m.phase - 1)
+    if Proto.quorum_exceeded cfg support then Ok ()
+    else Error (Phase_support { phase = m.phase; support })
   end
 
 let binary_with_det (m : Message.t) k =
   match (m.value, m.origin) with
-  | Proto.Vbot, _ -> invalidf "phase %d cannot carry bot" m.phase
-  | (Proto.V0 | Proto.V1), Proto.Random -> invalidf "phase %d cannot carry a coin value" m.phase
+  | Proto.Vbot, _ -> Error (Bot_at_binary_phase m.phase)
+  | (Proto.V0 | Proto.V1), Proto.Random -> Error (Coin_at_binary_phase m.phase)
   | (Proto.V0 | Proto.V1), Proto.Deterministic -> k m.value
 
 let check_value cfg v (m : Message.t) =
-  if m.phase = 1 then binary_with_det m (fun _ -> Valid)
+  if m.phase = 1 then binary_with_det m (fun _ -> Ok ())
   else begin
     match Proto.kind_of_phase m.phase with
     | Proto.Lock ->
         binary_with_det m (fun value ->
             let support = Vset.count_value v ~phase:(m.phase - 1) ~value in
-            if Proto.half_quorum_exceeded cfg support then Valid
-            else
-              invalidf "lock value %s: %d supporters at phase %d"
-                (Proto.value_to_string value) support (m.phase - 1))
+            if Proto.half_quorum_exceeded cfg support then Ok ()
+            else Error (Value_support { kind = Proto.Lock; value; support; at = m.phase - 1 }))
     | Proto.Decide -> begin
         match (m.value, m.origin) with
-        | _, Proto.Random -> invalidf "decide-phase value cannot be a coin value"
+        | _, Proto.Random -> Error Decide_coin
         | Proto.Vbot, Proto.Deterministic ->
             let zeros = Vset.count_value v ~phase:(m.phase - 2) ~value:Proto.V0 in
             let ones = Vset.count_value v ~phase:(m.phase - 2) ~value:Proto.V1 in
             if Proto.half_quorum_exceeded cfg zeros && Proto.half_quorum_exceeded cfg ones then
-              Valid
-            else
-              invalidf "bot value: split at phase %d is %d/%d" (m.phase - 2) zeros ones
+              Ok ()
+            else Error (Bot_split { at = m.phase - 2; zeros; ones })
         | ((Proto.V0 | Proto.V1) as value), Proto.Deterministic ->
             let support = Vset.count_value v ~phase:(m.phase - 1) ~value in
-            if Proto.quorum_exceeded cfg support then Valid
-            else
-              invalidf "decide value %s: %d supporters at phase %d"
-                (Proto.value_to_string value) support (m.phase - 1)
+            if Proto.quorum_exceeded cfg support then Ok ()
+            else Error (Value_support { kind = Proto.Decide; value; support; at = m.phase - 1 })
       end
     | Proto.Converge -> begin
         match (m.value, m.origin) with
-        | Proto.Vbot, _ -> invalidf "converge-phase message cannot carry bot"
+        | Proto.Vbot, _ -> Error Converge_bot
         | ((Proto.V0 | Proto.V1) as value), Proto.Deterministic ->
             let support = Vset.count_value v ~phase:(m.phase - 2) ~value in
-            if Proto.quorum_exceeded cfg support then Valid
-            else
-              invalidf "converge value %s: %d supporters at phase %d"
-                (Proto.value_to_string value) support (m.phase - 2)
+            if Proto.quorum_exceeded cfg support then Ok ()
+            else Error (Value_support { kind = Proto.Converge; value; support; at = m.phase - 2 })
         | (Proto.V0 | Proto.V1), Proto.Random ->
             let bots = Vset.count_value v ~phase:(m.phase - 1) ~value:Proto.Vbot in
-            if Proto.quorum_exceeded cfg bots then Valid
-            else invalidf "coin value: only %d bot messages at phase %d" bots (m.phase - 1)
+            if Proto.quorum_exceeded cfg bots then Ok ()
+            else Error (Coin_support { bots; at = m.phase - 1 })
       end
   end
 
@@ -88,7 +133,7 @@ let decided_support cfg v (m : Message.t) =
 let check_status cfg v (m : Message.t) =
   match m.status with
   | Proto.Undecided ->
-      if m.phase <= 3 then Valid
+      if m.phase <= 3 then Ok ()
       else begin
         (* The paper's rule: a 0/1 split of more than (n+f)/4 each at the
            highest LOCK phase below φ. Taken alone that rule deadlocks in
@@ -109,40 +154,34 @@ let check_status cfg v (m : Message.t) =
           let phi0 = highest_decide_phase_below m.phase in
           phi0 >= 3 && Vset.count_value v ~phase:phi0 ~value:Proto.Vbot >= 1
         in
-        if split_witness || bot_witness then Valid
-        else invalidf "undecided at phase %d: split at %d is %d/%d and no bot witness"
-               m.phase phi' zeros ones
+        if split_witness || bot_witness then Ok ()
+        else Error (Undecided_split { phase = m.phase; at = phi'; zeros; ones })
       end
   | Proto.Decided -> begin
       match m.value with
-      | Proto.Vbot -> invalidf "decided message cannot carry bot"
+      | Proto.Vbot -> Error Decided_bot
       | Proto.V0 | Proto.V1 ->
-          if m.phase <= 3 then invalidf "no process can decide before phase 3"
-          else if decided_support cfg v m then Valid
-          else invalidf "decided %s at phase %d lacks a deciding quorum"
-                 (Proto.value_to_string m.value) m.phase
+          if m.phase <= 3 then Error Decided_early
+          else if decided_support cfg v m then Ok ()
+          else Error (Decided_support { value = m.value; phase = m.phase })
     end
+
+let rejected =
+  let declare rule = Obs.Metrics.counter ~labels:[ ("rule", rule_name rule) ] "validation.rejected" in
+  let phase = declare Phase and value = declare Value and status = declare Status in
+  function Phase -> phase | Value -> value | Status -> status
+
+let accepted = Obs.Metrics.counter "validation.accepted"
 
 let semantic_check cfg v m =
-  let reject rule = Obs.Metrics.incr "validation.rejected" ~labels:[ ("rule", rule) ] in
-  match check_phase cfg v m with
-  | Invalid _ as bad ->
-      reject "phase";
-      bad
-  | Valid -> begin
-      match check_value cfg v m with
-      | Invalid _ as bad ->
-          reject "value";
-          bad
-      | Valid -> begin
-          match check_status cfg v m with
-          | Invalid _ as bad ->
-              reject "status";
-              bad
-          | Valid ->
-              Obs.Metrics.incr "validation.accepted";
-              Valid
-        end
-    end
+  let verdict =
+    match check_phase cfg v m with
+    | Ok () -> ( match check_value cfg v m with Ok () -> check_status cfg v m | bad -> bad)
+    | bad -> bad
+  in
+  (match verdict with
+  | Ok () -> Obs.Metrics.incr accepted
+  | Error failure -> Obs.Metrics.incr (rejected (rule failure)));
+  verdict
 
-let is_valid cfg v m = match semantic_check cfg v m with Valid -> true | Invalid _ -> false
+let is_valid cfg v m = Result.is_ok (semantic_check cfg v m)

@@ -21,15 +21,33 @@
       decided needs φ > 3, v ∈ {0,1} and [Q] support for v at some
       DECIDE phase φ₀ ≤ φ. *)
 
-type verdict = Valid | Invalid of string
-(** [Invalid reason] carries the failed rule, for traces and tests. *)
+type rule = Phase | Value | Status
+(** The three state-variable rules, checked in this order. *)
+
+type failure
+(** A failed rule with the counts it saw. The text is built only by
+    {!describe}, so the receive path, which rejects far more often than
+    it reads a reason, never formats one. *)
+
+type verdict = (unit, failure) result
+
+val rule : failure -> rule
+
+val rule_name : rule -> string
+(** ["phase"], ["value"] or ["status"]: the [rule] label of the
+    [validation.rejected] counter. *)
+
+val describe : failure -> string
+(** One line naming the failed rule and the counts it saw, e.g.
+    ["phase 5: only 0 messages at phase 4"]. *)
 
 val check_phase : Proto.config -> Vset.t -> Message.t -> verdict
 val check_value : Proto.config -> Vset.t -> Message.t -> verdict
 val check_status : Proto.config -> Vset.t -> Message.t -> verdict
 
 val semantic_check : Proto.config -> Vset.t -> Message.t -> verdict
-(** Conjunction of the three; first failure wins. *)
+(** Conjunction of the three; first failure wins. Counts the verdict
+    into [validation.accepted] or [validation.rejected{rule}]. *)
 
 val is_valid : Proto.config -> Vset.t -> Message.t -> bool
 

@@ -82,6 +82,10 @@ let clear_key_cache () =
 let start_time rng =
   Net.Mac.airtime_broadcast ~payload_bytes:29 +. Util.Rng.float rng 200.0e-6
 
+let events_live = Obs.Metrics.gauge "engine.events_live"
+let live_peak = Obs.Metrics.gauge "engine.live_peak"
+let queued_peak = Obs.Metrics.gauge "engine.queued_peak"
+
 let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~timeout
     ~seed () =
   let engine = Net.Engine.create () in
@@ -252,9 +256,9 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
     | Divergent -> true
   in
   let radio_stats = Net.Radio.stats radio in
-  Obs.Metrics.set "engine.events_live" (float_of_int (Net.Engine.pending engine));
-  Obs.Metrics.set "engine.live_peak" (float_of_int (Net.Engine.live_peak engine));
-  Obs.Metrics.set "engine.queued_peak" (float_of_int (Net.Engine.queued_peak engine));
+  Obs.Metrics.set events_live (float_of_int (Net.Engine.pending engine));
+  Obs.Metrics.set live_peak (float_of_int (Net.Engine.live_peak engine));
+  Obs.Metrics.set queued_peak (float_of_int (Net.Engine.queued_peak engine));
   {
     latencies;
     decisions;

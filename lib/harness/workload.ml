@@ -91,6 +91,9 @@ let arrival_times (c : config) rng =
   done;
   times
 
+let cmd_latency = Obs.Metrics.histogram ~lo:0.0 ~hi:10.0 ~bins:64 "workload.cmd.latency_s"
+let cmds_delivered = Obs.Metrics.counter "workload.cmd.delivered"
+
 let run_inner (c : config) =
   validate c;
   let engine = Net.Engine.create () in
@@ -133,8 +136,7 @@ let run_inner (c : config) =
                     if id mod c.n = i then begin
                       let latency = Net.Engine.now engine -. submit_time.(id) in
                       latencies := latency :: !latencies;
-                      Obs.Metrics.observe ~lo:0.0 ~hi:10.0 ~bins:64
-                        "workload.cmd.latency_s" latency
+                      Obs.Metrics.observe cmd_latency latency
                     end;
                     if i = 0 then incr delivered_commands)
                 (Core.Ordered_log.decode_batch batch)))
@@ -155,7 +157,7 @@ let run_inner (c : config) =
   let safe_div a b = if b > 0.0 then a /. b else 0.0 in
   let lats = List.sort compare !latencies in
   let pct p = if lats = [] then 0.0 else Util.Stats.percentile lats p in
-  Obs.Metrics.incr ~by:!delivered_commands "workload.cmd.delivered";
+  Obs.Metrics.incr ~by:!delivered_commands cmds_delivered;
   {
     offered_load = c.load;
     commands = c.commands;

@@ -146,6 +146,12 @@ let provenance cfg =
     (if cfg.exact_budget then " (exact)" else "")
     cfg.rounds
 
+let model_states = Obs.Metrics.counter "model.states"
+let model_transitions = Obs.Metrics.counter "model.transitions"
+let model_dedup_hits = Obs.Metrics.counter "model.dedup_hits"
+let model_pruned = Obs.Metrics.counter "model.pruned"
+let model_frontier_peak = Obs.Metrics.gauge "model.frontier_peak"
+
 let check ?(log = ignore) cfg =
   let choices = choices cfg in
   let num_choices = Array.length choices in
@@ -244,11 +250,11 @@ let check ?(log = ignore) cfg =
       choices_per_round = num_choices;
     }
   in
-  Obs.Metrics.incr "model.states" ~by:stats.states;
-  Obs.Metrics.incr "model.transitions" ~by:stats.transitions;
-  Obs.Metrics.incr "model.dedup_hits" ~by:stats.dedup_hits;
-  Obs.Metrics.incr "model.pruned" ~by:stats.pruned;
-  Obs.Metrics.set "model.frontier_peak" (float_of_int stats.frontier_peak);
+  Obs.Metrics.incr model_states ~by:stats.states;
+  Obs.Metrics.incr model_transitions ~by:stats.transitions;
+  Obs.Metrics.incr model_dedup_hits ~by:stats.dedup_hits;
+  Obs.Metrics.incr model_pruned ~by:stats.pruned;
+  Obs.Metrics.set model_frontier_peak (float_of_int stats.frontier_peak);
   match !violation with
   | Some art -> { outcome = Violation art; stats }
   | None ->

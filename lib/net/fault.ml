@@ -24,25 +24,31 @@ type conditions = { loss_prob : float; jam_windows : (float * float) list }
 
 let benign_conditions = { loss_prob = 0.05; jam_windows = [] }
 
+let loss_prob_gauge = Obs.Metrics.gauge "fault.loss_prob"
+let jam_windows_applied = Obs.Metrics.counter "fault.jam_windows"
+let crashes = Obs.Metrics.counter "fault.crashed"
+let recoveries = Obs.Metrics.counter "fault.recovered"
+let sigma_edge_dropped = Obs.Metrics.counter "fault.sigma_edge_drops"
+
 let apply_conditions radio conditions =
   Radio.set_loss_prob radio conditions.loss_prob;
-  Obs.Metrics.set "fault.loss_prob" conditions.loss_prob;
+  Obs.Metrics.set loss_prob_gauge conditions.loss_prob;
   List.iter
     (fun (from, until) ->
-      Obs.Metrics.incr "fault.jam_windows";
+      Obs.Metrics.incr jam_windows_applied;
       Obs.Trace2.emit ~time:from ~node:(-1) ~layer:"fault" ~label:"jam_window"
         [ ("from", Obs.Trace2.F from); ("until", Obs.Trace2.F until) ];
       Radio.jam radio ~from ~until)
     conditions.jam_windows
 
 let crash radio i =
-  Obs.Metrics.incr "fault.crashed";
+  Obs.Metrics.incr crashes;
   Obs.Trace2.emit ~time:(Engine.now (Radio.engine radio)) ~node:i ~layer:"fault"
     ~label:"crash" [];
   Radio.set_down radio i true
 
 let recover radio i =
-  Obs.Metrics.incr "fault.recovered";
+  Obs.Metrics.incr recoveries;
   Obs.Trace2.emit ~time:(Engine.now (Radio.engine radio)) ~node:i ~layer:"fault"
     ~label:"recover" [];
   Radio.set_down radio i false
@@ -94,7 +100,7 @@ let sigma_edge radio ~n ~k ~t =
          if a.se_left > 0 && Array.exists (( = ) rx) victims then begin
            a.se_left <- a.se_left - 1;
            a.se_drops <- a.se_drops + 1;
-           Obs.Metrics.incr "fault.sigma_edge_drops";
+           Obs.Metrics.incr sigma_edge_dropped;
            true
          end
          else false));

@@ -35,6 +35,25 @@ let ack_airtime = airtime ~plcp:Const.plcp_short ~rate:Const.basic_rate ~bytes:C
 
 type frame_kind = Data | Ack
 
+(* a frame class's series in both layers: [mac.tx] here, [radio.*] on
+   the medium *)
+type frame_class = { radio_class : Radio.frame_class; mac_tx : Obs.Metrics.counter }
+
+let frame_class name =
+  {
+    radio_class = Radio.frame_class name;
+    mac_tx = Obs.Metrics.counter ~labels:[ ("class", name) ] "mac.tx";
+  }
+
+let bcast_class = frame_class "bcast"
+let ucast_class = frame_class "ucast"
+let ack_class = frame_class "ack"
+let backoff_slots = Obs.Metrics.counter "mac.backoff_slots"
+let difs_waits = Obs.Metrics.counter "mac.difs_waits"
+let drops = Obs.Metrics.counter "mac.drops"
+let retries = Obs.Metrics.counter "mac.retries"
+let replacements = Obs.Metrics.counter "mac.replaced"
+
 type frame = { kind : frame_kind; src : int; dst : int; seq : int; payload : bytes }
 
 let encode_frame f =
@@ -97,7 +116,7 @@ let rec start_contention t =
       | Some p ->
           t.current <- Some p;
           t.remaining_slots <- Util.Rng.int t.rng (p.cw + 1);
-          Obs.Metrics.incr "mac.backoff_slots" ~by:t.remaining_slots;
+          Obs.Metrics.incr backoff_slots ~by:t.remaining_slots;
           wait_for_idle t
     end
   | Some _ -> wait_for_idle t
@@ -108,7 +127,7 @@ and wait_for_idle t =
     Radio.subscribe_idle t.radio (fun () -> if t.generation = gen then wait_for_idle t)
   else begin
     (* sense for DIFS; abort if anything starts meanwhile *)
-    Obs.Metrics.incr "mac.difs_waits";
+    Obs.Metrics.incr difs_waits;
     let difs_start = Engine.now t.engine in
     ignore
       (Engine.schedule t.engine ~delay:Const.difs (fun () ->
@@ -142,13 +161,13 @@ and transmit_current t =
       let frame = { kind; src = t.node_id; dst; seq = p.p_seq; payload = p.p_payload } in
       let encoded = encode_frame frame in
       if Obs.Trace2.enabled () then Obs.Causal.alias ~from:p.p_payload encoded;
-      let duration, frame_class =
+      let duration, cls =
         match p.p_dst with
-        | None -> (airtime_broadcast ~payload_bytes:(Bytes.length p.p_payload), "bcast")
-        | Some _ -> (airtime_unicast ~payload_bytes:(Bytes.length p.p_payload), "ucast")
+        | None -> (airtime_broadcast ~payload_bytes:(Bytes.length p.p_payload), bcast_class)
+        | Some _ -> (airtime_unicast ~payload_bytes:(Bytes.length p.p_payload), ucast_class)
       in
-      Obs.Metrics.incr "mac.tx" ~labels:[ ("class", frame_class) ];
-      Radio.transmit t.radio ~kind:frame_class ~sender:t.node_id ~duration encoded;
+      Obs.Metrics.incr cls.mac_tx;
+      Radio.transmit t.radio ~kind:cls.radio_class ~sender:t.node_id ~duration encoded;
       (match p.p_dst with
       | None ->
           (* fire and forget: done at end of airtime *)
@@ -175,15 +194,15 @@ and handle_ack_timeout t =
       t.awaiting_ack <- None;
       p.retries <- p.retries + 1;
       if p.retries > Const.retry_limit then begin
-        Obs.Metrics.incr "mac.drops";
-        Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
-          ~label:"drop"
-          ([
-             ("dst", Obs.Trace2.I (match p.p_dst with Some d -> d | None -> -1));
-             ("retries", Obs.Trace2.I Const.retry_limit);
-           ]
-          @
-          if Obs.Trace2.enabled () then Obs.Causal.mid_field p.p_payload else []);
+        Obs.Metrics.incr drops;
+        if Obs.Trace2.enabled () then
+          Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
+            ~label:"drop"
+            ([
+               ("dst", Obs.Trace2.I (match p.p_dst with Some d -> d | None -> -1));
+               ("retries", Obs.Trace2.I Const.retry_limit);
+             ]
+            @ Obs.Causal.mid_field p.p_payload);
         t.current <- None;
         t.generation <- t.generation + 1;
         (match (t.dropped, p.p_dst) with
@@ -192,14 +211,15 @@ and handle_ack_timeout t =
         start_contention t
       end
       else begin
-        Obs.Metrics.incr "mac.retries";
-        Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
-          ~label:"retry"
-          [ ("attempt", Obs.Trace2.I (p.retries + 1)); ("cw", Obs.Trace2.I p.cw) ];
+        Obs.Metrics.incr retries;
+        if Obs.Trace2.enabled () then
+          Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
+            ~label:"retry"
+            [ ("attempt", Obs.Trace2.I (p.retries + 1)); ("cw", Obs.Trace2.I p.cw) ];
         p.cw <- min ((2 * (p.cw + 1)) - 1) Const.cw_max;
         t.generation <- t.generation + 1;
         t.remaining_slots <- Util.Rng.int t.rng (p.cw + 1);
-        Obs.Metrics.incr "mac.backoff_slots" ~by:t.remaining_slots;
+        Obs.Metrics.incr backoff_slots ~by:t.remaining_slots;
         wait_for_idle t
       end
 
@@ -221,8 +241,9 @@ let send_ack t ~dst ~seq =
   let encoded = encode_frame frame in
   ignore
     (Engine.schedule t.engine ~delay:Const.sifs (fun () ->
-         Obs.Metrics.incr "mac.tx" ~labels:[ ("class", "ack") ];
-         Radio.transmit t.radio ~kind:"ack" ~sender:t.node_id ~duration:ack_airtime encoded))
+         Obs.Metrics.incr ack_class.mac_tx;
+         Radio.transmit t.radio ~kind:ack_class.radio_class ~sender:t.node_id
+           ~duration:ack_airtime encoded))
 
 let handle_mac_frame t frame =
   match frame.kind with
@@ -344,16 +365,21 @@ let send_broadcast_replacing t ~tag payload =
      the queue would otherwise grow a backlog of stale frames, each
      costing full airtime to deliver information the replacement already
      carries. The in-service frame is never touched — its backoff and
-     airtime are already committed. *)
+     airtime are already committed. The replaced frame never goes on the
+     air, which the trace records under its own mid. *)
   let replaced = ref false in
   Queue.iter
     (fun p ->
       if (not !replaced) && p.p_dst = None && p.p_tag = tag then begin
+        if Obs.Trace2.enabled () then
+          Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
+            ~label:"replaced"
+            (("tag", Obs.Trace2.I tag) :: Obs.Causal.mid_field p.p_payload);
         p.p_payload <- payload;
         replaced := true
       end)
     t.queue;
-  if !replaced then Obs.Metrics.incr "mac.replaced"
+  if !replaced then Obs.Metrics.incr replacements
   else begin
     let seq = t.next_seq in
     t.next_seq <- t.next_seq + 1;

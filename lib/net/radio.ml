@@ -17,6 +17,29 @@ type stats = {
 
 type attachment = ..
 
+type frame_class = {
+  class_name : string;
+  tx : Obs.Metrics.counter;
+  bytes : Obs.Metrics.counter;
+  airtime_s : Obs.Metrics.gauge;
+}
+
+let frame_class name =
+  let labels = [ ("class", name) ] in
+  {
+    class_name = name;
+    tx = Obs.Metrics.counter ~labels "radio.tx";
+    bytes = Obs.Metrics.counter ~labels "radio.bytes";
+    airtime_s = Obs.Metrics.gauge ~labels "radio.airtime_s";
+  }
+
+let data_class = frame_class "data"
+let collisions = Obs.Metrics.counter "radio.collisions"
+let frame_us = Obs.Metrics.histogram ~lo:0.0 ~hi:4000.0 ~bins:20 "radio.frame_us"
+let jammed_frames = Obs.Metrics.counter "radio.jammed"
+let omissions = Obs.Metrics.counter "radio.omissions"
+let delivered_frames = Obs.Metrics.counter "radio.delivered"
+
 type t = {
   engine : Engine.t;
   rng : Util.Rng.t;
@@ -34,6 +57,7 @@ type t = {
   mutable receive : (int -> sender:int -> bytes -> unit) option;
   mutable attachment : attachment option;
   stats : stats;
+  omission_by_rx : Obs.Metrics.counter array;
 }
 
 let create engine rng ~n =
@@ -63,6 +87,9 @@ let create engine rng ~n =
         bytes_sent = 0;
         airtime = 0.0;
       };
+    omission_by_rx =
+      Array.init n (fun rx ->
+          Obs.Metrics.counter ~labels:[ ("rx", "p" ^ string_of_int rx) ] "radio.omission_by_rx");
   }
 
 let check_prob name p = if p < 0.0 || p > 1.0 then invalid_arg name
@@ -118,7 +145,7 @@ let notify_idle_if_clear t =
 let overlaps_jam t start finish =
   List.exists (fun (a, b) -> start < b && finish > a) t.jam_windows
 
-let transmit t ?(kind = "data") ~sender ~duration frame =
+let transmit t ?(kind = data_class) ~sender ~duration frame =
   if sender < 0 || sender >= t.n then invalid_arg "Radio.transmit: bad sender";
   if duration <= 0.0 then invalid_arg "Radio.transmit: bad duration";
   if t.down.(sender) then ()
@@ -132,13 +159,13 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
       (fun o ->
         if not o.corrupted then begin
           t.stats.collisions <- t.stats.collisions + 1;
-          Obs.Metrics.incr "radio.collisions"
+          Obs.Metrics.incr collisions
         end;
         o.corrupted <- true;
         if not tx.corrupted then begin
           tx.corrupted <- true;
           t.stats.collisions <- t.stats.collisions + 1;
-          Obs.Metrics.incr "radio.collisions"
+          Obs.Metrics.incr collisions
         end)
       t.ongoing;
     t.ongoing <- tx :: t.ongoing;
@@ -146,27 +173,32 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
     t.stats.frames_sent <- t.stats.frames_sent + 1;
     t.stats.bytes_sent <- t.stats.bytes_sent + Bytes.length frame;
     t.stats.airtime <- t.stats.airtime +. duration;
-    let class_labels = [ ("class", kind) ] in
-    Obs.Metrics.incr "radio.tx" ~labels:class_labels;
-    Obs.Metrics.incr "radio.bytes" ~by:(Bytes.length frame) ~labels:class_labels;
-    Obs.Metrics.add "radio.airtime_s" ~labels:class_labels duration;
-    Obs.Metrics.observe "radio.frame_us" ~lo:0.0 ~hi:4000.0 ~bins:20 (duration *. 1e6);
-    let mid = if Obs.Trace2.enabled () then Obs.Causal.mid_field frame else [] in
-    Obs.Trace2.emit ~time:now ~node:sender ~layer:"radio" ~label:"tx"
-      ([
-         ("class", Obs.Trace2.S kind);
-         ("bytes", Obs.Trace2.I (Bytes.length frame));
-         ("us", Obs.Trace2.F (duration *. 1e6));
-         ("collision", Obs.Trace2.B tx.corrupted);
-       ]
-      @ mid);
+    Obs.Metrics.incr kind.tx;
+    Obs.Metrics.incr kind.bytes ~by:(Bytes.length frame);
+    Obs.Metrics.add kind.airtime_s duration;
+    Obs.Metrics.observe frame_us (duration *. 1e6);
+    let mid =
+      if not (Obs.Trace2.enabled ()) then []
+      else begin
+        let mid = Obs.Causal.mid_field frame in
+        Obs.Trace2.emit ~time:now ~node:sender ~layer:"radio" ~label:"tx"
+          ([
+             ("class", Obs.Trace2.S kind.class_name);
+             ("bytes", Obs.Trace2.I (Bytes.length frame));
+             ("us", Obs.Trace2.F (duration *. 1e6));
+             ("collision", Obs.Trace2.B tx.corrupted);
+           ]
+          @ mid);
+        mid
+      end
+    in
     ignore
       (Engine.at t.engine ~time:finish (fun () ->
            t.ongoing <- List.filter (fun o -> o.tx_finish > Engine.now t.engine) t.ongoing;
            let jammed = overlaps_jam t tx.tx_start tx.tx_finish in
            if jammed then begin
              t.stats.jammed <- t.stats.jammed + 1;
-             Obs.Metrics.incr "radio.jammed";
+             Obs.Metrics.incr jammed_frames;
              Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:sender ~layer:"radio"
                ~label:"jammed" mid
            end;
@@ -197,11 +229,11 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
                      in
                      if omit then begin
                        incr omitted;
-                       Obs.Metrics.incr "radio.omission_by_rx"
-                         ~labels:[ ("rx", "p" ^ string_of_int receiver) ];
-                       Obs.Trace2.emit ~time:now ~node:sender
-                         ~layer:"radio" ~label:"omission"
-                         (("rx", Obs.Trace2.I receiver) :: mid)
+                       Obs.Metrics.incr t.omission_by_rx.(receiver);
+                       if Obs.Trace2.enabled () then
+                         Obs.Trace2.emit ~time:now ~node:sender
+                           ~layer:"radio" ~label:"omission"
+                           (("rx", Obs.Trace2.I receiver) :: mid)
                      end
                      else begin
                        incr delivered;
@@ -224,8 +256,8 @@ let transmit t ?(kind = "data") ~sender ~duration frame =
                  (* one registry update per transmission, not per receiver *)
                  t.stats.losses <- t.stats.losses + !omitted;
                  t.stats.frames_delivered <- t.stats.frames_delivered + !delivered;
-                 if !omitted > 0 then Obs.Metrics.incr "radio.omissions" ~by:!omitted;
-                 if !delivered > 0 then Obs.Metrics.incr "radio.delivered" ~by:!delivered
+                 if !omitted > 0 then Obs.Metrics.incr omissions ~by:!omitted;
+                 if !delivered > 0 then Obs.Metrics.incr delivered_frames ~by:!delivered
            end;
            notify_idle_if_clear t))
   end

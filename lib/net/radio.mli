@@ -79,12 +79,18 @@ val attachment : t -> attachment option
 val attach : t -> attachment -> unit
 (** Replaces the radio's attachment. *)
 
-val transmit : t -> ?kind:string -> sender:int -> duration:float -> bytes -> unit
+type frame_class
+(** A frame class ("bcast", "ucast", "ack", ...) with its [radio.tx],
+    [radio.bytes] and [radio.airtime_s] series. *)
+
+val frame_class : string -> frame_class
+(** Declares the class's series; make one per class, at module level. *)
+
+val transmit : t -> ?kind:frame_class -> sender:int -> duration:float -> bytes -> unit
 (** Starts a transmission occupying the medium for [duration] seconds;
     delivery (or corruption) resolves at its end. The sender does not
-    receive its own frame. [kind] labels the frame class ("bcast",
-    "ucast", "ack"; default "data") in the [radio.*] metrics and the
-    structured trace. *)
+    receive its own frame. [kind] labels the frame class (default
+    ["data"]) in the [radio.*] metrics and the structured trace. *)
 
 val busy : t -> bool
 (** Carrier sense at the current instant. *)

@@ -125,18 +125,24 @@ let charge_segment_cost t bytes_len =
   Cpu.charge t.cpu Cost.per_message_overhead;
   if t.auth then Cpu.charge t.cpu (Cost.hmac ~bytes_len)
 
+let tx_segments = Obs.Metrics.counter "rlink.tx_segments"
+let retransmits = Obs.Metrics.counter "rlink.retransmits"
+let rtos = Obs.Metrics.counter "rlink.rto"
+let rx_segments = Obs.Metrics.counter "rlink.rx_segments"
+
 let transmit_segment t s ~seq payload ~fresh =
   let raw = encode_segment t ~kind:Seg_data ~seq payload in
   if Obs.Trace2.enabled () then Obs.Causal.alias ~from:payload raw;
   charge_segment_cost t (Bytes.length raw);
-  Obs.Metrics.incr "rlink.tx_segments";
+  Obs.Metrics.incr tx_segments;
   if not fresh then begin
     t.retransmissions <- t.retransmissions + 1;
-    Obs.Metrics.incr "rlink.retransmits";
-    Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:(Mac.id (Datagram.mac t.dg))
-      ~layer:"rlink" ~label:"retransmit"
-      ([ ("dst", Obs.Trace2.I s.s_dst); ("seq", Obs.Trace2.I seq) ]
-      @ if Obs.Trace2.enabled () then Obs.Causal.mid_field payload else [])
+    Obs.Metrics.incr retransmits;
+    if Obs.Trace2.enabled () then
+      Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:(Mac.id (Datagram.mac t.dg))
+        ~layer:"rlink" ~label:"retransmit"
+        ([ ("dst", Obs.Trace2.I s.s_dst); ("seq", Obs.Trace2.I seq) ]
+        @ Obs.Causal.mid_field payload)
   end;
   Datagram.send t.dg ~dst:(`Node s.s_dst) ~port:t.port raw
 
@@ -156,7 +162,7 @@ and on_rto t s =
   match Hashtbl.find_opt s.unacked s.base with
   | None -> arm_timer t s
   | Some u ->
-      Obs.Metrics.incr "rlink.rto";
+      Obs.Metrics.incr rtos;
       Hashtbl.replace s.unacked s.base
         { u with u_transmissions = u.u_transmissions + 1; u_sent_at = Engine.now t.engine };
       transmit_segment t s ~seq:s.base u.u_payload ~fresh:false;
@@ -288,7 +294,7 @@ let schedule_ack t r ~dst ~in_order =
   end
 
 let handle_data t ~src seq payload =
-  Obs.Metrics.incr "rlink.rx_segments";
+  Obs.Metrics.incr rx_segments;
   let r = receiver_state t src in
   let deliver_segment payload =
     match t.deliver with

@@ -31,9 +31,11 @@ let to_string sched =
 
 let sort sched = List.stable_sort (fun a b -> compare a.at b.at) sched
 
+let injected = Obs.Metrics.counter "fault.injected"
+
 (* Trace every injected fault so the analyzer can attribute stalls. *)
 let emit_injection ~time action =
-  Obs.Metrics.incr "fault.injected";
+  Obs.Metrics.incr injected;
   let label, fields =
     match action with
     | Crash i -> ("crash", [ ("node", Obs.Trace2.I i) ])

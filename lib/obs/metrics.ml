@@ -1,95 +1,124 @@
 type labels = (string * string) list
 
-type hist_state = {
-  hist : Util.Stats.Histogram.t;
-  h_lo : float;
-  h_hi : float;
-  mutable h_sum : float;
-}
+type kind =
+  | Counter_kind
+  | Gauge_kind
+  | Histogram_kind of { lo : float; hi : float; bins : int }
 
-type cell =
-  | Cell_counter of int ref
-  | Cell_gauge of float ref
-  | Cell_hist of hist_state
+type series = { id : int; name : string; labels : labels; kind : kind }
+type counter = series
+type gauge = series
+type histogram = series
+
+(* Declarations are interned process-wide: the same (name, sorted
+   labels) always yields the same series, so handles made per component
+   (one per radio receiver, say) stay bounded however many runs make
+   them. Ids are dense, in declaration order; they index the per-domain
+   registry below. *)
+let declared : (string * labels, series) Hashtbl.t = Hashtbl.create 256
+let declared_lock = Mutex.create ()
+
+let kind_name = function
+  | Counter_kind -> "counter"
+  | Gauge_kind -> "gauge"
+  | Histogram_kind { lo; hi; bins } -> Printf.sprintf "histogram over [%g, %g) in %d bins" lo hi bins
+
+let declare ~labels name kind =
+  let labels = List.sort compare labels in
+  Mutex.protect declared_lock (fun () ->
+      match Hashtbl.find_opt declared (name, labels) with
+      | Some s when s.kind = kind -> s
+      | Some s ->
+          invalid_arg
+            (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name s.kind)
+               (kind_name kind))
+      | None ->
+          let s = { id = Hashtbl.length declared; name; labels; kind } in
+          Hashtbl.add declared (name, labels) s;
+          s)
+
+let counter ?(labels = []) name = declare ~labels name Counter_kind
+let gauge ?(labels = []) name = declare ~labels name Gauge_kind
+
+let histogram ?(labels = []) ~lo ~hi ~bins name =
+  if bins <= 0 || hi <= lo then invalid_arg ("Metrics.histogram: bad shape for " ^ name);
+  declare ~labels name (Histogram_kind { lo; hi; bins })
 
 (* One registry per domain, like the trace sink: a simulation run is
    single-threaded within its domain and scoped with {!reset} /
    [Scope.with_run]; the parallel run pool gives every worker domain
    its own registry and merges the per-run snapshots after join, so
    concurrent runs never contend for (or corrupt) a shared table.
-   Keys carry labels in sorted order so call-site order is irrelevant. *)
-let registry_key : (string * labels, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 128)
+   Slots are indexed by series id, in fixed chunks small enough for
+   the minor heap: declaring more series (the receivers of a larger
+   radio, say) appends chunks and copies only the chunk spine. In a
+   chunk, [live.(i)] is the series itself once it has been updated
+   since the last reset, [unused] before. *)
+let chunk_bits = 6
+let chunk_size = 1 lsl chunk_bits
 
+type chunk = {
+  live : series array;
+  counts : int array;  (* counter values *)
+  values : float array;  (* gauge values, histogram sums *)
+  hists : Util.Stats.Histogram.t array;  (* histogram bins *)
+}
+
+type registry = { mutable chunks : chunk array }
+
+let unused = { id = -1; name = ""; labels = []; kind = Counter_kind }
+
+(* fills the histogram slots of other kinds; never updated *)
+let no_hist = Util.Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:1
+
+let new_chunk _ =
+  {
+    live = Array.make chunk_size unused;
+    counts = Array.make chunk_size 0;
+    values = Array.make chunk_size 0.0;
+    hists = Array.make chunk_size no_hist;
+  }
+
+let registry_key : registry Domain.DLS.key = Domain.DLS.new_key (fun () -> { chunks = [||] })
 let registry () = Domain.DLS.get registry_key
+let index s = s.id land (chunk_size - 1)
 
-(* The receive pipeline's counters are almost all unlabeled; a separate
-   string-keyed table spares those call sites the (name, labels) tuple
-   allocation on every bump. *)
-let unlabeled_key : (string, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 128)
+(* The chunk holding [s]'s slot, with the slot live: a series enters the
+   snapshot on its first update of a run, whatever that update adds. *)
+let slot s =
+  let r = registry () in
+  let c = s.id lsr chunk_bits in
+  let have = Array.length r.chunks in
+  if c >= have then r.chunks <- Array.append r.chunks (Array.init (c + 1 - have) new_chunk);
+  let k = r.chunks.(c) and i = index s in
+  if k.live.(i) != s then begin
+    k.live.(i) <- s;
+    k.counts.(i) <- 0;
+    k.values.(i) <- 0.0;
+    match s.kind with
+    | Histogram_kind { lo; hi; bins } -> k.hists.(i) <- Util.Stats.Histogram.create ~lo ~hi ~bins
+    | Counter_kind | Gauge_kind -> ()
+  end;
+  k
 
-let unlabeled () = Domain.DLS.get unlabeled_key
+let incr ?(by = 1) c =
+  let k = slot c and i = index c in
+  k.counts.(i) <- k.counts.(i) + by
 
-let norm_labels labels = List.sort compare labels
+let set g v =
+  let k = slot g in
+  k.values.(index g) <- v
 
-let kind_name = function
-  | Cell_counter _ -> "counter"
-  | Cell_gauge _ -> "gauge"
-  | Cell_hist _ -> "histogram"
+let add g v =
+  let k = slot g and i = index g in
+  k.values.(i) <- k.values.(i) +. v
 
-let lookup name labels make =
-  match labels with
-  | [] -> (
-      let unlabeled = unlabeled () in
-      match Hashtbl.find_opt unlabeled name with
-      | Some cell -> cell
-      | None ->
-          let cell = make () in
-          Hashtbl.add unlabeled name cell;
-          cell)
-  | _ -> (
-      let registry = registry () in
-      let key = (name, norm_labels labels) in
-      match Hashtbl.find_opt registry key with
-      | Some cell -> cell
-      | None ->
-          let cell = make () in
-          Hashtbl.add registry key cell;
-          cell)
+let observe h v =
+  let k = slot h and i = index h in
+  Util.Stats.Histogram.add k.hists.(i) v;
+  k.values.(i) <- k.values.(i) +. v
 
-let type_clash name cell want =
-  invalid_arg
-    (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name cell) want)
-
-let incr ?(by = 1) ?(labels = []) name =
-  match lookup name labels (fun () -> Cell_counter (ref 0)) with
-  | Cell_counter r -> r := !r + by
-  | cell -> type_clash name cell "counter"
-
-let set ?(labels = []) name v =
-  match lookup name labels (fun () -> Cell_gauge (ref 0.0)) with
-  | Cell_gauge r -> r := v
-  | cell -> type_clash name cell "gauge"
-
-let add ?(labels = []) name v =
-  match lookup name labels (fun () -> Cell_gauge (ref 0.0)) with
-  | Cell_gauge r -> r := !r +. v
-  | cell -> type_clash name cell "gauge"
-
-let observe ?(labels = []) ~lo ~hi ~bins name v =
-  match
-    lookup name labels (fun () ->
-        Cell_hist { hist = Util.Stats.Histogram.create ~lo ~hi ~bins; h_lo = lo; h_hi = hi; h_sum = 0.0 })
-  with
-  | Cell_hist h ->
-      Util.Stats.Histogram.add h.hist v;
-      h.h_sum <- h.h_sum +. v
-  | cell -> type_clash name cell "histogram"
-
-let reset () =
-  Hashtbl.reset (registry ());
-  Hashtbl.reset (unlabeled ())
+let reset () = Array.iter (fun k -> Array.fill k.live 0 chunk_size unused) (registry ()).chunks
 
 (* --- snapshots ----------------------------------------------------------- *)
 
@@ -98,32 +127,37 @@ type value = Counter of int | Gauge of float | Histogram of hist_snapshot
 type sample = { name : string; labels : labels; value : value }
 type snapshot = sample list
 
-let cell_value = function
-  | Cell_counter r -> Counter !r
-  | Cell_gauge r -> Gauge !r
-  | Cell_hist h ->
+let slot_value (k : chunk) s =
+  let i = index s in
+  match s.kind with
+  | Counter_kind -> Counter k.counts.(i)
+  | Gauge_kind -> Gauge k.values.(i)
+  | Histogram_kind { lo; hi; _ } ->
+      let h = k.hists.(i) in
       Histogram
         {
-          lo = h.h_lo;
-          hi = h.h_hi;
-          counts = Util.Stats.Histogram.counts h.hist;
-          total = Util.Stats.Histogram.total h.hist;
-          sum = h.h_sum;
+          lo;
+          hi;
+          counts = Util.Stats.Histogram.counts h;
+          total = Util.Stats.Histogram.total h;
+          sum = k.values.(i);
         }
 
+let by_series a b = compare (a.name, a.labels) (b.name, b.labels)
+
 let snapshot () =
-  let labeled =
-    Hashtbl.fold
-      (fun (name, labels) cell acc -> { name; labels; value = cell_value cell } :: acc)
-      (registry ()) []
-  in
-  Hashtbl.fold
-    (fun name cell acc -> { name; labels = []; value = cell_value cell } :: acc)
-    (unlabeled ()) labeled
-  |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
+  Array.fold_left
+    (fun acc k ->
+      Array.fold_left
+        (fun acc (s : series) ->
+          if s == unused then acc
+          else { name = s.name; labels = s.labels; value = slot_value k s } :: acc)
+        acc k.live)
+    [] (registry ()).chunks
+  |> List.sort by_series
 
 let find snap ?(labels = []) name =
-  let labels = norm_labels labels in
+  let labels = List.sort compare labels in
   List.find_opt (fun s -> s.name = name && s.labels = labels) snap
 
 let counter_value snap ?labels name =
@@ -158,7 +192,7 @@ let merge snaps =
         snap)
     snaps;
   Hashtbl.fold (fun (name, labels) value acc -> { name; labels; value } :: acc) tbl []
-  |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
+  |> List.sort by_series
 
 let sum_counters snap name =
   List.fold_left

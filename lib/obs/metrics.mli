@@ -1,39 +1,60 @@
 (** Labeled metrics registry for the simulation stack.
 
-    A process-global registry of counters, gauges and fixed-bin
-    histograms, identified by a metric name plus an optional label set
-    (e.g. [incr "radio.tx" ~labels:[("class", "bcast")]]). Label order
-    is irrelevant — labels are canonicalised by sorting — so two call
-    sites with permuted labels update the same series.
+    Counters, gauges and fixed-bin histograms, each identified by a
+    metric name plus an optional label set. A series is declared once,
+    at module level or when a component is created, and updated through
+    the handle the declaration returns:
 
-    Metrics are always on (an update is one hashtable probe), and the
-    registry is scoped per run: {!reset} drops everything, {!snapshot}
-    captures an immutable, deterministically ordered view. [Runner.run]
-    resets at the start of every repetition so runs never bleed into
-    each other; use [Scope.with_run] for the same discipline in custom
-    harnesses. *)
+    {[
+      let tx_bcast = Obs.Metrics.counter ~labels:[ ("class", "bcast") ] "radio.tx"
+      ...
+      Obs.Metrics.incr tx_bcast
+    ]}
+
+    Declarations are interned in one process-global table: declaring the
+    same (name, labels) again returns the same series, and label order
+    is irrelevant (labels are canonicalised by sorting). Declaring an
+    existing series with another kind, or a histogram with another
+    shape, raises [Invalid_argument].
+
+    An update is an array index into a domain-local registry: no name
+    hashing and no label sorting on the hot path. The registry is
+    scoped per run: {!reset} drops every series' value, {!snapshot}
+    captures an immutable, deterministically ordered view, and a series
+    enters the snapshot on its first update of a run ([~by:0]
+    included). [Runner.run] resets at the start of every repetition so
+    runs never bleed into each other; use [Scope.with_run] for the same
+    discipline in custom harnesses. *)
 
 type labels = (string * string) list
 
+(** {2 Declarations} *)
+
+type counter
+type gauge
+type histogram
+
+val counter : ?labels:labels -> string -> counter
+val gauge : ?labels:labels -> string -> gauge
+
+val histogram : ?labels:labels -> lo:float -> hi:float -> bins:int -> string -> histogram
+(** A histogram of [bins] equal bins from [lo] up to [hi]; values
+    outside clamp into the end bins. Raises [Invalid_argument] on [bins <= 0]
+    or [hi <= lo]. *)
+
 (** {2 Updates} *)
 
-val incr : ?by:int -> ?labels:labels -> string -> unit
-(** Bumps a counter, creating it at 0 on first use. Raises
-    [Invalid_argument] if the series already exists with another
-    type. *)
+val incr : ?by:int -> counter -> unit
+val set : gauge -> float -> unit
 
-val set : ?labels:labels -> string -> float -> unit
-(** Sets a gauge. *)
-
-val add : ?labels:labels -> string -> float -> unit
+val add : gauge -> float -> unit
 (** Accumulates into a gauge (e.g. seconds of airtime). *)
 
-val observe : ?labels:labels -> lo:float -> hi:float -> bins:int -> string -> float -> unit
-(** Records a value into a fixed-bin histogram; [lo]/[hi]/[bins] take
-    effect when the series is first created. *)
+val observe : histogram -> float -> unit
 
 val reset : unit -> unit
-(** Drops every series. Called at the start of each simulated run. *)
+(** Drops every series from this domain's registry; declarations stay.
+    Called at the start of each simulated run. *)
 
 (** {2 Snapshots} *)
 

@@ -93,7 +93,11 @@ type t = {
   mutable decide_cb : (value:int -> phase:int -> unit) option;
 }
 
-let labels = [ ("proto", "sampled") ]
+let proto = [ ("proto", "sampled") ]
+let msgs_sent = Obs.Metrics.counter ~labels:proto "proto.msgs_sent"
+let decisions = Obs.Metrics.counter ~labels:proto "proto.decisions"
+let phase_changes = Obs.Metrics.counter ~labels:proto "proto.phase_changes"
+let ticks = Obs.Metrics.counter ~labels:proto "proto.ticks"
 
 let create net sampler cfg ~id ~coin_seed ?(behavior = Correct) ~proposal () =
   if proposal <> 0 && proposal <> 1 then invalid_arg "Sampled.create: binary values only";
@@ -169,7 +173,7 @@ let state_frame_bytes = Bytes.length (encode ~kind:0 ~phase:1 ~value:1)
 (* --- sending ------------------------------------------------------------ *)
 
 let send t ~dst msg =
-  Obs.Metrics.incr "proto.msgs_sent" ~labels;
+  Obs.Metrics.incr msgs_sent;
   Transport.send t.net ~src:t.node_id ~dst msg
 
 let push_state t =
@@ -236,7 +240,7 @@ let decide t v =
   if t.decided = None then begin
     t.decided <- Some v;
     t.value <- v;
-    Obs.Metrics.incr "proto.decisions" ~labels;
+    Obs.Metrics.incr decisions;
     (match t.decide_cb with Some f -> f ~value:v ~phase:t.phase | None -> ());
     push_claims t
   end
@@ -261,7 +265,7 @@ let rec enter_phase t phase =
   else begin t.c0 <- 0; t.c1 <- 1 end;
   t.incoming <-
     Sampler.incoming t.sampler ~node:t.node_id ~tag:(tag t phase) ~k:t.cfg.sample_size;
-  Obs.Metrics.incr "proto.phase_changes" ~labels;
+  Obs.Metrics.incr phase_changes;
   (* replay buffered votes from senders already in this phase *)
   Array.iter
     (fun src ->
@@ -365,7 +369,7 @@ let rec arm t = Transport.timer t.net ~node:t.node_id ~delay:t.cfg.tick (fun () 
 
 and on_tick t =
   if not t.stopped then begin
-    Obs.Metrics.incr "proto.ticks" ~labels;
+    Obs.Metrics.incr ticks;
     (match t.decided with
     | Some _ ->
         t.ticks_after_decide <- t.ticks_after_decide + 1;

@@ -22,6 +22,11 @@ let run_failure_free () =
   Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4
     ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free ~seed:3L ()
 
+(* The whole metric snapshot of a run, rendered and hashed: pins every
+   series, label set, first-update creation ([~by:0] included) and
+   value at once. *)
+let snapshot_digest snap = Crypto.Sha256.hex_digest_string (Obs.Metrics.render_table snap)
+
 let test_memo_on_hits () =
   (* a broadcast reaches n-1 receivers: all but the first decode of a
      payload and all but the first hash of a proof must hit *)
@@ -56,6 +61,9 @@ let test_turquois_n64_pinned () =
       ("compact.unresolved", 23);
       ("radio.delivered", 19000);
     ];
+  Alcotest.(check string) "metric snapshot"
+    "eb385665c511986bc38e9ebaf97a2ec8d3d614a38846987e80de63e65982f332"
+    (snapshot_digest r.metrics);
   let latencies =
     String.concat ";"
       (List.map
@@ -96,6 +104,9 @@ let test_sampled_n64_pinned () =
     ];
   Alcotest.(check int) "engine.live_peak" 130 r.events_live_peak;
   Alcotest.(check int) "engine.queued_peak" 130 r.events_queued_peak;
+  Alcotest.(check string) "metric snapshot"
+    "6bf3b2a5a7e06623052874d2ba86ec7c44142cb7d5630fe0ded0633aa9faaae0"
+    (snapshot_digest r.metrics);
   let latencies =
     String.concat ";"
       (List.map
@@ -105,6 +116,121 @@ let test_sampled_n64_pinned () =
   Alcotest.(check string) "latencies"
     "67fb598059010888b40a0245c77902de80c242749f119c1f05f5d15e3a77357a"
     (Crypto.Sha256.hex_digest_string latencies)
+
+(* Whole metric snapshots of runs that reach the series the n=64 pins
+   miss: Byzantine Turquois (every [validation.rejected] rule,
+   [radio.omission_by_rx], [mac.replaced]), the two baselines and the
+   ordered log ([log.*]). Recorded before metric updates went through
+   interned handles. *)
+let pinned_snapshot name want snap =
+  Alcotest.(check string) (name ^ " metric snapshot") want (snapshot_digest snap)
+
+let test_snapshots_pinned () =
+  let runner protocol n load seed =
+    (Harness.Runner.run ~protocol ~n ~dist:Harness.Runner.Unanimous ~load ~seed ()).metrics
+  in
+  let byz = runner Harness.Runner.Turquois 16 Net.Fault.Byzantine 3L in
+  List.iter
+    (fun (labels, want) ->
+      Alcotest.(check int)
+        ("validation.rejected" ^ Obs.Metrics.labels_to_string labels)
+        want
+        (Obs.Metrics.counter_value byz ~labels "validation.rejected"))
+    [ ([ ("rule", "phase") ], 788); ([ ("rule", "value") ], 10334); ([ ("rule", "status") ], 1) ];
+  Alcotest.(check int) "mac.replaced" 1 (Obs.Metrics.counter_value byz "mac.replaced");
+  pinned_snapshot "turquois n=16 byzantine" "b657bd453c490edfbf741e0e4051013871e162ec14b25245202f08bf9d0a59cf" byz;
+  pinned_snapshot "bracha n=7 byzantine" "8e97e0d3983c9ecdc8743452eeb467a03cd619f13156c7fc02f9d29643358896"
+    (runner Harness.Runner.Bracha 7 Net.Fault.Byzantine 2L);
+  pinned_snapshot "abba n=4" "dc3a86da0b24679321fe101ca8e284d43b565a787bdc1b1d43e5d5d297febcbe" (runner Harness.Runner.Abba 4 Net.Fault.Failure_free 2L)
+
+let test_ordered_log_snapshot_pinned () =
+  let delivered, snap =
+    Obs.Scope.with_run (fun () ->
+        let n = 4 and capacity = 8 in
+        let engine = Net.Engine.create () in
+        let rng = Util.Rng.create ~seed:920L in
+        let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
+        Net.Radio.set_loss_prob radio 0.01;
+        let cfg = { (Core.Proto.default_config ~n) with max_phases = 45 } in
+        let keyrings =
+          Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases) ()
+        in
+        let logs =
+          Array.init n (fun i ->
+              let node = Net.Node.create engine radio ~id:i ~rng:(Util.Rng.split rng) in
+              Core.Ordered_log.create node cfg ~keyring:keyrings.(i) ~capacity ~window:2
+                ~max_batch:4 ())
+        in
+        Array.iteri
+          (fun i log ->
+            for c = 0 to 2 + i do
+              Core.Ordered_log.submit log (Bytes.of_string (Printf.sprintf "cmd-%d-%d" i c))
+            done)
+          logs;
+        Array.iter Core.Ordered_log.start logs;
+        Net.Engine.run_while engine (fun () ->
+            Net.Engine.now engine < 30.0
+            && Array.exists (fun log -> Core.Ordered_log.delivered_count log < capacity) logs);
+        Array.fold_left (fun acc log -> min acc (Core.Ordered_log.delivered_count log)) max_int logs)
+  in
+  Alcotest.(check int) "every slot delivered" 8 delivered;
+  Alcotest.(check bool) "covers log.*" true
+    (Obs.Metrics.counter_value snap "log.payload.certified" > 0);
+  pinned_snapshot "ordered log n=4" "5ed98e17e92a461e615ba3c236514be4e0b886b43fcb79ebb19b083551ae47ee" snap
+
+(* --- observer-only bookkeeping allocates nothing per event ------------------- *)
+
+(* minor words per call of [f], after one warm-up call *)
+let words_per_call f =
+  let iters = 10_000 in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+(* A rejection carries its rule and counts as data; the text is built
+   only on request, so rejecting allocates a few words, not a
+   formatted string. *)
+let test_rejection_allocation () =
+  let cfg = P.default_config ~n:4 in
+  let vset msgs =
+    let v = Core.Vset.create ~n:4 in
+    List.iter (fun m -> ignore (Core.Vset.add v m)) msgs;
+    v
+  in
+  let at phase values = List.mapi (fun sender value -> mk ~sender ~phase ~value ()) values in
+  let unanimous = at 1 [ P.V1; P.V1; P.V1 ] @ at 2 [ P.V1; P.V1; P.V1 ] @ at 3 [ P.V1; P.V1; P.V1 ] in
+  List.iter
+    (fun (rule, v, m) ->
+      Alcotest.(check bool) (rule ^ " rejected") false (Core.Validation.is_valid cfg v m);
+      let words = words_per_call (fun () -> ignore (Core.Validation.is_valid cfg v m)) in
+      if words >= 16.0 then Alcotest.failf "%s rejection: %.1f words per call" rule words)
+    [
+      ("phase", vset [], mk ~phase:5 ());
+      ("value", vset (at 1 [ P.V1; P.V1; P.V0 ]), mk ~phase:2 ~value:P.V0 ());
+      ("status", vset unanimous, mk ~phase:4 ~value:P.V1 ~status:P.Undecided ());
+    ]
+
+(* After a series' first update of a run, an update through its handle
+   is an array index: no name hash, no label sort. *)
+let test_handle_update_allocation () =
+  let unlabeled = Obs.Metrics.counter "test.hotpath.unlabeled" in
+  let labeled = Obs.Metrics.counter ~labels:[ ("class", "x"); ("rx", "p1") ] "test.hotpath.labeled" in
+  let (), snap =
+    Obs.Scope.with_run (fun () ->
+        List.iter
+          (fun (what, f) ->
+            Alcotest.(check (float 0.0)) (what ^ ": words per update") 0.0
+              (Float.round (words_per_call f)))
+          [
+            ("unlabeled", fun () -> Obs.Metrics.incr unlabeled);
+            ("labeled", fun () -> Obs.Metrics.incr labeled);
+          ])
+  in
+  Alcotest.(check int) "every update counted" 10_001
+    (Obs.Metrics.counter_value snap ~labels:[ ("rx", "p1"); ("class", "x") ] "test.hotpath.labeled")
 
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 
@@ -324,6 +450,10 @@ let suite =
       Alcotest.test_case "memo on hits" `Quick test_memo_on_hits;
       Alcotest.test_case "turquois n=64 pinned" `Quick test_turquois_n64_pinned;
       Alcotest.test_case "sampled n=64 pinned" `Quick test_sampled_n64_pinned;
+      Alcotest.test_case "metric snapshots pinned" `Quick test_snapshots_pinned;
+      Alcotest.test_case "ordered log snapshot pinned" `Quick test_ordered_log_snapshot_pinned;
+      Alcotest.test_case "rejection allocation" `Quick test_rejection_allocation;
+      Alcotest.test_case "handle update allocation" `Quick test_handle_update_allocation;
       Alcotest.test_case "profiler invisible to results" `Quick
         test_profiler_invisible_to_results;
       Alcotest.test_case "causal tracing invisible to results" `Quick

@@ -12,16 +12,19 @@ let fresh () =
 
 let test_counter_basics () =
   fresh ();
-  Obs.Metrics.incr "a";
-  Obs.Metrics.incr "a" ~by:4;
+  let a = Obs.Metrics.counter "a" in
+  Obs.Metrics.incr a;
+  Obs.Metrics.incr a ~by:4;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "accumulated" 5 (Obs.Metrics.counter_value snap "a");
   Alcotest.(check int) "absent is 0" 0 (Obs.Metrics.counter_value snap "nope")
 
 let test_label_order_irrelevant () =
   fresh ();
-  Obs.Metrics.incr "m" ~labels:[ ("x", "1"); ("y", "2") ];
-  Obs.Metrics.incr "m" ~labels:[ ("y", "2"); ("x", "1") ];
+  let xy = Obs.Metrics.counter "m" ~labels:[ ("x", "1"); ("y", "2") ] in
+  let yx = Obs.Metrics.counter "m" ~labels:[ ("y", "2"); ("x", "1") ] in
+  Obs.Metrics.incr xy;
+  Obs.Metrics.incr yx;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "one series" 1 (List.length snap);
   Alcotest.(check int) "both updates landed" 2
@@ -29,25 +32,36 @@ let test_label_order_irrelevant () =
 
 let test_distinct_labels_distinct_series () =
   fresh ();
-  Obs.Metrics.incr "tx" ~labels:[ ("class", "bcast") ];
-  Obs.Metrics.incr "tx" ~labels:[ ("class", "ack") ] ~by:2;
+  Obs.Metrics.incr (Obs.Metrics.counter "tx" ~labels:[ ("class", "bcast") ]);
+  Obs.Metrics.incr (Obs.Metrics.counter "tx" ~labels:[ ("class", "ack") ]) ~by:2;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "two series" 2 (List.length snap);
   Alcotest.(check int) "bcast" 1
     (Obs.Metrics.counter_value snap "tx" ~labels:[ ("class", "bcast") ]);
   Alcotest.(check int) "sum across labels" 3 (Obs.Metrics.sum_counters snap "tx")
 
+(* a clash surfaces when the second declaration is made, before any run
+   updates either series *)
 let test_type_clash_rejected () =
   fresh ();
-  Obs.Metrics.incr "series";
+  ignore (Obs.Metrics.counter "series");
   Alcotest.check_raises "gauge on counter"
     (Invalid_argument "Metrics: series is a counter, not a gauge") (fun () ->
-      Obs.Metrics.set "series" 1.0)
+      ignore (Obs.Metrics.gauge "series"));
+  ignore (Obs.Metrics.histogram "shaped" ~lo:0.0 ~hi:10.0 ~bins:10);
+  Alcotest.check_raises "histogram of another shape"
+    (Invalid_argument
+       "Metrics: shaped is a histogram over [0, 10) in 10 bins, not a histogram over [0, 5) \
+        in 10 bins") (fun () -> ignore (Obs.Metrics.histogram "shaped" ~lo:0.0 ~hi:5.0 ~bins:10));
+  Alcotest.(check bool) "same declaration, same series" true
+    (Obs.Metrics.histogram "shaped" ~lo:0.0 ~hi:10.0 ~bins:10
+    == Obs.Metrics.histogram "shaped" ~lo:0.0 ~hi:10.0 ~bins:10)
 
 let test_gauge_add () =
   fresh ();
-  Obs.Metrics.add "airtime" 0.25;
-  Obs.Metrics.add "airtime" 0.5;
+  let airtime = Obs.Metrics.gauge "airtime" in
+  Obs.Metrics.add airtime 0.25;
+  Obs.Metrics.add airtime 0.5;
   let snap = Obs.Metrics.snapshot () in
   match Obs.Metrics.find snap "airtime" with
   | Some { value = Obs.Metrics.Gauge g; _ } ->
@@ -56,9 +70,8 @@ let test_gauge_add () =
 
 let test_histogram_binning () =
   fresh ();
-  List.iter
-    (fun v -> Obs.Metrics.observe "h" ~lo:0.0 ~hi:10.0 ~bins:10 v)
-    [ 0.5; 1.5; 1.9; 9.9; -3.0; 42.0 ];
+  let h = Obs.Metrics.histogram "h" ~lo:0.0 ~hi:10.0 ~bins:10 in
+  List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 1.9; 9.9; -3.0; 42.0 ];
   let snap = Obs.Metrics.snapshot () in
   match Obs.Metrics.find snap "h" with
   | Some { value = Obs.Metrics.Histogram h; _ } ->
@@ -72,22 +85,29 @@ let test_histogram_binning () =
 
 let test_snapshot_isolation () =
   fresh ();
-  Obs.Metrics.incr "a";
+  let a = Obs.Metrics.counter "a" in
+  Obs.Metrics.incr a;
   let before = Obs.Metrics.snapshot () in
-  Obs.Metrics.incr "a" ~by:10;
+  Obs.Metrics.incr a ~by:10;
   Alcotest.(check int) "snapshot is immutable" 1 (Obs.Metrics.counter_value before "a");
   Obs.Metrics.reset ();
   Alcotest.(check int) "reset drops everything" 0
     (List.length (Obs.Metrics.snapshot ()));
   Alcotest.(check int) "old snapshot survives reset" 1
-    (Obs.Metrics.counter_value before "a")
+    (Obs.Metrics.counter_value before "a");
+  (* a series re-enters on its next update, from zero, even when that
+     update adds nothing *)
+  Obs.Metrics.incr a ~by:0;
+  Alcotest.(check bool) "re-entered at 0" true
+    (Obs.Metrics.snapshot ()
+    = [ { Obs.Metrics.name = "a"; labels = []; value = Obs.Metrics.Counter 0 } ])
 
 let test_with_run_scoping () =
   fresh ();
-  Obs.Metrics.incr "leak" ~by:99;
+  Obs.Metrics.incr (Obs.Metrics.counter "leak") ~by:99;
   let result, snap =
     Obs.Scope.with_run (fun () ->
-        Obs.Metrics.incr "inside";
+        Obs.Metrics.incr (Obs.Metrics.counter "inside");
         "done")
   in
   Alcotest.(check string) "result passes through" "done" result;
@@ -212,7 +232,7 @@ let test_run_metrics_deterministic () =
 
 let test_runs_do_not_leak () =
   fresh ();
-  Obs.Metrics.incr "radio.tx" ~by:1_000_000 ~labels:[ ("class", "bcast") ];
+  Obs.Metrics.incr (Obs.Metrics.counter "radio.tx" ~labels:[ ("class", "bcast") ]) ~by:1_000_000;
   let r = run_once 3L in
   Alcotest.(check bool) "pre-existing counter was reset" true
     (Obs.Metrics.sum_counters r.metrics "radio.tx" < 1_000_000)
@@ -238,20 +258,21 @@ let test_analyze_reports_sigma () =
   Alcotest.(check bool) "found the meta event" true (contains "fail-stop" report);
   Alcotest.(check bool) "per-phase timeline present" true (contains "timeline" report)
 
-(* --- unlabeled metrics fast path -------------------------------------------- *)
+(* --- unlabeled and labeled series of one name ------------------------------ *)
 
 let test_unlabeled_fast_path () =
   fresh ();
-  Obs.Metrics.incr "fast";
-  Obs.Metrics.incr "fast" ~by:2;
-  Obs.Metrics.incr "fast" ~labels:[ ("class", "x") ];
+  let fast = Obs.Metrics.counter "fast" in
+  Obs.Metrics.incr fast;
+  Obs.Metrics.incr fast ~by:2;
+  Obs.Metrics.incr (Obs.Metrics.counter "fast" ~labels:[ ("class", "x") ]);
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "unlabeled series" 3 (Obs.Metrics.counter_value snap "fast");
   Alcotest.(check int) "labeled series stays separate" 1
     (Obs.Metrics.counter_value snap "fast" ~labels:[ ("class", "x") ]);
   Alcotest.(check int) "sum sees both" 4 (Obs.Metrics.sum_counters snap "fast");
   Obs.Metrics.reset ();
-  Alcotest.(check int) "reset clears the unlabeled table too" 0
+  Alcotest.(check int) "reset clears labeled and unlabeled series" 0
     (List.length (Obs.Metrics.snapshot ()))
 
 (* --- schema versioning ------------------------------------------------------- *)
@@ -476,6 +497,31 @@ let test_causal_end_to_end_sigma_edge () =
   Alcotest.(check bool) "a dropped message id is named" true
     (contains "lost it to" report || contains "lost in window" report)
 
+(* A broadcast superseded in the MAC queue never goes on the air; the
+   trace says so once per replacement, naming the replaced frame. *)
+let test_mac_replacement_traced () =
+  fresh ();
+  Obs.Trace2.start ();
+  let r =
+    Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:16
+      ~dist:Harness.Runner.Divergent ~load:Net.Fault.Byzantine ~seed:1000L ()
+  in
+  let events = Obs.Trace2.events () and dropped = Obs.Trace2.dropped () in
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  Alcotest.(check int) "under the sink limit" 0 dropped;
+  let replaced =
+    List.filter (fun (e : Obs.Trace2.event) -> e.layer = "mac" && e.label = "replaced") events
+  in
+  let counted = Obs.Metrics.counter_value r.metrics "mac.replaced" in
+  Alcotest.(check bool) "the run replaces frames" true (counted > 0);
+  Alcotest.(check int) "one event per replacement" counted (List.length replaced);
+  List.iter
+    (fun (e : Obs.Trace2.event) ->
+      Alcotest.(check bool) "names the replaced frame" true
+        (List.mem_assoc "tag" e.fields && List.mem_assoc "mid" e.fields))
+    replaced
+
 let test_analyze_sigma_formula () =
   (* n=8 k=6 t=0: ceil(8/2)*(8-6) + 6 - 2 = 12, and it must match Proto *)
   Alcotest.(check int) "analyzer sigma" 12 (Obs.Analyze.sigma ~n:8 ~k:6 ~t:0);
@@ -518,4 +564,5 @@ let suite =
       Alcotest.test_case "timeline render states" `Quick test_timeline_render_states;
       Alcotest.test_case "causal end-to-end under sigma-edge" `Quick
         test_causal_end_to_end_sigma_edge;
+      Alcotest.test_case "mac replacement traced" `Quick test_mac_replacement_traced;
     ] )

@@ -58,9 +58,10 @@ let test_map_scoped_isolates_metrics () =
   (* each task's counter lands in its own snapshot; the caller's
      registry is untouched *)
   Obs.Metrics.reset ();
+  let series = Obs.Metrics.counter "pool.test" in
   let r =
     P.map_scoped ~jobs:2 ~tasks:4 (fun i ->
-        Obs.Metrics.incr ~by:(i + 1) "pool.test";
+        Obs.Metrics.incr ~by:(i + 1) series;
         i)
   in
   Array.iteri
@@ -119,7 +120,7 @@ let test_metrics_merge () =
   let snap counts =
     snd
       (Obs.Scope.with_run (fun () ->
-           List.iter (fun (name, v) -> Obs.Metrics.incr ~by:v name) counts))
+           List.iter (fun (name, v) -> Obs.Metrics.incr ~by:v (Obs.Metrics.counter name)) counts))
   in
   let merged =
     Obs.Metrics.merge [ snap [ ("a", 1); ("b", 10) ]; snap [ ("a", 2) ] ]

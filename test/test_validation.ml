@@ -73,10 +73,10 @@ let test_decide_bot_needs_phase1_split () =
   check "no split, no bot" false v2 (mk ~phase:3 ~value:P.Vbot ())
 
 let check_value name expected v m =
-  Alcotest.(check bool) name expected (V.check_value cfg v m = V.Valid)
+  Alcotest.(check bool) name expected (V.check_value cfg v m = Ok ())
 
 let check_status name expected v m =
-  Alcotest.(check bool) name expected (V.check_status cfg v m = V.Valid)
+  Alcotest.(check bool) name expected (V.check_status cfg v m = Ok ())
 
 let test_converge_deterministic_support () =
   (* CONVERGE message (phase 4, deterministic): needs quorum for v at
@@ -166,16 +166,44 @@ let test_status_undecided_with_bot_witness () =
      bot witness saves the honest message *)
   check_status "bot witness accepted" true v (mk ~phase:4 ~value:P.V1 ~status:P.Undecided ())
 
+(* one failure per rule: the rendered reason keeps its wording, and the
+   verdict lands in [validation.rejected] under that rule's label *)
 let test_verdict_reasons () =
-  let v = vset_of [] in
-  (match V.semantic_check cfg v (mk ~phase:5 ()) with
-  | V.Invalid reason ->
-      Alcotest.(check bool) "mentions phase" true
-        (String.length reason > 0)
-  | V.Valid -> Alcotest.fail "expected invalid");
-  match V.semantic_check cfg v (mk ~phase:1 ()) with
-  | V.Valid -> ()
-  | V.Invalid r -> Alcotest.fail ("expected valid: " ^ r)
+  let unanimous =
+    quorum_at ~phase:1 [ P.V1; P.V1; P.V1 ]
+    @ quorum_at ~phase:2 [ P.V1; P.V1; P.V1 ]
+    @ quorum_at ~phase:3 [ P.V1; P.V1; P.V1 ]
+  in
+  List.iter
+    (fun (rule, v, m, reason) ->
+      let verdict, snap = Obs.Scope.with_run (fun () -> V.semantic_check cfg v m) in
+      match verdict with
+      | Ok () -> Alcotest.fail ("expected a " ^ rule ^ " failure")
+      | Error failure ->
+          Alcotest.(check string) (rule ^ " reason") reason (V.describe failure);
+          Alcotest.(check string) (rule ^ " rule") rule (V.rule_name (V.rule failure));
+          Alcotest.(check int) (rule ^ " label") 1
+            (Obs.Metrics.counter_value snap ~labels:[ ("rule", rule) ] "validation.rejected");
+          Alcotest.(check int) (rule ^ " counted once") 1
+            (Obs.Metrics.sum_counters snap "validation.rejected"))
+    [
+      ("phase", vset_of [], mk ~phase:5 (), "phase 5: only 0 messages at phase 4");
+      ( "value",
+        vset_of (quorum_at ~phase:1 [ P.V1; P.V1; P.V0 ]),
+        mk ~phase:2 ~value:P.V0 (),
+        "lock value 0: 1 supporters at phase 1" );
+      ( "status",
+        vset_of unanimous,
+        mk ~phase:4 ~value:P.V1 ~status:P.Undecided (),
+        "undecided at phase 4: split at 2 is 0/3 and no bot witness" );
+    ];
+  let verdict, snap =
+    Obs.Scope.with_run (fun () -> V.semantic_check cfg (vset_of []) (mk ~phase:1 ()))
+  in
+  (match verdict with
+  | Ok () -> ()
+  | Error failure -> Alcotest.fail ("expected valid: " ^ V.describe failure));
+  Alcotest.(check int) "accepted" 1 (Obs.Metrics.counter_value snap "validation.accepted")
 
 (* the closed forms against the defining descent: largest p < phi of the
    right kind, 0 when none exists — exhaustively for phi = 1..200 *)
