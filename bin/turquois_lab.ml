@@ -674,7 +674,7 @@ let run_modelcheck n k byz budget exact rounds strategies divergent seed jobs ma
       ?alphabet:strategies ~rounds ~seed ~jobs ~max_states ()
   in
   let t = List.length cfg.byzantine in
-  let sigma = Harness.Abstract_rounds.sigma ~n ~k:cfg.k ~t in
+  let sigma = Core.Proto.sigma { (Core.Proto.default_config ~n) with k = cfg.k } ~t in
   let result = Model.Checker.check ~log cfg in
   let s = result.stats in
   Printf.printf "modelcheck n=%d k=%d t=%d %s budget=%d%s rounds=%d (sigma=%d)\n" n cfg.k t

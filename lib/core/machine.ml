@@ -556,7 +556,7 @@ let unresolved_refs = Obs.Metrics.counter "compact.unresolved"
 let count_duplicates t k =
   if k > 0 then begin
     t.stats.duplicates <- t.stats.duplicates + k;
-    Obs.Metrics.incr duplicate_entries ~by:k
+    Obs.Metrics.incr_by duplicate_entries k
   end
 
 (* Re-examine the pool in ascending phase order until a fixpoint: a
@@ -674,7 +674,7 @@ let handle_wire t (fr : Msgstore.frame) =
     fr.Msgstore.just;
   consider fr.Msgstore.msg;
   count_duplicates t !duplicates;
-  if !unresolved > 0 then Obs.Metrics.incr unresolved_refs ~by:!unresolved;
+  if !unresolved > 0 then Obs.Metrics.incr_by unresolved_refs !unresolved;
   let admitted = drain_pending t in
   let new_claims = Hashtbl.length t.decided_claims > claims_before in
   let events = if admitted || new_claims then update_state t else [] in

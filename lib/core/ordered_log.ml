@@ -586,7 +586,7 @@ and fill_slot t slot =
     Net.Node.broadcast t.node ~port:t.payload_port (encode_payload ~slot ~digest batch);
     send_echo t ~slot ~digest;
     Obs.Metrics.incr batch_slots;
-    Obs.Metrics.incr ~by:(List.length commands) batch_commands;
+    Obs.Metrics.incr_by batch_commands (List.length commands);
     ensure_tick t;
     propose_slot t ~slot 1
   end

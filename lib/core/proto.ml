@@ -50,5 +50,4 @@ let past_double_faulty c count = count > 2 * c.f
 
 let sigma c ~t =
   if t < 0 || t > c.f then invalid_arg "Proto.sigma: need 0 <= t <= f";
-  let ceil_half = (c.n - t + 1) / 2 in
-  (ceil_half * (c.n - c.k - t)) + c.k - 2
+  Obs.Analyze.sigma ~n:c.n ~k:c.k ~t

@@ -71,4 +71,6 @@ val sigma : config -> t:int -> int
 (** The paper's liveness bound: the protocol makes progress in rounds
     whose omission-fault count is at most
     σ = ⌈(n−t)/2⌉·(n−k−t) + k − 2, where t ≤ f is the number of
-    actually faulty processes. *)
+    actually faulty processes ({!Obs.Analyze.sigma} after the bounds
+    check).
+    @raise Invalid_argument unless [0 <= t <= f]. *)

@@ -34,28 +34,12 @@ type outcome = {
   validity : bool;
 }
 
-val sigma : n:int -> k:int -> t:int -> int
-(** The paper's bound (re-exported from {!Core.Proto} for the sweep). *)
-
-val run :
-  n:int ->
-  k:int ->
-  ?byzantine:int list ->
-  ?dist:Runner.dist ->
-  ?adversary:adversary ->
-  omissions:int ->
-  rounds:int ->
-  seed:int64 ->
-  unit ->
-  outcome
-(** Runs [rounds] synchronous rounds with exactly [omissions] suppressed
-    transmissions per round (fewer when not that many exist). *)
-
-(** Externally-driven synchronous rounds: the adversary's choices —
-    per-receiver omissions and per-round Byzantine strategies — are
-    supplied explicitly instead of drawn from a built-in pattern. This
-    is the model checker's execution hook and the replay engine for
-    serialized round schedules. *)
+(** Externally-driven synchronous rounds: the caller supplies each
+    round's adversary choices — per-receiver omissions and per-round
+    Byzantine strategies. Every lockstep execution steps through here:
+    the model checker, the replay engine for serialized round
+    schedules, and {!run} and {!single_round}, whose drops come from a
+    built-in pattern. *)
 module Driven : sig
   type sim
 
@@ -64,22 +48,27 @@ module Driven : sig
     k:int ->
     ?byzantine:int list ->
     ?dist:Runner.dist ->
+    ?behavior:Core.Machine.behavior ->
     horizon:int ->
-    seed:int64 ->
+    rng:Util.Rng.t ->
     unit ->
     sim
   (** A fresh group at phase 1. [horizon] bounds how many rounds the sim
-      will be stepped (it sizes the one-time-key horizon). Key material
-      comes from the deterministic per-(n, phases) cache regardless of
-      the memoization switch — checker results are key-independent. *)
+      will be stepped (it sizes the one-time-key horizon). Each machine
+      takes a {!Util.Rng.split} of [rng], in id order. [byzantine]
+      machines start with [behavior] (default
+      [Byzantine Core.Strategy.silent]). Key material comes from the
+      deterministic per-(n, phases) cache — results are
+      key-independent. *)
 
   val clone : sim -> sim
   (** Independent deep copy; stepping one never affects the other. *)
 
   val step : sim -> drops:(int * int) list -> byz:(int * Core.Strategy.t) list -> unit
   (** One synchronous round: every process broadcasts (Byzantine ones
-      follow their entry in [byz], defaulting to silence — a crash),
-      then every (sender, receiver) delivery not in [drops] happens. *)
+      follow their entry in [byz], or their own behavior when it names
+      none — a silent machine stays quiet, a crash), then every
+      (sender, receiver) delivery not in [drops] happens. *)
 
   val round : sim -> int
   val correct : sim -> int list
@@ -93,8 +82,7 @@ module Driven : sig
   (** Correct processes past phase 1. *)
 
   val violations : sim -> string list
-  (** Agreement/validity/integrity breaches in the current state (the
-      chaos harness's safety clauses over the abstract sim). *)
+  (** {!Runner.safety_violations} over the correct deciders. *)
 
   val fingerprint : sim -> string
   (** Canonical serialization of the whole group state (concatenated
@@ -102,6 +90,21 @@ module Driven : sig
       identical configuration imply identical future behavior under
       identical adversary choices. *)
 end
+
+val run :
+  n:int ->
+  k:int ->
+  ?byzantine:int list ->
+  ?dist:Runner.dist ->
+  ?adversary:adversary ->
+  omissions:int ->
+  rounds:int ->
+  seed:int64 ->
+  unit ->
+  outcome
+(** Runs [rounds] synchronous rounds with exactly [omissions] suppressed
+    transmissions per round (fewer when not that many exist).
+    [byzantine] processes run the §7.2 [Attacker]. *)
 
 val single_round :
   n:int ->

@@ -76,26 +76,14 @@ let apply_bug bug (r : Runner.result) =
       | [] -> r
     end
 
-(* Safety invariants, checked on every run; the liveness clause only
-   when [deadline] is sound. *)
+(* Safety invariants, checked on every run: the shared clauses, then
+   the harness's own — no faulty decider, no double decision — and the
+   liveness clause only when [deadline] is sound. *)
 let violations_of ~dist ~deadline (r : Runner.result) =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  (match r.decisions with
-  | [] -> ()
-  | (_, v0) :: rest ->
-      List.iter
-        (fun (i, v) -> if v <> v0 then add "agreement: p%d decided %d, others %d" i v v0)
-        rest);
-  (match dist with
-  | Runner.Unanimous ->
-      List.iter
-        (fun (i, v) -> if v <> 1 then add "validity: p%d decided %d against unanimous 1" i v)
-        r.decisions
-  | Runner.Divergent -> ());
   List.iter
-    (fun (i, v) ->
-      if v <> 0 && v <> 1 then add "integrity: p%d decided non-binary %d" i v;
+    (fun (i, _) ->
       if not (List.mem i r.correct) then add "integrity: faulty p%d counted as decider" i)
     r.decisions;
   let ids = List.map fst r.decisions in
@@ -105,7 +93,7 @@ let violations_of ~dist ~deadline (r : Runner.result) =
   | Some _ when r.timed_out ->
       add "liveness: correct processes undecided on a provably quiet channel"
   | Some _ | None -> ());
-  List.rev !out
+  Runner.safety_violations ~dist r.decisions @ List.rev !out
 
 (* Re-execute one schedule and report its invariant breaches — the
    chaos harness's own check, exported so serialized reproducers replay

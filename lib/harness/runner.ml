@@ -15,6 +15,26 @@ let proposals dist ~n =
   | Unanimous -> Array.make n 1
   | Divergent -> Array.init n (fun i -> i mod 2)
 
+let safety_violations ~dist decisions =
+  let out = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  (match decisions with
+  | [] -> ()
+  | (_, v0) :: rest ->
+      List.iter
+        (fun (i, v) -> if v <> v0 then add "agreement: p%d decided %d, others %d" i v v0)
+        rest);
+  (match dist with
+  | Unanimous ->
+      List.iter
+        (fun (i, v) -> if v <> 1 then add "validity: p%d decided %d against unanimous 1" i v)
+        decisions
+  | Divergent -> ());
+  List.iter
+    (fun (i, v) -> if v <> 0 && v <> 1 then add "integrity: p%d decided non-binary %d" i v)
+    decisions;
+  List.rev !out
+
 type result = {
   latencies : (int * float) list;
   decisions : (int * int) list;
@@ -86,8 +106,8 @@ let events_live = Obs.Metrics.gauge "engine.events_live"
 let live_peak = Obs.Metrics.gauge "engine.live_peak"
 let queued_peak = Obs.Metrics.gauge "engine.queued_peak"
 
-let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~timeout
-    ~seed () =
+let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~tick_policy
+    ~auth_cost ~timeout ~seed () =
   let engine = Net.Engine.create () in
   let rng = Util.Rng.create ~seed in
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
@@ -144,11 +164,6 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
   | Turquois ->
       let cfg = { (Core.Proto.default_config ~n) with max_phases = key_phases } in
       let keyrings = turquois_keyrings ~n in
-      (* the fixed 10 ms tick is faithful to the paper's n <= 16
-         prototype but floods the medium at larger n; the MAC-aware
-         policy paces each node's rebroadcasts from the airtime its
-         phases are observed to consume *)
-      let tick_policy = Core.Turquois.default_mac_aware in
       Array.iteri
         (fun i node ->
           let behavior =
@@ -160,7 +175,7 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
           in
           let p =
             Core.Turquois.create node cfg ~keyring:keyrings.(i) ~behavior ~tick_policy
-              ~proposal:proposals.(i) ()
+              ~auth_cost ~proposal:proposals.(i) ()
           in
           if not (List.mem i byzantine) then
             Core.Turquois.on_decide p (fun ~value ~phase -> record i value phase);
@@ -276,13 +291,18 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
     metrics = [];
   }
 
+(* the fixed 10 ms tick is faithful to the paper's n <= 16 prototype
+   but floods the medium at larger n; the default MAC-aware policy paces
+   each node's rebroadcasts from the airtime its phases are observed to
+   consume *)
 let run ~protocol ~n ~dist ~load ?(conditions = Net.Fault.benign_conditions) ?strategy
-    ?schedule ?attach ?(timeout = 120.0) ~seed () =
+    ?schedule ?attach ?(tick_policy = Core.Turquois.default_mac_aware)
+    ?(auth_cost = Core.Turquois.Onetime_cost) ?(timeout = 120.0) ~seed () =
   (* each repetition starts from zeroed sinks: a leaked counter or
      stale trace from the previous run would poison its successor *)
   let result, metrics =
     Obs.Scope.with_run
-      (run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach
-         ~timeout ~seed)
+      (run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~tick_policy
+         ~auth_cost ~timeout ~seed)
   in
   { result with metrics }

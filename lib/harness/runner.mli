@@ -25,6 +25,11 @@ val dist_to_string : dist -> string
 val proposals : dist -> n:int -> int array
 (** Unanimous: all 1. Divergent: odd ids propose 1, even ids 0 (§7.2). *)
 
+val safety_violations : dist:dist -> (int * int) list -> string list
+(** The agreement, validity and non-binary integrity breaches among
+    (process id, decided value) pairs, one line each, in that order —
+    the safety clauses the chaos harness and the model checker share. *)
+
 type result = {
   latencies : (int * float) list;
       (** (process id, seconds from its proposal to its decision),
@@ -58,6 +63,8 @@ val run :
   ?strategy:Core.Strategy.t ->
   ?schedule:Net.Schedule.t ->
   ?attach:(Net.Radio.t -> unit) ->
+  ?tick_policy:Core.Turquois.tick_policy ->
+  ?auth_cost:Core.Turquois.auth_cost ->
   ?timeout:float ->
   seed:int64 ->
   unit ->
@@ -68,7 +75,10 @@ val run :
     instead of the legacy §7.2 [Attacker] (baseline protocols keep their
     own attacker). [schedule] arms a declarative fault timeline on the
     radio before the run; [attach] is a last-resort hook for installing
-    custom radio-level adversaries (e.g. {!Net.Fault.sigma_edge}). *)
+    custom radio-level adversaries (e.g. {!Net.Fault.sigma_edge}).
+    [tick_policy] (default {!Core.Turquois.default_mac_aware}) and
+    [auth_cost] (default [Onetime_cost]) reach only Turquois — the
+    ablations' knobs. *)
 
 val clear_key_cache : unit -> unit
 (** Drops the cached key material (for tests that need fresh keys). *)

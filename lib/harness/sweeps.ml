@@ -25,7 +25,7 @@ let sigma_sweep_merged ~n ~k ?(byzantine = []) ?(dist = Runner.Divergent)
     ?(rounds = 120) ?(runs_per_point = 10) ?(beyond = 4) ?(base_seed = 4242L) ?jobs ()
     =
   let t = List.length byzantine in
-  let bound = Abstract_rounds.sigma ~n ~k ~t in
+  let bound = Core.Proto.sigma { (Core.Proto.default_config ~n) with k } ~t in
   let npoints = bound + beyond + 1 in
   let adversaries =
     [| Abstract_rounds.Random_omissions; Abstract_rounds.Target_victims |]
@@ -81,7 +81,7 @@ let adversary_to_string = function
   | Abstract_rounds.Sigma_edge -> "sigma-edge"
 
 let render_sigma ~n ~k ~t rows =
-  let bound = Abstract_rounds.sigma ~n ~k ~t in
+  let bound = Obs.Analyze.sigma ~n ~k ~t in
   let header = [ "omissions"; "adversary"; "k reached"; "mean rounds"; "safety" ] in
   let table_rows =
     List.map
@@ -170,69 +170,30 @@ type ablation_row = {
   latency : Util.Stats.summary;
 }
 
-(* Turquois-only runner exposing the shell's ablation knobs. *)
-let run_turquois_custom ~n ~dist ~load ~tick_policy ~auth_cost ~seed =
-  let engine = Net.Engine.create () in
-  let rng = Util.Rng.create ~seed in
-  let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
-  Net.Fault.apply_conditions radio Net.Fault.benign_conditions;
-  Net.Fault.apply_crashes radio ~n load;
-  let faulty = Net.Fault.faulty_set ~n load in
-  let correct = List.filter (fun i -> not (List.mem i faulty)) (List.init n (fun i -> i)) in
-  let crashed = match load with Net.Fault.Fail_stop -> faulty | _ -> [] in
-  let byzantine = match load with Net.Fault.Byzantine -> faulty | _ -> [] in
-  let cfg = Core.Proto.default_config ~n in
-  (* fixed dedicated seed, so caching changes nothing but wall clock:
-     every repetition regenerated these exact keys before *)
-  let keyrings =
-    Runner.keyrings_for ~seed:(Int64.of_int (0xab1 + n)) ~n ~phases:cfg.max_phases
-  in
-  let proposals = Runner.proposals dist ~n in
-  let decided : (int, float) Hashtbl.t = Hashtbl.create n in
-  Array.iter
-    (fun i ->
-      if not (List.mem i crashed) then begin
-        let node = Net.Node.create engine radio ~id:i ~rng:(Util.Rng.split rng) in
-        let behavior =
-          if List.mem i byzantine then Core.Turquois.Attacker else Core.Turquois.Correct
-        in
-        let p =
-          Core.Turquois.create node cfg ~keyring:keyrings.(i) ~behavior ~tick_policy
-            ~auth_cost ~proposal:proposals.(i) ()
-        in
-        if List.mem i correct then
-          Core.Turquois.on_decide p (fun ~value:_ ~phase:_ ->
-              Hashtbl.replace decided i (Net.Engine.now engine));
-        Core.Turquois.start p
-      end)
-    (Array.init n (fun i -> i));
-  Net.Engine.run_while engine (fun () ->
-      Net.Engine.now engine < 60.0 && Hashtbl.length decided < List.length correct);
-  Hashtbl.fold (fun _ t acc -> (t *. 1000.0) :: acc) decided []
-
 let ablations ~n ?(reps = 15) ?(base_seed = 9900L) ?jobs () =
-  let collect ~group ~label ~dist ~load ~tick_policy ~auth_cost =
+  let collect ~group ~label ~load ~tick_policy ~auth_cost =
     let per_rep =
       Pool.map ?jobs ~tasks:reps (fun rep ->
           let seed = Int64.add base_seed (Int64.of_int rep) in
-          run_turquois_custom ~n ~dist ~load ~tick_policy ~auth_cost ~seed)
+          let r =
+            Runner.run ~protocol:Runner.Turquois ~n ~dist:Runner.Unanimous ~load ~tick_policy
+              ~auth_cost ~timeout:60.0 ~seed ()
+          in
+          List.map (fun (_, latency) -> latency *. 1000.0) r.latencies)
     in
     let samples = Array.fold_left (fun acc l -> l @ acc) [] per_rep in
     { label; group; ab_samples = List.length samples; latency = Util.Stats.summarize samples }
   in
   [
     collect ~group:"authentication" ~label:"one-time hash signatures (paper)"
-      ~dist:Runner.Unanimous ~load:Net.Fault.Failure_free
-      ~tick_policy:Core.Turquois.Fixed_tick ~auth_cost:Core.Turquois.Onetime_cost;
-    collect ~group:"authentication" ~label:"RSA sign/verify costs"
-      ~dist:Runner.Unanimous ~load:Net.Fault.Failure_free
+      ~load:Net.Fault.Failure_free ~tick_policy:Core.Turquois.Fixed_tick
+      ~auth_cost:Core.Turquois.Onetime_cost;
+    collect ~group:"authentication" ~label:"RSA sign/verify costs" ~load:Net.Fault.Failure_free
       ~tick_policy:Core.Turquois.Fixed_tick ~auth_cost:Core.Turquois.Rsa_cost;
-    collect ~group:"pacing" ~label:"fixed 10 ms ticks (paper)" ~dist:Runner.Unanimous
-      ~load:Net.Fault.Fail_stop ~tick_policy:Core.Turquois.Fixed_tick
-      ~auth_cost:Core.Turquois.Onetime_cost;
-    collect ~group:"pacing" ~label:"adaptive backoff-down ticks" ~dist:Runner.Unanimous
-      ~load:Net.Fault.Fail_stop ~tick_policy:Core.Turquois.default_adaptive
-      ~auth_cost:Core.Turquois.Onetime_cost;
+    collect ~group:"pacing" ~label:"fixed 10 ms ticks (paper)" ~load:Net.Fault.Fail_stop
+      ~tick_policy:Core.Turquois.Fixed_tick ~auth_cost:Core.Turquois.Onetime_cost;
+    collect ~group:"pacing" ~label:"adaptive backoff-down ticks" ~load:Net.Fault.Fail_stop
+      ~tick_policy:Core.Turquois.default_adaptive ~auth_cost:Core.Turquois.Onetime_cost;
   ]
 
 let render_ablations ~n rows =
@@ -308,7 +269,7 @@ let sigma_edge_vs_loss ~ns ?(reps = 10) ?(base_seed = 1000L) () =
       let iid_runs = List.init reps (fun i -> run i ~loss_prob:rate ()) in
       {
         edge_n = n;
-        edge_sigma = Net.Fault.sigma ~n ~k ~t:0;
+        edge_sigma = Obs.Analyze.sigma ~n ~k ~t:0;
         rate;
         edge = Util.Stats.summarize (List.concat_map censored_latencies edge_runs);
         iid = Util.Stats.summarize (List.concat_map censored_latencies iid_runs);

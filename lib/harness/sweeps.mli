@@ -69,7 +69,9 @@ type ablation_row = {
 
 val ablations :
   n:int -> ?reps:int -> ?base_seed:int64 -> ?jobs:int -> unit -> ablation_row list
-(** Ablation study of DESIGN.md's called-out choices, Turquois only:
+(** Ablation study of DESIGN.md's called-out choices, Turquois only,
+    each row [reps] unanimous runs of {!Runner.run} with its
+    [tick_policy] and [auth_cost] set and a 60 s horizon:
 
     - {b authentication}: one-time hash signatures (the paper's
       mechanism) vs charging conventional RSA sign/verify costs —

@@ -157,7 +157,7 @@ let run_inner (c : config) =
   let safe_div a b = if b > 0.0 then a /. b else 0.0 in
   let lats = List.sort compare !latencies in
   let pct p = if lats = [] then 0.0 else Util.Stats.percentile lats p in
-  Obs.Metrics.incr ~by:!delivered_commands cmds_delivered;
+  Obs.Metrics.incr_by cmds_delivered !delivered_commands;
   {
     offered_load = c.load;
     commands = c.commands;

@@ -21,7 +21,7 @@ let config ~n ?k ?byzantine ?dist ?budget ?exact_budget ?alphabet ?rounds ?seed 
   let byzantine = Option.value byzantine ~default:(List.init f (fun i -> n - f + i)) in
   let t = List.length byzantine in
   let budget =
-    Option.value budget ~default:(Harness.Abstract_rounds.sigma ~n ~k ~t)
+    Option.value budget ~default:(Core.Proto.sigma { (Core.Proto.default_config ~n) with k } ~t)
   in
   let alphabet = Option.value alphabet ~default:Core.Strategy.enumerable in
   List.iter
@@ -164,7 +164,7 @@ let check ?(log = ignore) cfg =
     {
       sim =
         Driven.create ~n:cfg.n ~k:cfg.k ~byzantine:cfg.byzantine ~dist:cfg.dist
-          ~horizon:cfg.rounds ~seed:cfg.seed ();
+          ~horizon:cfg.rounds ~rng:(Util.Rng.create ~seed:cfg.seed) ();
       trail = [];
     }
   in
@@ -250,10 +250,10 @@ let check ?(log = ignore) cfg =
       choices_per_round = num_choices;
     }
   in
-  Obs.Metrics.incr model_states ~by:stats.states;
-  Obs.Metrics.incr model_transitions ~by:stats.transitions;
-  Obs.Metrics.incr model_dedup_hits ~by:stats.dedup_hits;
-  Obs.Metrics.incr model_pruned ~by:stats.pruned;
+  Obs.Metrics.incr_by model_states stats.states;
+  Obs.Metrics.incr_by model_transitions stats.transitions;
+  Obs.Metrics.incr_by model_dedup_hits stats.dedup_hits;
+  Obs.Metrics.incr_by model_pruned stats.pruned;
   Obs.Metrics.set model_frontier_peak (float_of_int stats.frontier_peak);
   match !violation with
   | Some art -> { outcome = Violation art; stats }

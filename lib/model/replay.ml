@@ -10,7 +10,7 @@ let strategy_exn name =
 let run_rounds (a : Codec.rounds_artifact) =
   let sim =
     Driven.create ~n:a.r_n ~k:a.r_k ~byzantine:a.r_byzantine ~dist:a.r_dist
-      ~horizon:(List.length a.r_rounds) ~seed:a.r_seed ()
+      ~horizon:(List.length a.r_rounds) ~rng:(Util.Rng.create ~seed:a.r_seed) ()
   in
   List.iter
     (fun (r : Codec.round_choice) ->

@@ -66,11 +66,6 @@ let apply_crashes ?(at = fun _ -> 0.0) radio ~n load =
 
 (* --- adaptive sigma-edge omission adversary ------------------------------- *)
 
-(* Mirror of [Core.Proto.sigma] — the net library sits below core, so
-   the arithmetic is restated here:
-   sigma = ceil((n-t)/2) * (n-k-t) + k - 2. *)
-let sigma ~n ~k ~t = (((n - t + 1) / 2) * (n - k - t)) + k - 2
-
 type sigma_edge = {
   mutable se_current_round : int;
   mutable se_left : int;
@@ -83,7 +78,7 @@ let sigma_edge_drops a = a.se_drops
 let sigma_edge_round = 10.0e-3
 
 let sigma_edge radio ~n ~k ~t =
-  let bound = max 0 (sigma ~n ~k ~t) in
+  let bound = max 0 (Obs.Analyze.sigma ~n ~k ~t) in
   (* starve the low ids: the high ids are the conventional faulty set,
      so these victims are correct processes whose silence the k-of-n
      termination rule can least afford *)

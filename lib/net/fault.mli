@@ -64,10 +64,6 @@ val apply_crashes : ?at:(int -> float) -> Radio.t -> n:int -> load -> unit
     worst-case schedule of the Section 5 liveness analysis, applied
     online to the simulated radio via {!Radio.set_filter}. *)
 
-val sigma : n:int -> k:int -> t:int -> int
-(** The liveness bound (arithmetic mirror of [Core.Proto.sigma]; the
-    net library sits below core). *)
-
 type sigma_edge
 
 val sigma_edge : Radio.t -> n:int -> k:int -> t:int -> sigma_edge

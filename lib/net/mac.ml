@@ -116,7 +116,7 @@ let rec start_contention t =
       | Some p ->
           t.current <- Some p;
           t.remaining_slots <- Util.Rng.int t.rng (p.cw + 1);
-          Obs.Metrics.incr backoff_slots ~by:t.remaining_slots;
+          Obs.Metrics.incr_by backoff_slots t.remaining_slots;
           wait_for_idle t
     end
   | Some _ -> wait_for_idle t
@@ -219,7 +219,7 @@ and handle_ack_timeout t =
         p.cw <- min ((2 * (p.cw + 1)) - 1) Const.cw_max;
         t.generation <- t.generation + 1;
         t.remaining_slots <- Util.Rng.int t.rng (p.cw + 1);
-        Obs.Metrics.incr backoff_slots ~by:t.remaining_slots;
+        Obs.Metrics.incr_by backoff_slots t.remaining_slots;
         wait_for_idle t
       end
 

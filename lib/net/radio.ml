@@ -174,7 +174,7 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
     t.stats.bytes_sent <- t.stats.bytes_sent + Bytes.length frame;
     t.stats.airtime <- t.stats.airtime +. duration;
     Obs.Metrics.incr kind.tx;
-    Obs.Metrics.incr kind.bytes ~by:(Bytes.length frame);
+    Obs.Metrics.incr_by kind.bytes (Bytes.length frame);
     Obs.Metrics.add kind.airtime_s duration;
     Obs.Metrics.observe frame_us (duration *. 1e6);
     let mid =
@@ -256,8 +256,8 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
                  (* one registry update per transmission, not per receiver *)
                  t.stats.losses <- t.stats.losses + !omitted;
                  t.stats.frames_delivered <- t.stats.frames_delivered + !delivered;
-                 if !omitted > 0 then Obs.Metrics.incr omissions ~by:!omitted;
-                 if !delivered > 0 then Obs.Metrics.incr delivered_frames ~by:!delivered
+                 if !omitted > 0 then Obs.Metrics.incr_by omissions !omitted;
+                 if !delivered > 0 then Obs.Metrics.incr_by delivered_frames !delivered
            end;
            notify_idle_if_clear t))
   end

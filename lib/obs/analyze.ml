@@ -2,6 +2,8 @@
    breakdown, per-phase timeline, and the stall report that checks each
    inter-phase window against the paper's sigma progress bound. *)
 
+(* sigma = ceil((n-t)/2) * (n-k-t) + k - 2. The only copy of the
+   arithmetic: obs sits below net and core, which both use it. *)
 let sigma ~n ~k ~t = (((n - t + 1) / 2) * (n - k - t)) + k - 2
 
 let field_int fields key =
@@ -686,7 +688,24 @@ let causal ?n ?k ?t events =
                 (Printf.sprintf
                    "    lagging for other reasons (no in-window drop): %s\n"
                    (String.concat "," (List.map (Printf.sprintf "p%d") uncovered)))
-          end)
+          end;
+          (* superseded in a MAC queue: no receiver could have heard these,
+             so they stay out of the drop cover above *)
+          match
+            List.filter
+              (fun r -> r.Causal.rp_time >= w.w_from && r.Causal.rp_time < w.w_until)
+              dag.Causal.never_on_air
+          with
+          | [] -> ()
+          | unsent ->
+              Buffer.add_string buf
+                (Printf.sprintf "    never on the air (superseded in the MAC queue): %s\n"
+                   (String.concat ", "
+                      (List.map
+                         (fun r ->
+                           Printf.sprintf "%s (p%d, @%.1fms)" r.Causal.rp_mid r.Causal.rp_node
+                             (r.Causal.rp_time *. 1000.0))
+                         unsent))))
         stalls;
     Buffer.contents buf
   end

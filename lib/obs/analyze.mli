@@ -17,6 +17,8 @@
     present; [?n]/[?k]/[?t] override them. *)
 
 val sigma : n:int -> k:int -> t:int -> int
+(** The bound's arithmetic, unchecked — the one definition every layer
+    uses ({!Core.Proto.sigma} adds the [0 <= t <= f] check). *)
 
 val analyze : ?n:int -> ?k:int -> ?t:int -> dropped:int -> Trace2.event list -> string
 (** [dropped] is the count of events the trace sink dropped at its

@@ -10,7 +10,8 @@
    the same id, which is exactly the causal identity we want.
 
    Offline half: [build] folds a trace back into a happens-before DAG —
-   send, deliver and drop records per message id — from which
+   send, deliver and drop records per message id, and the sends a MAC
+   replacement kept off the air — from which
    [decision_chain] walks a decision back through everything the
    deciding node (transitively) heard, and [attribute] explains a stall
    window as a minimal set of dropped/jammed messages covering the
@@ -72,12 +73,15 @@ type drop = {
   dr_time : float;
 }
 
+type replaced = { rp_mid : string; rp_node : int; rp_time : float }
+
 type dag = {
   sends : (string, send) Hashtbl.t;
   delivers : deliver list; (* chronological *)
   delivers_by_rx : (int, deliver list) Hashtbl.t; (* chronological *)
   drops : drop list; (* chronological *)
   decides : (int, float) Hashtbl.t; (* node -> first decide time *)
+  never_on_air : replaced list; (* chronological *)
 }
 
 let fint fields key =
@@ -95,6 +99,12 @@ let build events =
   let delivers = ref [] in
   let drops = ref [] in
   let decides = Hashtbl.create 16 in
+  (* a MAC replacement names the queued frame's mid, and mids are keyed
+     by content: a frame superseded by identical bytes names the new
+     broadcast's own mid, made at the same instant, and lost nothing *)
+  let last_broadcast = Hashtbl.create 16 in
+  let replaced = ref [] in
+  let on_air = Hashtbl.create 128 in
   List.iter
     (fun (e : Trace2.event) ->
       let mid () = fstr e.fields "mid" in
@@ -103,6 +113,7 @@ let build events =
           match mid () with
           | None -> ()
           | Some m ->
+              if e.label = "broadcast" then Hashtbl.replace last_broadcast e.node (e.time, m);
               if not (Hashtbl.mem sends m) then
                 Hashtbl.replace sends m
                   {
@@ -111,6 +122,12 @@ let build events =
                     s_phase = Option.value ~default:(-1) (fint e.fields "phase");
                     s_time = e.time;
                   })
+      | "radio", "tx" -> Option.iter (fun m -> Hashtbl.replace on_air m ()) (mid ())
+      | "mac", "replaced" -> (
+          match mid () with
+          | Some m when Hashtbl.find_opt last_broadcast e.node <> Some (e.time, m) ->
+              replaced := { rp_mid = m; rp_node = e.node; rp_time = e.time } :: !replaced
+          | Some _ | None -> ())
       | "radio", "deliver" -> (
           match (mid (), fint e.fields "rx") with
           | Some m, Some rx ->
@@ -146,7 +163,10 @@ let build events =
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_rx d.d_rx) in
       Hashtbl.replace by_rx d.d_rx (d :: prev))
     (List.rev delivers);
-  { sends; delivers; delivers_by_rx = by_rx; drops = List.rev !drops; decides }
+  let never_on_air =
+    List.filter (fun r -> not (Hashtbl.mem on_air r.rp_mid)) (List.rev !replaced)
+  in
+  { sends; delivers; delivers_by_rx = by_rx; drops = List.rev !drops; decides; never_on_air }
 
 (* Transitive closure of "heard before acting": everything delivered to
    [node] by [time], plus, recursively, everything each of those
@@ -238,5 +258,8 @@ let attribute dag ~lagging ~from ~until =
 
 let describe_send dag mid =
   match Hashtbl.find_opt dag.sends mid with
-  | Some s -> Printf.sprintf "%s (p%d, phase %d, @%.1fms)" mid s.s_sender s.s_phase (s.s_time *. 1000.0)
+  | Some s ->
+      Printf.sprintf "%s (p%d, phase %d, @%.1fms%s)" mid s.s_sender s.s_phase (s.s_time *. 1000.0)
+        (if List.exists (fun r -> r.rp_mid = mid) dag.never_on_air then ", never on the air"
+         else "")
   | None -> mid

@@ -11,9 +11,10 @@
     off-path cost is zero and results stay bit-identical either way.
 
     Offline, [build] reconstructs a DAG of send / deliver / drop records
-    from a trace, [decision_chain] returns every message a decision
-    transitively depends on, and [attribute] covers a stall window's
-    lagging receivers with the messages dropped inside it. *)
+    from a trace, plus the sends that never went on the air;
+    [decision_chain] returns every message a decision transitively
+    depends on, and [attribute] covers a stall window's lagging
+    receivers with the messages dropped inside it. *)
 
 (** {1 Online tagging} *)
 
@@ -48,12 +49,21 @@ type drop = {
   dr_time : float;
 }
 
+type replaced = { rp_mid : string; rp_node : int; rp_time : float }
+(** A send superseded in its node's MAC queue at [rp_time]. *)
+
 type dag = {
   sends : (string, send) Hashtbl.t;
   delivers : deliver list;  (** chronological *)
   delivers_by_rx : (int, deliver list) Hashtbl.t;  (** chronological *)
   drops : drop list;  (** chronological *)
   decides : (int, float) Hashtbl.t;  (** node -> first decide time *)
+  never_on_air : replaced list;
+      (** chronological: sends a MAC replacement removed before any
+          [radio]/[tx] carried them. A replacement naming the mid of the
+          node's broadcast at that instant lost nothing — mids are keyed
+          by content, so the new frame held the same bytes. These are
+          not drops: {!attribute} leaves them out. *)
 }
 
 val build : Trace2.event list -> dag
@@ -77,4 +87,6 @@ val attribute :
     plus the receivers no in-window drop explains. *)
 
 val describe_send : dag -> string -> string
-(** ["m0.3.2 (p0, phase 3, @41.0ms)"], or the bare id if unknown. *)
+(** ["m0.3.2 (p0, phase 3, @41.0ms)"], with [", never on the air"]
+    before the parenthesis closes for a send in [never_on_air], or the
+    bare id if unknown. *)

@@ -101,9 +101,11 @@ let slot s =
   end;
   k
 
-let incr ?(by = 1) c =
+let incr_by c by =
   let k = slot c and i = index c in
   k.counts.(i) <- k.counts.(i) + by
+
+let incr c = incr_by c 1
 
 let set g v =
   let k = slot g in

@@ -21,7 +21,7 @@
     hashing and no label sorting on the hot path. The registry is
     scoped per run: {!reset} drops every series' value, {!snapshot}
     captures an immutable, deterministically ordered view, and a series
-    enters the snapshot on its first update of a run ([~by:0]
+    enters the snapshot on its first update of a run ([incr_by c 0]
     included). [Runner.run] resets at the start of every repetition so
     runs never bleed into each other; use [Scope.with_run] for the same
     discipline in custom harnesses. *)
@@ -44,7 +44,12 @@ val histogram : ?labels:labels -> lo:float -> hi:float -> bins:int -> string -> 
 
 (** {2 Updates} *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+
+val incr_by : counter -> int -> unit
+(** Adds to a counter; [incr_by c 0] still enters [c] into the run's
+    snapshot. *)
+
 val set : gauge -> float -> unit
 
 val add : gauge -> float -> unit

@@ -129,7 +129,7 @@ let test_forged_signature_rejected () =
    processes able to advance, while sigma-1 cannot block the last
    victim. Deterministic: the adversary's pattern is seed-independent. *)
 let check_sigma_edge ~n ~k ~t ~byzantine =
-  let sigma = AR.sigma ~n ~k ~t in
+  let sigma = Obs.Analyze.sigma ~n ~k ~t in
   let probe omissions seed =
     AR.single_round ~n ~k ~byzantine ~adversary:AR.Sigma_edge ~omissions
       ~seed:(Int64.of_int seed) ()

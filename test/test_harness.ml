@@ -63,6 +63,35 @@ let test_runner_seed_variation () =
   in
   Alcotest.(check bool) "different seeds differ" true (lat 12L <> lat 13L)
 
+(* The ablations' two knobs reach Turquois through [Runner.run]. *)
+let test_runner_auth_cost () =
+  let lat auth_cost =
+    let r =
+      R.run ~protocol:R.Turquois ~n:4 ~dist:R.Unanimous ~load:Net.Fault.Failure_free ?auth_cost
+        ~seed:1L ()
+    in
+    Alcotest.(check int) "all decide" 4 (List.length r.latencies);
+    List.map snd r.latencies
+  in
+  let onetime = lat None and rsa = lat (Some Core.Turquois.Rsa_cost) in
+  Alcotest.(check bool) "the default is the one-time cost" true
+    (onetime = lat (Some Core.Turquois.Onetime_cost));
+  Alcotest.(check bool) "every RSA latency exceeds every one-time latency" true
+    (List.fold_left Float.min infinity rsa > List.fold_left Float.max 0.0 onetime)
+
+let test_runner_tick_policy () =
+  let ticks tick_policy =
+    let r =
+      R.run ~protocol:R.Turquois ~n:10 ~dist:R.Unanimous ~load:Net.Fault.Fail_stop ~tick_policy
+        ~seed:1L ()
+    in
+    Obs.Metrics.counter_value r.metrics ~labels:[ ("proto", "turquois") ] "proto.ticks"
+  in
+  let fixed = ticks Core.Turquois.Fixed_tick in
+  Alcotest.(check bool) "the run ticks" true (fixed > 0);
+  Alcotest.(check bool) "the adaptive policy changes the tick count" true
+    (ticks Core.Turquois.default_adaptive <> fixed)
+
 let test_experiment_cell () =
   let cell =
     { Harness.Experiment.protocol = R.Turquois; n = 4; dist = R.Unanimous;
@@ -116,8 +145,8 @@ let test_paper_values () =
 module A = Harness.Abstract_rounds
 
 let test_sigma_values () =
-  Alcotest.(check int) "n=4 k=3 t=0" 3 (A.sigma ~n:4 ~k:3 ~t:0);
-  Alcotest.(check int) "n=8 k=6 t=0" ((4 * 2) + 4) (A.sigma ~n:8 ~k:6 ~t:0)
+  Alcotest.(check int) "n=4 k=3 t=0" 3 (Obs.Analyze.sigma ~n:4 ~k:3 ~t:0);
+  Alcotest.(check int) "n=8 k=6 t=0" ((4 * 2) + 4) (Obs.Analyze.sigma ~n:8 ~k:6 ~t:0)
 
 let test_abstract_lossless_decides () =
   let o = A.run ~n:4 ~k:3 ~omissions:0 ~rounds:10 ~seed:1L () in
@@ -128,7 +157,7 @@ let test_abstract_lossless_decides () =
   Alcotest.(check bool) "validity" true o.validity
 
 let test_abstract_at_sigma_progresses () =
-  let sigma = A.sigma ~n:4 ~k:3 ~t:0 in
+  let sigma = Obs.Analyze.sigma ~n:4 ~k:3 ~t:0 in
   let ok = ref 0 in
   for seed = 0 to 9 do
     let o =
@@ -141,7 +170,7 @@ let test_abstract_at_sigma_progresses () =
   Alcotest.(check int) "k reached in every run" 10 !ok
 
 let test_abstract_beyond_sigma_targeted_stalls () =
-  let sigma = A.sigma ~n:4 ~k:3 ~t:0 in
+  let sigma = Obs.Analyze.sigma ~n:4 ~k:3 ~t:0 in
   let o =
     A.run ~n:4 ~k:3 ~adversary:A.Target_victims ~omissions:(sigma + 3) ~rounds:60 ~seed:3L ()
   in
@@ -168,6 +197,33 @@ let test_sweep_shape () =
     rows;
   let rendered = Harness.Sweeps.render_sigma ~n:4 ~k:3 ~t:0 rows in
   Alcotest.(check bool) "renders sigma" true (contains ~affix:"sigma" rendered)
+
+(* SHA-256 of two rendered sweeps, recorded before the lockstep loops
+   were rebuilt on [Driven.step]: both adversaries, the silent and the
+   Attacker path, every mean-rounds cell and the sigma line. *)
+let test_sweep_pinned () =
+  let digest ~n ~k ?byzantine ~rounds () =
+    let rows =
+      Harness.Sweeps.sigma_sweep ~n ~k ?byzantine ~runs_per_point:2 ~rounds ~beyond:1 ~jobs:1 ()
+    in
+    let t = List.length (Option.value byzantine ~default:[]) in
+    Crypto.Sha256.hex_digest_string (Harness.Sweeps.render_sigma ~n ~k ~t rows)
+  in
+  Alcotest.(check string) "n=4 k=3"
+    "842c27cf4c7cdaae1de8cb7a3760a1a7905e732e0c970b7a1153839632881d45"
+    (digest ~n:4 ~k:3 ~rounds:25 ());
+  Alcotest.(check string) "n=8 k=6 byzantine [7]"
+    "85946ad5751e9398ff314a7be2941f5dd6cecb902ae285359d1905925822b939"
+    (digest ~n:8 ~k:6 ~byzantine:[ 7 ] ~rounds:30 ())
+
+(* The first ablation table goes through [Runner.run]: the one-time
+   signature row stays well below the RSA row. *)
+let test_ablations_smoke () =
+  match Harness.Sweeps.ablations ~n:4 ~reps:2 ~jobs:1 () with
+  | onetime :: rsa :: _ ->
+      Alcotest.(check bool) "samples" true (onetime.ab_samples > 0 && rsa.ab_samples > 0);
+      Alcotest.(check bool) "RSA costs more" true (rsa.latency.mean > onetime.latency.mean)
+  | _ -> Alcotest.fail "ablations returned fewer than two rows"
 
 let test_phase_distribution () =
   let rows =
@@ -274,6 +330,8 @@ let suite =
       Alcotest.test_case "byzantine exclusion" `Quick test_runner_byzantine_excludes_attackers;
       Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
       Alcotest.test_case "seed variation" `Quick test_runner_seed_variation;
+      Alcotest.test_case "runner auth cost" `Quick test_runner_auth_cost;
+      Alcotest.test_case "runner tick policy" `Quick test_runner_tick_policy;
       Alcotest.test_case "experiment cell" `Quick test_experiment_cell;
       Alcotest.test_case "render table" `Quick test_render_table;
       Alcotest.test_case "table numbers" `Quick test_table_numbers;
@@ -284,6 +342,8 @@ let suite =
       Alcotest.test_case "abstract beyond sigma" `Quick test_abstract_beyond_sigma_targeted_stalls;
       Alcotest.test_case "abstract byzantine" `Slow test_abstract_byzantine_safety;
       Alcotest.test_case "sweep shape" `Quick test_sweep_shape;
+      Alcotest.test_case "sweep pinned" `Quick test_sweep_pinned;
+      Alcotest.test_case "ablations smoke" `Quick test_ablations_smoke;
       Alcotest.test_case "phase distribution" `Quick test_phase_distribution;
       Alcotest.test_case "gate rules" `Quick test_gate_rules;
     ] )

@@ -23,7 +23,7 @@ let run_failure_free () =
     ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free ~seed:3L ()
 
 (* The whole metric snapshot of a run, rendered and hashed: pins every
-   series, label set, first-update creation ([~by:0] included) and
+   series, label set, first-update creation ([incr_by c 0] included) and
    value at once. *)
 let snapshot_digest snap = Crypto.Sha256.hex_digest_string (Obs.Metrics.render_table snap)
 
@@ -214,7 +214,8 @@ let test_rejection_allocation () =
     ]
 
 (* After a series' first update of a run, an update through its handle
-   is an array index: no name hash, no label sort. *)
+   is an array index: no name hash, no label sort, and no boxed
+   increment for [incr_by]. *)
 let test_handle_update_allocation () =
   let unlabeled = Obs.Metrics.counter "test.hotpath.unlabeled" in
   let labeled = Obs.Metrics.counter ~labels:[ ("class", "x"); ("rx", "p1") ] "test.hotpath.labeled" in
@@ -227,10 +228,13 @@ let test_handle_update_allocation () =
           [
             ("unlabeled", fun () -> Obs.Metrics.incr unlabeled);
             ("labeled", fun () -> Obs.Metrics.incr labeled);
+            ("incr_by", fun () -> Obs.Metrics.incr_by unlabeled 3);
           ])
   in
   Alcotest.(check int) "every update counted" 10_001
-    (Obs.Metrics.counter_value snap ~labels:[ ("rx", "p1"); ("class", "x") ] "test.hotpath.labeled")
+    (Obs.Metrics.counter_value snap ~labels:[ ("rx", "p1"); ("class", "x") ] "test.hotpath.labeled");
+  Alcotest.(check int) "every increment added" (10_001 + (3 * 10_001))
+    (Obs.Metrics.counter_value snap "test.hotpath.unlabeled")
 
 (* --- profiler / causal tracing invisibility ---------------------------------- *)
 

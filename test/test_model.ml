@@ -41,7 +41,7 @@ let test_exhaustive_sigma_n4 () =
     in
     safe_exn (C.check cfg).outcome
   in
-  let sigma = Harness.Abstract_rounds.sigma ~n:4 ~k:3 ~t:1 in
+  let sigma = Obs.Analyze.sigma ~n:4 ~k:3 ~t:1 in
   Alcotest.(check int) "sigma(4,3,1)" 1 sigma;
   let _, _, at_sigma = check ~budget:sigma ~exact:true in
   Alcotest.(check bool) "a stall exists at budget sigma" true (at_sigma < 3);
@@ -61,7 +61,7 @@ let test_exhaustive_sigma_n5 () =
     in
     safe_exn (C.check cfg).outcome
   in
-  let sigma = Harness.Abstract_rounds.sigma ~n:5 ~k:4 ~t:1 in
+  let sigma = Obs.Analyze.sigma ~n:5 ~k:4 ~t:1 in
   Alcotest.(check int) "sigma(5,4,1)" 2 sigma;
   let _, _, at_sigma = check ~budget:sigma ~exact:true in
   Alcotest.(check bool) "a stall exists at budget sigma" true (at_sigma < 4);
@@ -236,18 +236,40 @@ let test_chaos_repro_roundtrip () =
 
 (* --- driven sim vs the sampled adversary --------------------------------------- *)
 
-(* The Driven stepper and single_round agree on the zero-omission case:
-   everything delivered, everyone advances. Ties the new execution hook
-   back to the code path the sampled tests exercise. *)
+(* single_round runs one [Driven.step]; these are the values its own
+   emit/deliver loop returned before it did, at sigma-1 and sigma for
+   n=4, t=1 and n=7, t=0. The sigma-edge pattern ignores the seed. *)
 let test_driven_matches_single_round () =
   let module D = Harness.Abstract_rounds.Driven in
-  let sampled =
-    Harness.Abstract_rounds.single_round ~n:4 ~k:3 ~byzantine:[ 3 ] ~omissions:0 ~seed:5L ()
-  in
-  let sim = D.create ~n:4 ~k:3 ~byzantine:[ 3 ] ~horizon:1 ~seed:5L () in
+  List.iter
+    (fun (n, k, byzantine, omissions, want) ->
+      for seed = 1 to 3 do
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d omissions=%d seed %d" n omissions seed)
+          want
+          (Harness.Abstract_rounds.single_round ~n ~k ~byzantine ~omissions
+             ~seed:(Int64.of_int seed) ())
+      done)
+    [ (4, 3, [ 3 ], 0, 3); (4, 3, [ 3 ], 1, 2); (7, 5, [], 10, 5); (7, 5, [], 11, 4) ];
+  let sim = D.create ~n:4 ~k:3 ~byzantine:[ 3 ] ~horizon:1 ~rng:(Util.Rng.create ~seed:5L) () in
   D.step sim ~drops:[] ~byz:[];
-  Alcotest.(check int) "advanced agrees with single_round" sampled (D.advanced sim);
+  Alcotest.(check int) "lossless round: every correct process advances" 3 (D.advanced sim);
   Alcotest.(check (list string)) "no violations" [] (D.violations sim)
+
+(* The walk figures EXPERIMENTS.md quotes, recorded before the lockstep
+   loops were rebuilt on [Driven.step]: states, transitions, duplicates
+   pruned, frontier peak and state-cap pruning. *)
+let test_walk_stats_pinned () =
+  let stats cfg =
+    let s = (C.check cfg).stats in
+    [ s.states; s.transitions; s.dedup_hits; s.frontier_peak; s.pruned ]
+  in
+  Alcotest.(check (list int)) "n=4, 2 rounds, unanimous" [ 241; 812; 572; 212; 0 ]
+    (stats (C.config ~n:4 ~rounds:2 ~jobs:1 ()));
+  Alcotest.(check (list int)) "n=4, 2 rounds, divergent" [ 297; 812; 516; 268; 0 ]
+    (stats (C.config ~n:4 ~rounds:2 ~dist:Harness.Runner.Divergent ~jobs:1 ()));
+  Alcotest.(check (list int)) "n=5, 1 round" [ 317; 316; 0; 316; 0 ]
+    (stats (C.config ~n:5 ~rounds:1 ~jobs:1 ()))
 
 let suite =
   ( "model",
@@ -261,4 +283,5 @@ let suite =
       Alcotest.test_case "codec radio round-trip" `Quick test_codec_radio_roundtrip;
       Alcotest.test_case "chaos reproducer round-trip" `Slow test_chaos_repro_roundtrip;
       Alcotest.test_case "driven matches single_round" `Quick test_driven_matches_single_round;
+      Alcotest.test_case "walk stats pinned" `Quick test_walk_stats_pinned;
     ] )

@@ -14,7 +14,7 @@ let test_counter_basics () =
   fresh ();
   let a = Obs.Metrics.counter "a" in
   Obs.Metrics.incr a;
-  Obs.Metrics.incr a ~by:4;
+  Obs.Metrics.incr_by a 4;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "accumulated" 5 (Obs.Metrics.counter_value snap "a");
   Alcotest.(check int) "absent is 0" 0 (Obs.Metrics.counter_value snap "nope")
@@ -33,7 +33,7 @@ let test_label_order_irrelevant () =
 let test_distinct_labels_distinct_series () =
   fresh ();
   Obs.Metrics.incr (Obs.Metrics.counter "tx" ~labels:[ ("class", "bcast") ]);
-  Obs.Metrics.incr (Obs.Metrics.counter "tx" ~labels:[ ("class", "ack") ]) ~by:2;
+  Obs.Metrics.incr_by (Obs.Metrics.counter "tx" ~labels:[ ("class", "ack") ]) 2;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "two series" 2 (List.length snap);
   Alcotest.(check int) "bcast" 1
@@ -88,7 +88,7 @@ let test_snapshot_isolation () =
   let a = Obs.Metrics.counter "a" in
   Obs.Metrics.incr a;
   let before = Obs.Metrics.snapshot () in
-  Obs.Metrics.incr a ~by:10;
+  Obs.Metrics.incr_by a 10;
   Alcotest.(check int) "snapshot is immutable" 1 (Obs.Metrics.counter_value before "a");
   Obs.Metrics.reset ();
   Alcotest.(check int) "reset drops everything" 0
@@ -97,14 +97,14 @@ let test_snapshot_isolation () =
     (Obs.Metrics.counter_value before "a");
   (* a series re-enters on its next update, from zero, even when that
      update adds nothing *)
-  Obs.Metrics.incr a ~by:0;
+  Obs.Metrics.incr_by a 0;
   Alcotest.(check bool) "re-entered at 0" true
     (Obs.Metrics.snapshot ()
     = [ { Obs.Metrics.name = "a"; labels = []; value = Obs.Metrics.Counter 0 } ])
 
 let test_with_run_scoping () =
   fresh ();
-  Obs.Metrics.incr (Obs.Metrics.counter "leak") ~by:99;
+  Obs.Metrics.incr_by (Obs.Metrics.counter "leak") 99;
   let result, snap =
     Obs.Scope.with_run (fun () ->
         Obs.Metrics.incr (Obs.Metrics.counter "inside");
@@ -232,7 +232,7 @@ let test_run_metrics_deterministic () =
 
 let test_runs_do_not_leak () =
   fresh ();
-  Obs.Metrics.incr (Obs.Metrics.counter "radio.tx" ~labels:[ ("class", "bcast") ]) ~by:1_000_000;
+  Obs.Metrics.incr_by (Obs.Metrics.counter "radio.tx" ~labels:[ ("class", "bcast") ]) 1_000_000;
   let r = run_once 3L in
   Alcotest.(check bool) "pre-existing counter was reset" true
     (Obs.Metrics.sum_counters r.metrics "radio.tx" < 1_000_000)
@@ -264,7 +264,7 @@ let test_unlabeled_fast_path () =
   fresh ();
   let fast = Obs.Metrics.counter "fast" in
   Obs.Metrics.incr fast;
-  Obs.Metrics.incr fast ~by:2;
+  Obs.Metrics.incr_by fast 2;
   Obs.Metrics.incr (Obs.Metrics.counter "fast" ~labels:[ ("class", "x") ]);
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check int) "unlabeled series" 3 (Obs.Metrics.counter_value snap "fast");
@@ -497,8 +497,29 @@ let test_causal_end_to_end_sigma_edge () =
   Alcotest.(check bool) "a dropped message id is named" true
     (contains "lost it to" report || contains "lost in window" report)
 
+(* The causal-smoke run ([run -n 8 --divergent --sigma-edge]) replaces
+   no frame, so its causal report must read as it did before sends that
+   never went on the air were marked: SHA-256 recorded before then. *)
+let test_causal_report_pinned () =
+  fresh ();
+  Obs.Trace2.start ();
+  let n = 8 in
+  let attach radio = ignore (Net.Fault.sigma_edge radio ~n ~k:(n - Net.Fault.max_f n) ~t:0) in
+  ignore
+    (Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n ~dist:Harness.Runner.Divergent
+       ~load:Net.Fault.Failure_free ~attach ~seed:1000L ());
+  let events = Obs.Trace2.events () in
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  Alcotest.(check bool) "no replaced frames" false
+    (List.exists (fun (e : Obs.Trace2.event) -> e.label = "replaced") events);
+  Alcotest.(check string) "report digest"
+    "e98cdb6761e05e7c3ee6caeb3c38fa8117723d36ea3493df63bfa7163333cf24"
+    (Crypto.Sha256.hex_digest_string (Obs.Analyze.causal events))
+
 (* A broadcast superseded in the MAC queue never goes on the air; the
-   trace says so once per replacement, naming the replaced frame. *)
+   trace says so once per replacement, naming the replaced frame, and
+   the causal DAG keeps the sends no transmission carried. *)
 let test_mac_replacement_traced () =
   fresh ();
   Obs.Trace2.start ();
@@ -520,7 +541,27 @@ let test_mac_replacement_traced () =
     (fun (e : Obs.Trace2.event) ->
       Alcotest.(check bool) "names the replaced frame" true
         (List.mem_assoc "tag" e.fields && List.mem_assoc "mid" e.fields))
-    replaced
+    replaced;
+  (* a replacement by identical bytes names the new send's own mid and
+     lost nothing; the rest never went on the air *)
+  let dag = Obs.Causal.build events in
+  let on_air =
+    List.filter_map
+      (fun (e : Obs.Trace2.event) ->
+        if e.layer = "radio" && e.label = "tx" then List.assoc_opt "mid" e.fields else None)
+      events
+  in
+  Alcotest.(check int) "sends never on the air" 16 (List.length dag.never_on_air);
+  List.iter
+    (fun (r : Obs.Causal.replaced) ->
+      Alcotest.(check bool) (r.rp_mid ^ " is a known send") true (Hashtbl.mem dag.sends r.rp_mid);
+      Alcotest.(check bool) (r.rp_mid ^ " has no tx") false
+        (List.mem (Obs.Trace2.S r.rp_mid) on_air);
+      Alcotest.(check bool) (r.rp_mid ^ " is marked") true
+        (String.ends_with ~suffix:", never on the air)" (Obs.Causal.describe_send dag r.rp_mid)))
+    dag.never_on_air;
+  Alcotest.(check bool) "the causal report lists them" true
+    (contains "never on the air (superseded in the MAC queue): " (Obs.Analyze.causal events))
 
 let test_analyze_sigma_formula () =
   (* n=8 k=6 t=0: ceil(8/2)*(8-6) + 6 - 2 = 12, and it must match Proto *)
@@ -564,5 +605,6 @@ let suite =
       Alcotest.test_case "timeline render states" `Quick test_timeline_render_states;
       Alcotest.test_case "causal end-to-end under sigma-edge" `Quick
         test_causal_end_to_end_sigma_edge;
+      Alcotest.test_case "causal report pinned" `Quick test_causal_report_pinned;
       Alcotest.test_case "mac replacement traced" `Quick test_mac_replacement_traced;
     ] )

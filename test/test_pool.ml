@@ -61,7 +61,7 @@ let test_map_scoped_isolates_metrics () =
   let series = Obs.Metrics.counter "pool.test" in
   let r =
     P.map_scoped ~jobs:2 ~tasks:4 (fun i ->
-        Obs.Metrics.incr ~by:(i + 1) series;
+        Obs.Metrics.incr_by series (i + 1);
         i)
   in
   Array.iteri
@@ -120,7 +120,7 @@ let test_metrics_merge () =
   let snap counts =
     snd
       (Obs.Scope.with_run (fun () ->
-           List.iter (fun (name, v) -> Obs.Metrics.incr ~by:v (Obs.Metrics.counter name)) counts))
+           List.iter (fun (name, v) -> Obs.Metrics.incr_by (Obs.Metrics.counter name) v) counts))
   in
   let merged =
     Obs.Metrics.merge [ snap [ ("a", 1); ("b", 10) ]; snap [ ("a", 2) ] ]
