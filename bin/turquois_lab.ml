@@ -259,7 +259,6 @@ let run_single replay protocol n divergent load seed loss trace metrics trace_js
   | Some file -> run_replay file
   | None ->
   let dist = if divergent then Harness.Runner.Divergent else Harness.Runner.Unanimous in
-  let conditions = { Net.Fault.benign_conditions with loss_prob = loss } in
   if trace || trace_json <> None then Obs.Trace2.start ();
   if profile then Obs.Prof.enable ();
   let attach =
@@ -271,7 +270,7 @@ let run_single replay protocol n divergent load seed loss trace metrics trace_js
           ignore (Net.Fault.sigma_edge radio ~n ~k ~t:0))
   in
   let result =
-    Harness.Runner.run ~protocol ~n ~dist ~load ~conditions ~seed ?attach ()
+    Harness.Runner.run ~protocol ~n ~dist ~load ~loss ~seed ?attach ()
   in
   Printf.printf "%s n=%d %s %s (seed %Ld)\n" (Harness.Runner.protocol_to_string protocol) n
     (Harness.Runner.dist_to_string dist)
@@ -328,7 +327,7 @@ let run_cmd =
          & info [ "load" ] ~docv:"LOAD" ~doc:"failure-free, fail-stop or byzantine.")
   in
   let loss_arg =
-    Arg.(value & opt float Net.Fault.benign_conditions.loss_prob
+    Arg.(value & opt float Net.Fault.benign_loss
          & info [ "loss" ] ~docv:"P" ~doc:"Per-receiver omission probability.")
   in
   let trace_arg =

@@ -20,7 +20,7 @@ let () =
   (* per-instance phase budget 45; one key exchange covers all alarms *)
   let cfg = { (Core.Proto.default_config ~n) with max_phases = 45 } in
   let keyrings =
-    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(alarms * cfg.max_phases) ()
+    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(alarms * cfg.max_phases)
   in
   let services =
     Array.init n (fun i ->

@@ -5,9 +5,8 @@
 
        dune exec examples/byzantine_attack.exe
 
-   The example also prints each correct process's validation counters,
-   showing the authenticity/semantic machinery filtering the attacker
-   traffic. *)
+   The example also prints the run's validation counters, showing the
+   authenticity/semantic machinery filtering the attacker traffic. *)
 
 let () =
   let n = 10 in
@@ -22,7 +21,7 @@ let () =
   Net.Radio.set_loss_prob radio 0.01;
 
   let cfg = Core.Proto.default_config ~n in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
   let instances =
     Array.init n (fun i ->
         let node = Net.Node.create engine radio ~id:i ~rng:(Util.Rng.split rng) in
@@ -47,17 +46,21 @@ let () =
   Array.iter Core.Turquois.start instances;
   Net.Engine.run_while engine (fun () -> !remaining > 0 && Net.Engine.now engine < 30.0);
 
-  print_newline ();
-  Array.iteri
-    (fun i instance ->
-      if not (List.mem i byzantine) then begin
-        let s = Core.Turquois.stats instance in
-        Printf.printf
-          "process %d: %d messages admitted to V, %d failed authenticity, attacker \
-           traffic quarantined by semantic validation (pending peak %d)\n"
-          i s.accepted s.rejected_auth s.pending_peak
-      end)
-    instances;
+  (* the metrics registry counts over every process since the program
+     started, and this program runs exactly one execution *)
+  let metrics = Obs.Metrics.snapshot () in
+  let count ?labels name = Obs.Metrics.counter_value metrics ?labels name in
+  let rejected rule = count ~labels:[ ("rule", rule) ] "validation.rejected" in
+  let turquois = [ ("proto", "turquois") ] in
+  Printf.printf
+    "\nvalidation over all processes: %d messages passed, %d failed authenticity;\n\
+     attacker traffic quarantined by semantic validation: %d phase, %d value and %d \
+     status rejections\n\
+     %d of %d broadcasts carried a justification bundle\n"
+    (count "validation.accepted") (rejected "auth") (rejected "phase") (rejected "value")
+    (rejected "status")
+    (count ~labels:turquois "proto.justified")
+    (count ~labels:turquois "proto.broadcasts");
 
   let decisions =
     List.filter_map

@@ -22,7 +22,7 @@ let () =
   Net.Radio.jam radio ~from:jam_start ~until:jam_end;
 
   let cfg = Core.Proto.default_config ~n in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
   let instances =
     Array.init n (fun i ->
         let node = Net.Node.create engine radio ~id:i ~rng:(Util.Rng.split rng) in

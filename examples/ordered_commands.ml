@@ -19,7 +19,7 @@ let () =
 
   let cfg = { (Core.Proto.default_config ~n) with max_phases = 45 } in
   let keyrings =
-    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases) ()
+    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases)
   in
   let logs =
     Array.init n (fun i ->

@@ -19,10 +19,10 @@ let () =
   (* protocol configuration: f = 1 Byzantine tolerated, k = 3 must decide *)
   let cfg = Core.Proto.default_config ~n in
   Printf.printf "n=%d f=%d k=%d (tick every %.0f ms)\n\n" cfg.n cfg.f cfg.k
-    (cfg.tick_interval *. 1000.0);
+    (Core.Proto.tick_interval *. 1000.0);
 
   (* the key exchange of Section 6.1, run before the protocol starts *)
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
 
   (* one node and one protocol instance per process; processes 0 and 3
      propose 1, the others 0 *)

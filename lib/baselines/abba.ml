@@ -9,10 +9,10 @@ type group_keys = {
   coin_keys : Crypto.Coin.key_share array;
 }
 
-let setup_keys rng ~n ~f ?(rsa_bits = 512) () =
+let setup_keys rng ~n ~f =
   if n <= 3 * f then invalid_arg "Abba.setup_keys: need n > 3f";
   (* the generator draws from [rng]: application order must be pinned *)
-  let rsa = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:rsa_bits) in
+  let rsa = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:512) in
   let pubs = Array.map (fun (kp : Crypto.Rsa.keypair) -> kp.pub) rsa in
   let coin_params, coin_keys = Crypto.Coin.setup rng ~n ~threshold:(f + 1) () in
   { gk_n = n; gk_f = f; rsa; pubs; coin_params; coin_keys }
@@ -191,14 +191,8 @@ let verify_cache_key : (string, bool) Hashtbl.t Domain.DLS.key =
 let share_cache_key : (string, bool) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
-(* Any threshold-many valid shares combine to the same group element, so
-   the coin's value is a function of its name alone once computed. *)
-let coin_cache_key : (string, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
 let verify_cache () = Domain.DLS.get verify_cache_key
 let share_cache () = Domain.DLS.get share_cache_key
-let coin_cache () = Domain.DLS.get coin_cache_key
 
 let cache_guard table = if Hashtbl.length table > 200_000 then Hashtbl.reset table
 
@@ -355,14 +349,7 @@ and prevote_justified t ~round ~value ~just =
       in
       Net.Node.charge t.node
         (Net.Cost.coin_combine ~shares:(Crypto.Coin.threshold t.keys.coin_params));
-      (match Hashtbl.find_opt (coin_cache ()) name with
-      | Some bit -> bit = value
-      | None -> (
-          match Crypto.Coin.combine t.keys.coin_params ~name valid_shares with
-          | Some bit ->
-              Hashtbl.replace (coin_cache ()) name bit;
-              bit = value
-          | None -> false))
+      Crypto.Coin.combine t.keys.coin_params ~name valid_shares = Some value
 
 (* --- state machine -------------------------------------------------------- *)
 
@@ -443,14 +430,9 @@ and try_advance t =
                      ~shares:(Crypto.Coin.threshold t.keys.coin_params));
                 let name = coin_name ~round:t.round_i in
                 let bit =
-                  match Hashtbl.find_opt (coin_cache ()) name with
+                  match Crypto.Coin.combine t.keys.coin_params ~name shares with
                   | Some bit -> bit
-                  | None -> (
-                      match Crypto.Coin.combine t.keys.coin_params ~name shares with
-                      | Some bit ->
-                          Hashtbl.replace (coin_cache ()) name bit;
-                          bit
-                      | None -> Util.Rng.coin (Net.Node.rng t.node))
+                  | None -> Util.Rng.coin (Net.Node.rng t.node)
                 in
                 (bit, J_coin (abstain_ms_of rs, shares))
           end

@@ -34,9 +34,9 @@ type behavior =
     the paper's methodology). *)
 type group_keys
 
-val setup_keys : Util.Rng.t -> n:int -> f:int -> ?rsa_bits:int -> unit -> group_keys
-(** Generates RSA keypairs for every party and deals the threshold-coin
-    shares (threshold f+1). Default [rsa_bits] 512. *)
+val setup_keys : Util.Rng.t -> n:int -> f:int -> group_keys
+(** Generates a 512-bit RSA keypair for every party and deals the
+    threshold-coin shares (threshold f+1). *)
 
 type t
 

@@ -7,12 +7,12 @@ type t = {
   verifiers : Crypto.Onetime_sig.verifier array;
 }
 
-let setup rng ~n ~phases ?(rsa_bits = 512) () =
+let setup rng ~n ~phases =
   if n <= 0 then invalid_arg "Keyring.setup: n must be positive";
   (* both generators draw from [rng], so the per-owner application
      order must be pinned (ascending) *)
   let pairs = Util.Init.array n (fun owner -> Crypto.Onetime_sig.generate rng ~owner ~phases) in
-  let rsa_keys = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:rsa_bits) in
+  let rsa_keys = Util.Init.array n (fun _ -> Crypto.Rsa.generate rng ~bits:512) in
   let verifiers = Array.map snd pairs in
   (* the key exchange: sign each VK array with F, then verify before
      storing it; one digest per party serves both sides *)

@@ -10,12 +10,12 @@
 
 type t
 
-val setup : Util.Rng.t -> n:int -> phases:int -> ?rsa_bits:int -> unit -> t array
+val setup : Util.Rng.t -> n:int -> phases:int -> t array
 (** Trusted-dealer style setup for all [n] processes at once (the
     simulator plays the out-of-band reliable channel). Generates one-time
-    key arrays for phases 1..[phases], RSA keypairs ([rsa_bits],
-    default 512), signs every VK array, verifies every signature, and
-    returns each process's keyring.
+    key arrays for phases 1..[phases], 512-bit RSA keypairs, signs every
+    VK array, verifies every signature, and returns each process's
+    keyring.
     @raise Failure if any VK signature fails to verify (cannot happen
     with an honest dealer; the check exercises the verification path). *)
 

@@ -1,12 +1,5 @@
 type event = Phase_changed of int | Decided of { value : int; phase : int }
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected_auth : int;
-  mutable duplicates : int;
-  mutable pending_peak : int;
-}
-
 type behavior = Correct | Attacker | Byzantine of Strategy.t
 
 (* Everything the emitted broadcast of a Correct/Attacker machine is a
@@ -45,7 +38,6 @@ type t = {
   mutable decided_quorum_phase : int option;
   mutable last_broadcast : (int * Proto.value * Proto.status) option;
   decided_claims : (int, int) Hashtbl.t;  (* sender -> claimed decided value *)
-  stats : stats;
   (* local-coin draws so far: together with the creation seed this pins
      the rng position, making {!fingerprint} capture the machine's full
      future behavior without serializing generator internals *)
@@ -78,7 +70,6 @@ let phase t = t.phase_i
 let current_status t = t.status_i
 let decision t = t.decision
 let decision_phase t = t.decision_phase
-let stats t = t.stats
 
 let create cfg ~keyring ~rng ?(behavior = Correct) ~proposal () =
   Proto.validate_config cfg;
@@ -100,7 +91,6 @@ let create cfg ~keyring ~rng ?(behavior = Correct) ~proposal () =
     decided_quorum_phase = None;
     last_broadcast = None;
     decided_claims = Hashtbl.create 16;
-    stats = { accepted = 0; rejected_auth = 0; duplicates = 0; pending_peak = 0 };
     coin_flips = 0;
     emit_memo_plain = None;
     emit_memo_justified = None;
@@ -131,13 +121,6 @@ let clone t =
     decided_quorum_phase = t.decided_quorum_phase;
     last_broadcast = t.last_broadcast;
     decided_claims = Hashtbl.copy t.decided_claims;
-    stats =
-      {
-        accepted = t.stats.accepted;
-        rejected_auth = t.stats.rejected_auth;
-        duplicates = t.stats.duplicates;
-        pending_peak = t.stats.pending_peak;
-      };
     coin_flips = t.coin_flips;
     emit_memo_plain = t.emit_memo_plain;
     emit_memo_justified = t.emit_memo_justified;
@@ -228,74 +211,43 @@ let same_state_as_last_broadcast t =
       let wv, _, ws = wire_fields t in
       phase = t.phase_i && Proto.value_equal value wv && status = ws
 
-(* Justification bundle for explicit validation: the minimal witness
-   sets each of the receiver-side rules needs — a phase quorum at phi-1,
-   the value support the rule for (phi, v, origin) demands, and the
-   status witness. Greedy selection with (sender, phase) dedup keeps the
-   bundle close to the theoretical minimum (about two quorums). *)
+(* Justification bundle for explicit validation (§6.2): the sender's V
+   set over the three previous phases, plus its deciding quorum once it
+   has decided. A phase-phi message's phase, value and status rules read
+   phi-1, phi-2 and the highest LOCK and DECIDE phases below phi, all of
+   them inside that window; the witnesses of the window's own oldest
+   entries lie below it. Entries are the first copy per (sender, phase),
+   ascending by phase, then sender. *)
 let build_justification t =
-  let quorum_min = ((t.cfg.n + t.cfg.f) / 2) + 1 in
-  let half_min = ((t.cfg.n + t.cfg.f) / 4) + 1 in
-  let selected : (int * int, Message.t) Hashtbl.t = Hashtbl.create 32 in
-  let matches ?value (m : Message.t) =
-    match value with None -> true | Some v -> Proto.value_equal m.value v
-  in
-  let ensure ~phase ?value need =
-    if phase >= 1 && need > 0 then begin
-      let have =
-        Hashtbl.fold
-          (fun (_, p) m acc -> if p = phase && matches ?value m then acc + 1 else acc)
-          selected 0
-      in
-      let missing = ref (need - have) in
-      List.iter
-        (fun (m : Message.t) ->
-          if !missing > 0 && matches ?value m
-             && not (Hashtbl.mem selected (m.sender, m.phase))
-          then begin
-            Hashtbl.replace selected (m.sender, m.phase) m;
-            decr missing
-          end)
-        (Vset.messages_at t.v ~phase)
-    end
-  in
   let phi = t.phase_i in
-  let value, origin, status = wire_fields t in
-  (* The previous three phases make one adoption hop self-contained:
-     a phase-phi message's value and status rules reach at most phi-2,
-     and the supports of those supports reach phi-3 (which validates
-     against material a receiver at phase phi-3 already holds). *)
-  for back = 1 to 3 do
-    ensure ~phase:(phi - back) t.cfg.n
-  done;
-  if phi > 1 then ensure ~phase:(phi - 1) quorum_min;
-  (if phi > 1 then
-     match (Proto.kind_of_phase phi, value, origin) with
-     | Proto.Lock, v, _ -> ensure ~phase:(phi - 1) ~value:v half_min
-     | Proto.Decide, Proto.Vbot, _ ->
-         ensure ~phase:(phi - 2) ~value:Proto.V0 half_min;
-         ensure ~phase:(phi - 2) ~value:Proto.V1 half_min
-     | Proto.Decide, v, _ -> ensure ~phase:(phi - 1) ~value:v quorum_min
-     | Proto.Converge, v, Proto.Deterministic -> ensure ~phase:(phi - 2) ~value:v quorum_min
-     | Proto.Converge, _, Proto.Random ->
-         ensure ~phase:(phi - 1) ~value:Proto.Vbot quorum_min);
-  (match status with
-  | Proto.Undecided ->
-      if phi > 3 then begin
-        let phi' = Validation.highest_lock_phase_below phi in
-        ensure ~phase:phi' ~value:Proto.V0 half_min;
-        ensure ~phase:phi' ~value:Proto.V1 half_min;
-        ensure ~phase:(Validation.highest_decide_phase_below phi) ~value:Proto.Vbot 1
-      end
-  | Proto.Decided -> begin
-      match t.decided_quorum_phase with
-      | Some p -> ensure ~phase:p ~value quorum_min
-      | None -> ()
-    end);
-  Hashtbl.fold (fun _ m acc -> m :: acc) selected []
-  |> List.sort (fun (a : Message.t) (b : Message.t) ->
-         if a.phase <> b.phase then Int.compare a.phase b.phase
-         else Int.compare a.sender b.sender)
+  (* up to [need] messages of [phase] that pass [keep], each sender's
+     first such copy ([Vset.messages_at] groups a sender's copies) *)
+  let first_copies ~phase ~keep need =
+    let rec go last need = function
+      | (m : Message.t) :: rest when need > 0 ->
+          if m.sender <> last && keep m then m :: go m.sender (need - 1) rest
+          else go last need rest
+      | _ -> []
+    in
+    go (-1) need (Vset.messages_at t.v ~phase)
+  in
+  let window =
+    List.concat_map
+      (fun back ->
+        let phase = phi - back in
+        if phase >= 1 then first_copies ~phase ~keep:(fun _ -> true) t.cfg.n else [])
+      [ 3; 2; 1 ]
+  in
+  match (wire_fields t, t.decided_quorum_phase) with
+  | (value, _, Proto.Decided), Some p when p = phi || p < phi - 3 ->
+      (* a deciding phase inside the window is already shipped whole *)
+      let quorum =
+        first_copies ~phase:p
+          ~keep:(fun m -> Proto.value_equal m.value value)
+          (((t.cfg.n + t.cfg.f) / 2) + 1)
+      in
+      if p = phi then window @ quorum else quorum @ window
+  | _ -> window
 
 type transmission =
   | Quiet
@@ -543,8 +495,7 @@ let pending_add t (m : Message.t) =
   else if List.length existing >= Crypto.Onetime_sig.slot_count then ()
   else begin
     Hashtbl.replace t.pending key (m :: existing);
-    t.pending_count <- t.pending_count + 1;
-    if t.pending_count > t.stats.pending_peak then t.stats.pending_peak <- t.pending_count
+    t.pending_count <- t.pending_count + 1
   end
 
 let duplicate_entries = Obs.Metrics.counter "validation.duplicates"
@@ -553,11 +504,7 @@ let unresolved_refs = Obs.Metrics.counter "compact.unresolved"
 
 (* Duplicates are tallied per frame and reported with one registry
    update, not one per justification entry. *)
-let count_duplicates t k =
-  if k > 0 then begin
-    t.stats.duplicates <- t.stats.duplicates + k;
-    Obs.Metrics.incr_by duplicate_entries k
-  end
+let count_duplicates k = if k > 0 then Obs.Metrics.incr_by duplicate_entries k
 
 (* Re-examine the pool in ascending phase order until a fixpoint: a
    message admitted to V may unlock the validation of later ones. *)
@@ -584,7 +531,6 @@ let drain_pending t =
               end
               else if Validation.is_valid t.cfg t.v m then begin
                 if Vset.add t.v m then begin
-                  t.stats.accepted <- t.stats.accepted + 1;
                   admitted_any := true;
                   progress := true
                 end
@@ -599,7 +545,7 @@ let drain_pending t =
         else Hashtbl.replace t.pending key still_pending)
       candidates
   done;
-  count_duplicates t !duplicates;
+  count_duplicates !duplicates;
   !admitted_any
 
 let record_decided_claim t (m : Message.t) =
@@ -657,10 +603,7 @@ let handle_wire t (fr : Msgstore.frame) =
         record_decided_claim t m;
         pending_add t m
       end
-      else begin
-        t.stats.rejected_auth <- t.stats.rejected_auth + 1;
-        Obs.Metrics.incr rejected_auth
-      end
+      else Obs.Metrics.incr rejected_auth
     end
   in
   List.iter
@@ -673,7 +616,7 @@ let handle_wire t (fr : Msgstore.frame) =
           if idx <> 0 then consider idx else incr unresolved)
     fr.Msgstore.just;
   consider fr.Msgstore.msg;
-  count_duplicates t !duplicates;
+  count_duplicates !duplicates;
   if !unresolved > 0 then Obs.Metrics.incr_by unresolved_refs !unresolved;
   let admitted = drain_pending t in
   let new_claims = Hashtbl.length t.decided_claims > claims_before in

@@ -12,13 +12,6 @@ type event =
   | Decided of { value : int; phase : int }
       (** Fired once, when the decision variable is first assigned. *)
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected_auth : int;
-  mutable duplicates : int;
-  mutable pending_peak : int;
-}
-
 type behavior =
   | Correct
   | Attacker
@@ -45,7 +38,6 @@ val phase : t -> int
 val current_status : t -> Proto.status
 val decision : t -> int option
 val decision_phase : t -> int option
-val stats : t -> stats
 
 type transmission =
   | Quiet  (** nothing this opportunity *)
@@ -71,7 +63,9 @@ val emit : t -> justify:bool -> transmission
 (** The transmission for the current state (task T1). Correct and
     [Attacker] machines broadcast; [Byzantine] machines follow their
     strategy, which may stay silent or equivocate per receiver. With
-    [justify], the explicit-validation bundle is attached. Correct
+    [justify], the explicit-validation bundle is attached: the V set
+    over the three previous phases plus, once decided, the deciding
+    quorum. Correct
     machines also record their own message in their V set. [Quiet] once
     the phase exceeds the one-time key horizon. *)
 

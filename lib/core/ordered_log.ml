@@ -331,7 +331,7 @@ let rec ensure_tick t =
   if (not t.tick_armed) && tick_work_pending t then begin
     t.tick_armed <- true;
     ignore
-      (Net.Node.set_timer t.node ~delay:t.cfg.Proto.tick_interval (fun () ->
+      (Net.Node.set_timer t.node ~delay:Proto.tick_interval (fun () ->
            payload_tick t))
   end
 

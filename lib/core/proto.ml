@@ -27,11 +27,13 @@ let kind_of_phase phi =
   if phi < 1 then invalid_arg "Proto.kind_of_phase: phases start at 1";
   match phi mod 3 with 1 -> Converge | 2 -> Lock | _ -> Decide
 
-type config = { n : int; f : int; k : int; max_phases : int; tick_interval : float }
+type config = { n : int; f : int; k : int; max_phases : int }
 
 let default_config ~n =
   let f = (n - 1) / 3 in
-  { n; f; k = n - f; max_phases = 300; tick_interval = 10.0e-3 }
+  { n; f; k = n - f; max_phases = 300 }
+
+let tick_interval = 10.0e-3
 
 let validate_config c =
   if c.n <= 0 then invalid_arg "Proto.validate_config: n must be positive";
@@ -40,8 +42,7 @@ let validate_config c =
   (* (n+f)/2 < k <= n-f *)
   if not (2 * c.k > c.n + c.f && c.k <= c.n - c.f) then
     invalid_arg "Proto.validate_config: need (n+f)/2 < k <= n-f";
-  if c.max_phases < 3 then invalid_arg "Proto.validate_config: max_phases too small";
-  if c.tick_interval <= 0.0 then invalid_arg "Proto.validate_config: bad tick interval"
+  if c.max_phases < 3 then invalid_arg "Proto.validate_config: max_phases too small"
 
 let quorum_exceeded c count = 2 * count > c.n + c.f
 let half_quorum_exceeded c count = 4 * count > c.n + c.f

@@ -41,12 +41,14 @@ type config = {
   k : int;  (** processes required to decide (harness-level; the state
                 machine itself does not consult k) *)
   max_phases : int;    (** one-time-signature key horizon *)
-  tick_interval : float;  (** seconds between broadcast ticks (10 ms in
-                              the paper's prototype) *)
 }
 
 val default_config : n:int -> config
-(** f = ⌊(n−1)/3⌋, k = n − f, 10 ms ticks, 300-phase key horizon. *)
+(** f = ⌊(n−1)/3⌋, k = n − f, 300-phase key horizon. *)
+
+val tick_interval : float
+(** Seconds between broadcast ticks: 10 ms, as in the paper's
+    prototype. *)
 
 val validate_config : config -> unit
 (** @raise Invalid_argument when n ≤ 3f, or k outside

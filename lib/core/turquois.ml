@@ -17,20 +17,9 @@ type behavior = Machine.behavior =
   | Attacker
   | Byzantine of Strategy.t
 
-type stats = {
-  mutable ticks : int;
-  mutable broadcasts : int;
-  mutable justified_broadcasts : int;
-  mutable accepted : int;
-  mutable rejected_auth : int;
-  mutable duplicates : int;
-  mutable pending_peak : int;
-}
-
 type t = {
   node : Net.Node.t;
   machine : Machine.t;
-  cfg : Proto.config;
   port : int;
   tick_policy : tick_policy;
   auth_cost : auth_cost;
@@ -44,21 +33,12 @@ type t = {
   mutable tick_handle : Net.Engine.handle option;
   mutable started : bool;
   mutable decide_cb : (value:int -> phase:int -> unit) option;
-  shell_stats : stats;
 }
 
 let id t = Net.Node.id t.node
 let phase t = Machine.phase t.machine
 let decision t = Machine.decision t.machine
 let on_decide t f = t.decide_cb <- Some f
-
-let stats t =
-  let m = Machine.stats t.machine in
-  t.shell_stats.accepted <- m.accepted;
-  t.shell_stats.rejected_auth <- m.rejected_auth;
-  t.shell_stats.duplicates <- m.duplicates;
-  t.shell_stats.pending_peak <- m.pending_peak;
-  t.shell_stats
 
 let create node cfg ~keyring ?(behavior = Correct) ?(port = 443)
     ?(tick_policy = Fixed_tick) ?(linger_ticks = 50) ?(auth_cost = Onetime_cost)
@@ -79,28 +59,17 @@ let create node cfg ~keyring ?(behavior = Correct) ?(port = 443)
   {
     node;
     machine;
-    cfg;
     port;
     tick_policy;
     auth_cost;
     linger_ticks;
     stuck_ticks = 0;
     ticks_since_decision = 0;
-    current_tick = cfg.tick_interval;
+    current_tick = Proto.tick_interval;
     airtime_mark = 0.0;
     tick_handle = None;
     started = false;
     decide_cb = None;
-    shell_stats =
-      {
-        ticks = 0;
-        broadcasts = 0;
-        justified_broadcasts = 0;
-        accepted = 0;
-        rejected_auth = 0;
-        duplicates = 0;
-        pending_peak = 0;
-      };
   }
 
 let proto = [ ("proto", "turquois") ]
@@ -116,13 +85,9 @@ let count_broadcast t (envelope : Message.envelope) =
   (match t.auth_cost with
   | Onetime_cost -> ()  (* signing reveals a precomputed key: free *)
   | Rsa_cost -> Net.Node.charge t.node Net.Cost.rsa_sign);
-  t.shell_stats.broadcasts <- t.shell_stats.broadcasts + 1;
   Obs.Metrics.incr broadcasts;
   Obs.Metrics.incr msgs_sent;
-  if envelope.justification <> [] then begin
-    t.shell_stats.justified_broadcasts <- t.shell_stats.justified_broadcasts + 1;
-    Obs.Metrics.incr justified
-  end
+  if envelope.justification <> [] then Obs.Metrics.incr justified
 
 let broadcast_state t ~justify =
   match Machine.emit t.machine ~justify with
@@ -203,7 +168,6 @@ and on_tick t =
   if Machine.decision t.machine <> None then
     t.ticks_since_decision <- t.ticks_since_decision + 1;
   if t.ticks_since_decision <= t.linger_ticks then begin
-    t.shell_stats.ticks <- t.shell_stats.ticks + 1;
     Obs.Metrics.incr ticks;
     (* same state as the previous broadcast? then the optimistic small
        message was not enough — attach the justification (Section 6.2).
@@ -220,7 +184,7 @@ and on_tick t =
     | Adaptive_tick { floor; factor } ->
         t.current_tick <-
           (if stuck then Float.max floor (t.current_tick *. factor)
-           else t.cfg.tick_interval));
+           else Proto.tick_interval));
     broadcast_state t ~justify;
     arm_tick t
   end
@@ -249,7 +213,7 @@ let react t events =
     (* a phase change triggers an immediate clock tick (§7.1) and, for
        the adaptive policies, resets the pacing *)
     (match t.tick_policy with
-    | Fixed_tick | Adaptive_tick _ -> t.current_tick <- t.cfg.tick_interval
+    | Fixed_tick | Adaptive_tick _ -> t.current_tick <- Proto.tick_interval
     | Mac_aware { floor; headroom; cap } ->
         (* the channel occupancy this phase took to clear is the best
            available estimate of how long the next one will take: pace
@@ -261,7 +225,7 @@ let react t events =
            from outrunning a busy medium at large n, never to tick
            faster than the configured (paper-faithful) interval — so
            small-n timing is identical to [Fixed_tick] *)
-        let lo = Float.max floor t.cfg.tick_interval in
+        let lo = Float.max floor Proto.tick_interval in
         if observed > 0.0 then
           t.current_tick <- Float.min cap (Float.max lo (headroom *. observed)));
     broadcast_state t ~justify:false;

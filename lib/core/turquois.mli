@@ -60,16 +60,6 @@ type behavior = Machine.behavior =
   | Attacker
   | Byzantine of Strategy.t
 
-type stats = {
-  mutable ticks : int;            (** T1 activations *)
-  mutable broadcasts : int;       (** messages put on the air *)
-  mutable justified_broadcasts : int;  (** broadcasts carrying a bundle *)
-  mutable accepted : int;         (** messages admitted to V *)
-  mutable rejected_auth : int;    (** authenticity failures *)
-  mutable duplicates : int;       (** already in V *)
-  mutable pending_peak : int;     (** high-water mark of the pool *)
-}
-
 type t
 
 val create :
@@ -107,4 +97,3 @@ val on_decide : t -> (value:int -> phase:int -> unit) -> unit
 val id : t -> int
 val phase : t -> int
 val decision : t -> int option
-val stats : t -> stats

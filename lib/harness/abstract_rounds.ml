@@ -144,6 +144,7 @@ module Driven = struct
 
   let round sim = sim.round
   let correct sim = sim.correct
+  let machine sim i = sim.machines.(i)
 
   let decisions sim =
     List.filter_map
@@ -159,7 +160,8 @@ module Driven = struct
     List.length
       (List.filter (fun i -> Core.Machine.phase sim.machines.(i) > 1) sim.correct)
 
-  let violations sim = Runner.safety_violations ~dist:sim.dist (decisions sim)
+  let violations sim =
+    List.map Runner.breach_to_string (Runner.safety_violations ~dist:sim.dist (decisions sim))
 
   (* Concatenated machine fingerprints: machines are positional, so the
      concatenation canonically identifies the whole group state. The
@@ -197,12 +199,12 @@ let run ~n ~k ?(byzantine = []) ?(dist = Runner.Unanimous) ?(adversary = Random_
     Driven.step sim ~drops:(choose_dropped ~rng ~adversary ~correct ~omissions) ~byz:[];
     if !rounds_to_k = None && Driven.deciders sim >= k then rounds_to_k := Some (Driven.round sim)
   done;
-  let decisions = List.map snd (Driven.decisions sim) in
+  let breaches = Runner.safety_violations ~dist (Driven.decisions sim) in
   {
-    deciders = List.length decisions;
+    deciders = Driven.deciders sim;
     rounds_to_k = !rounds_to_k;
-    agreement = (match decisions with [] -> true | v0 :: rest -> List.for_all (( = ) v0) rest);
-    validity = dist = Runner.Divergent || List.for_all (( = ) 1) decisions;
+    agreement = Runner.agreement_holds breaches;
+    validity = Runner.validity_holds breaches;
   }
 
 (* One synchronous round in isolation: who can still advance past phase

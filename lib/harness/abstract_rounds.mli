@@ -73,6 +73,11 @@ module Driven : sig
   val round : sim -> int
   val correct : sim -> int list
 
+  val machine : sim -> int -> Core.Machine.t
+  (** Process [i]'s machine, for inspection: stepping or feeding it
+      outside {!step} desynchronizes the group (emit on a
+      {!Core.Machine.clone} instead). *)
+
   val decisions : sim -> (int * int) list
   (** (id, decided value) for the correct deciders. *)
 
@@ -82,7 +87,8 @@ module Driven : sig
   (** Correct processes past phase 1. *)
 
   val violations : sim -> string list
-  (** {!Runner.safety_violations} over the correct deciders. *)
+  (** {!Runner.safety_violations} over the correct deciders, rendered
+      by {!Runner.breach_to_string}. *)
 
   val fingerprint : sim -> string
   (** Canonical serialization of the whole group state (concatenated

@@ -29,11 +29,6 @@ type plan = {
   p_schedule : Net.Schedule.t;
 }
 
-(* Chaos runs carry no ambient loss: every omission comes from the
-   schedule, so the analyzer's fault attribution is exact and the
-   liveness check is sound. *)
-let clean_conditions = { Net.Fault.loss_prob = 0.0; jam_windows = [] }
-
 let make_plan ~n ~strategy_pool ~seed index =
   let p_seed = Int64.add seed (Int64.of_int (1 + (index * 7919))) in
   let rng = Util.Rng.create ~seed:p_seed in
@@ -93,7 +88,8 @@ let violations_of ~dist ~deadline (r : Runner.result) =
   | Some _ when r.timed_out ->
       add "liveness: correct processes undecided on a provably quiet channel"
   | Some _ | None -> ());
-  Runner.safety_violations ~dist r.decisions @ List.rev !out
+  List.map Runner.breach_to_string (Runner.safety_violations ~dist r.decisions)
+  @ List.rev !out
 
 (* Re-execute one schedule and report its invariant breaches — the
    chaos harness's own check, exported so serialized reproducers replay
@@ -105,10 +101,10 @@ let check_schedule ~protocol ~n ?(bug = No_bug) ~dist ?strategy ~schedule ~seed 
   let load =
     match strategy with Some _ -> Net.Fault.Byzantine | None -> Net.Fault.Failure_free
   in
-  let r =
-    Runner.run ~protocol ~n ~dist ~load ~conditions:clean_conditions ?strategy ~schedule
-      ~timeout ~seed ()
-  in
+  (* no ambient loss: every omission comes from the schedule, so the
+     analyzer's fault attribution is exact and the liveness check is
+     sound *)
+  let r = Runner.run ~protocol ~n ~dist ~load ~loss:0.0 ?strategy ~schedule ~timeout ~seed () in
   violations_of ~dist ~deadline (apply_bug bug r)
 
 let execute ~protocol ~n ~bug plan schedule =

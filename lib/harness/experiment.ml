@@ -15,8 +15,7 @@ type cell_result = {
   timeouts : int;
 }
 
-let run_cell ?(reps = 50) ?(base_seed = 1000L) ?(timeout = 120.0) ?conditions ?jobs
-    cell =
+let run_cell ?(reps = 50) ?(base_seed = 1000L) ?(timeout = 120.0) ?jobs cell =
   (* repetitions are independent and seeded by their index, so they run
      on the pool; the fold below walks results in slot (= rep) order,
      keeping every aggregate bit-identical to sequential execution *)
@@ -24,7 +23,7 @@ let run_cell ?(reps = 50) ?(base_seed = 1000L) ?(timeout = 120.0) ?conditions ?j
     Pool.map ?jobs ~tasks:reps (fun rep ->
         let seed = Int64.add base_seed (Int64.of_int rep) in
         Runner.run ~protocol:cell.protocol ~n:cell.n ~dist:cell.dist ~load:cell.load
-          ?conditions ~timeout ~seed ())
+          ~timeout ~seed ())
   in
   let latencies = ref [] in
   let phases = ref [] in

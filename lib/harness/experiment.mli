@@ -20,8 +20,7 @@ type cell_result = {
 }
 
 val run_cell :
-  ?reps:int -> ?base_seed:int64 -> ?timeout:float ->
-  ?conditions:Net.Fault.conditions -> ?jobs:int -> cell -> cell_result
+  ?reps:int -> ?base_seed:int64 -> ?timeout:float -> ?jobs:int -> cell -> cell_result
 (** [reps] defaults to the paper's 50 repetitions; each repetition uses
     seed [base_seed + rep]. Repetitions run on the {!Pool} with [jobs]
     workers; all statistics are bit-identical for every [jobs].

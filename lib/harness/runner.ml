@@ -15,25 +15,48 @@ let proposals dist ~n =
   | Unanimous -> Array.make n 1
   | Divergent -> Array.init n (fun i -> i mod 2)
 
+type breach =
+  | Agreement of { id : int; value : int; first : int }
+  | Validity of { id : int; value : int }
+  | Integrity of { id : int; value : int }
+
 let safety_violations ~dist decisions =
-  let out = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  (match decisions with
-  | [] -> ()
-  | (_, v0) :: rest ->
-      List.iter
-        (fun (i, v) -> if v <> v0 then add "agreement: p%d decided %d, others %d" i v v0)
-        rest);
-  (match dist with
-  | Unanimous ->
-      List.iter
-        (fun (i, v) -> if v <> 1 then add "validity: p%d decided %d against unanimous 1" i v)
-        decisions
-  | Divergent -> ());
-  List.iter
-    (fun (i, v) -> if v <> 0 && v <> 1 then add "integrity: p%d decided non-binary %d" i v)
-    decisions;
-  List.rev !out
+  let agreement =
+    match decisions with
+    | [] -> []
+    | (_, first) :: rest ->
+        List.filter_map
+          (fun (id, value) -> if value <> first then Some (Agreement { id; value; first }) else None)
+          rest
+  in
+  let validity =
+    match dist with
+    | Unanimous ->
+        List.filter_map
+          (fun (id, value) -> if value <> 1 then Some (Validity { id; value }) else None)
+          decisions
+    | Divergent -> []
+  in
+  let integrity =
+    List.filter_map
+      (fun (id, value) ->
+        if value <> 0 && value <> 1 then Some (Integrity { id; value }) else None)
+      decisions
+  in
+  agreement @ validity @ integrity
+
+let breach_to_string = function
+  | Agreement { id; value; first } ->
+      Printf.sprintf "agreement: p%d decided %d, others %d" id value first
+  | Validity { id; value } ->
+      Printf.sprintf "validity: p%d decided %d against unanimous 1" id value
+  | Integrity { id; value } -> Printf.sprintf "integrity: p%d decided non-binary %d" id value
+
+let agreement_holds =
+  List.for_all (function Agreement _ -> false | Validity _ | Integrity _ -> true)
+
+let validity_holds =
+  List.for_all (function Validity _ -> false | Agreement _ | Integrity _ -> true)
 
 type result = {
   latencies : (int * float) list;
@@ -76,7 +99,7 @@ let keyrings_for ~seed ~n ~phases =
   match Hashtbl.find_opt cache key with
   | Some k -> k
   | None ->
-      let k = Core.Keyring.setup (Util.Rng.create ~seed) ~n ~phases () in
+      let k = Core.Keyring.setup (Util.Rng.create ~seed) ~n ~phases in
       Hashtbl.add cache key k;
       k
 
@@ -89,7 +112,7 @@ let abba_group_keys ~n =
   | Some k -> k
   | None ->
       let rng = Util.Rng.create ~seed:(Int64.of_int (0xabba + n)) in
-      let k = Baselines.Abba.setup_keys rng ~n ~f:(Net.Fault.max_f n) () in
+      let k = Baselines.Abba.setup_keys rng ~n ~f:(Net.Fault.max_f n) in
       Hashtbl.add cache n k;
       k
 
@@ -106,12 +129,12 @@ let events_live = Obs.Metrics.gauge "engine.events_live"
 let live_peak = Obs.Metrics.gauge "engine.live_peak"
 let queued_peak = Obs.Metrics.gauge "engine.queued_peak"
 
-let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~tick_policy
+let run_body ~protocol ~n ~dist ~load ~loss ~strategy ~schedule ~attach ~tick_policy
     ~auth_cost ~timeout ~seed () =
   let engine = Net.Engine.create () in
   let rng = Util.Rng.create ~seed in
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
-  Net.Fault.apply_conditions radio conditions;
+  Net.Fault.set_loss radio loss;
   Net.Fault.apply_crashes radio ~n load;
   (match schedule with None -> () | Some s -> Net.Schedule.apply radio s);
   (match attach with None -> () | Some f -> f radio);
@@ -129,8 +152,8 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
       ("dist", Obs.Trace2.S (dist_to_string dist));
       ("load", Obs.Trace2.S (Net.Fault.load_to_string load));
       ("seed", Obs.Trace2.S (Int64.to_string seed));
-      ("tick_s", Obs.Trace2.F (Core.Proto.default_config ~n).Core.Proto.tick_interval);
-      ("loss_prob", Obs.Trace2.F conditions.Net.Fault.loss_prob);
+      ("tick_s", Obs.Trace2.F Core.Proto.tick_interval);
+      ("loss_prob", Obs.Trace2.F loss);
       ("crashed", Obs.Trace2.S (String.concat "," (List.map string_of_int crashed)));
     ];
   let correct =
@@ -222,7 +245,6 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
          the UDP/IP header and its length prefix) plus the fixed DCF
          overhead: SIFS, the ACK, DIFS and the average initial
          backoff. *)
-      let cfg0 = Scale.Sampled.default_config ~n in
       let tick =
         let datagram_bytes =
           (* u16 port + padded header + length-prefixed payload *)
@@ -233,10 +255,9 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
           +. Net.Mac.Const.sifs +. Net.Mac.ack_airtime +. Net.Mac.Const.difs
           +. (float_of_int Net.Mac.Const.cw_min /. 2.0 *. Net.Mac.Const.slot)
         in
-        let frames = float_of_int (n * cfg0.Scale.Sampled.sample_size) in
+        let frames = float_of_int (n * Scale.Sampled.sample_size ~n) in
         Float.max 0.25 (1.5 *. frames *. per_frame)
       in
-      let cfg = { cfg0 with tick } in
       Array.iteri
         (fun i _node ->
           let behavior =
@@ -248,7 +269,7 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
             else Scale.Sampled.Correct
           in
           let p =
-            Scale.Sampled.create net sampler cfg ~id:i ~coin_seed ~behavior
+            Scale.Sampled.create net sampler ~id:i ~coin_seed ~tick ~behavior
               ~proposal:proposals.(i) ()
           in
           if not (List.mem i byzantine) then
@@ -260,16 +281,7 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
   let latencies = List.filter_map (fun i -> Option.map (fun l -> (i, l)) (Hashtbl.find_opt decide_time i)) correct in
   let decisions = List.filter_map (fun i -> Option.map (fun v -> (i, v)) (Hashtbl.find_opt decide_value i)) correct in
   let decision_phases = List.filter_map (fun i -> Option.map (fun p -> (i, p)) (Hashtbl.find_opt decide_phase i)) correct in
-  let agreement =
-    match decisions with
-    | [] -> true
-    | (_, v0) :: rest -> List.for_all (fun (_, v) -> v = v0) rest
-  in
-  let validity =
-    match dist with
-    | Unanimous -> List.for_all (fun (_, v) -> v = 1) decisions
-    | Divergent -> true
-  in
+  let breaches = safety_violations ~dist decisions in
   let radio_stats = Net.Radio.stats radio in
   Obs.Metrics.set events_live (float_of_int (Net.Engine.pending engine));
   Obs.Metrics.set live_peak (float_of_int (Net.Engine.live_peak engine));
@@ -279,8 +291,8 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
     decisions;
     decision_phases;
     correct;
-    agreement;
-    validity;
+    agreement = agreement_holds breaches;
+    validity = validity_holds breaches;
     duration = Net.Engine.now engine;
     timed_out;
     frames_sent = radio_stats.frames_sent;
@@ -295,14 +307,14 @@ let run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~t
    but floods the medium at larger n; the default MAC-aware policy paces
    each node's rebroadcasts from the airtime its phases are observed to
    consume *)
-let run ~protocol ~n ~dist ~load ?(conditions = Net.Fault.benign_conditions) ?strategy
+let run ~protocol ~n ~dist ~load ?(loss = Net.Fault.benign_loss) ?strategy
     ?schedule ?attach ?(tick_policy = Core.Turquois.default_mac_aware)
     ?(auth_cost = Core.Turquois.Onetime_cost) ?(timeout = 120.0) ~seed () =
   (* each repetition starts from zeroed sinks: a leaked counter or
      stale trace from the previous run would poison its successor *)
   let result, metrics =
     Obs.Scope.with_run
-      (run_body ~protocol ~n ~dist ~load ~conditions ~strategy ~schedule ~attach ~tick_policy
+      (run_body ~protocol ~n ~dist ~load ~loss ~strategy ~schedule ~attach ~tick_policy
          ~auth_cost ~timeout ~seed)
   in
   { result with metrics }

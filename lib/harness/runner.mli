@@ -25,10 +25,26 @@ val dist_to_string : dist -> string
 val proposals : dist -> n:int -> int array
 (** Unanimous: all 1. Divergent: odd ids propose 1, even ids 0 (§7.2). *)
 
-val safety_violations : dist:dist -> (int * int) list -> string list
-(** The agreement, validity and non-binary integrity breaches among
-    (process id, decided value) pairs, one line each, in that order —
-    the safety clauses the chaos harness and the model checker share. *)
+(** A breach of one safety clause by one decider. *)
+type breach =
+  | Agreement of { id : int; value : int; first : int }
+      (** decided [value] against the first decider's [first] *)
+  | Validity of { id : int; value : int }  (** decided [value] in a unanimous-1 run *)
+  | Integrity of { id : int; value : int }  (** decided a non-binary [value] *)
+
+val safety_violations : dist:dist -> (int * int) list -> breach list
+(** The agreement, validity and integrity breaches among (process id,
+    decided value) pairs, in that order — the safety clauses every
+    driver, the chaos harness and the model checker share. *)
+
+val breach_to_string : breach -> string
+(** One report line, e.g. ["agreement: p2 decided 0, others 1"]. *)
+
+val agreement_holds : breach list -> bool
+(** No [Agreement] breach among them. *)
+
+val validity_holds : breach list -> bool
+(** No [Validity] breach among them. *)
 
 type result = {
   latencies : (int * float) list;
@@ -38,9 +54,11 @@ type result = {
   decision_phases : (int * int) list;
       (** (process id, phase/round at decision) *)
   correct : int list;              (** ids measured (not crashed/Byzantine) *)
-  agreement : bool;                (** no two decided values differ *)
+  agreement : bool;
+      (** no two decided values differ ({!agreement_holds}) *)
   validity : bool;
-      (** unanimous runs: every decision equals the proposed value *)
+      (** unanimous runs: every decision equals the proposed value
+          ({!validity_holds}) *)
   duration : float;                (** simulated seconds until run end *)
   timed_out : bool;
   frames_sent : int;               (** radio frames over the run *)
@@ -59,7 +77,7 @@ val run :
   n:int ->
   dist:dist ->
   load:Net.Fault.load ->
-  ?conditions:Net.Fault.conditions ->
+  ?loss:float ->
   ?strategy:Core.Strategy.t ->
   ?schedule:Net.Schedule.t ->
   ?attach:(Net.Radio.t -> unit) ->
@@ -69,8 +87,9 @@ val run :
   seed:int64 ->
   unit ->
   result
-(** One consensus execution. [conditions] defaults to
-    {!Net.Fault.benign_conditions}; [timeout] to 120 simulated seconds.
+(** One consensus execution. [loss], the iid per-receiver omission
+    probability, defaults to {!Net.Fault.benign_loss}; [timeout] to 120
+    simulated seconds.
     With [strategy], Turquois's Byzantine processes run that strategy
     instead of the legacy §7.2 [Attacker] (baseline protocols keep their
     own attacker). [schedule] arms a declarative fault timeline on the

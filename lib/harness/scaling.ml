@@ -60,13 +60,11 @@ let run_sampled ~n ~seed ~timeout =
     let net = Scale.Transport.of_medium medium in
     let sampler = Scale.Sampler.create ~seed:(Util.Rng.derive ~base:seed [ 1 ]) ~n in
     let coin_seed = Util.Rng.derive ~base:seed [ 2 ] in
-    let cfg = Scale.Sampled.default_config ~n in
     let decide_time : (int, float) Hashtbl.t = Hashtbl.create n in
     let nodes =
       Util.Init.array n (fun id ->
           let p =
-            Scale.Sampled.create net sampler cfg ~id ~coin_seed
-              ~proposal:(id land 1) ()
+            Scale.Sampled.create net sampler ~id ~coin_seed ~proposal:(id land 1) ()
           in
           Scale.Sampled.on_decide p (fun ~value:_ ~phase:_ ->
               Hashtbl.replace decide_time id (Net.Engine.now engine));

@@ -239,9 +239,7 @@ let sigma_edge_vs_loss ~ns ?(reps = 10) ?(base_seed = 1000L) () =
       let k = n - Net.Fault.max_f n in
       let run i ~loss_prob ?attach () =
         Runner.run ~protocol:Runner.Turquois ~n ~dist:Runner.Divergent
-          ~load:Net.Fault.Failure_free
-          ~conditions:{ Net.Fault.loss_prob; jam_windows = [] }
-          ?attach ~timeout
+          ~load:Net.Fault.Failure_free ~loss:loss_prob ?attach ~timeout
           ~seed:(Int64.add base_seed (Int64.of_int (7000 + i)))
           ()
       in

@@ -20,26 +20,15 @@ let is_faulty ~n load i =
   | Failure_free -> false
   | Fail_stop | Byzantine -> i >= n - max_f n
 
-type conditions = { loss_prob : float; jam_windows : (float * float) list }
-
-let benign_conditions = { loss_prob = 0.05; jam_windows = [] }
-
+let benign_loss = 0.05
 let loss_prob_gauge = Obs.Metrics.gauge "fault.loss_prob"
-let jam_windows_applied = Obs.Metrics.counter "fault.jam_windows"
 let crashes = Obs.Metrics.counter "fault.crashed"
 let recoveries = Obs.Metrics.counter "fault.recovered"
 let sigma_edge_dropped = Obs.Metrics.counter "fault.sigma_edge_drops"
 
-let apply_conditions radio conditions =
-  Radio.set_loss_prob radio conditions.loss_prob;
-  Obs.Metrics.set loss_prob_gauge conditions.loss_prob;
-  List.iter
-    (fun (from, until) ->
-      Obs.Metrics.incr jam_windows_applied;
-      Obs.Trace2.emit ~time:from ~node:(-1) ~layer:"fault" ~label:"jam_window"
-        [ ("from", Obs.Trace2.F from); ("until", Obs.Trace2.F until) ];
-      Radio.jam radio ~from ~until)
-    conditions.jam_windows
+let set_loss radio p =
+  Radio.set_loss_prob radio p;
+  Obs.Metrics.set loss_prob_gauge p
 
 let crash radio i =
   Obs.Metrics.incr crashes;
@@ -53,15 +42,9 @@ let recover radio i =
     ~label:"recover" [];
   Radio.set_down radio i false
 
-let apply_crashes ?(at = fun _ -> 0.0) radio ~n load =
+let apply_crashes radio ~n load =
   match load with
-  | Fail_stop ->
-      List.iter
-        (fun i ->
-          let time = at i in
-          if time <= 0.0 then crash radio i
-          else ignore (Engine.at (Radio.engine radio) ~time (fun () -> crash radio i)))
-        (faulty_set ~n load)
+  | Fail_stop -> List.iter (crash radio) (faulty_set ~n load)
   | Failure_free | Byzantine -> ()
 
 (* --- adaptive sigma-edge omission adversary ------------------------------- *)

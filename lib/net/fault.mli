@@ -1,8 +1,8 @@
 (** Fault-load definitions matching the paper's evaluation (§7.2), plus
     the adaptive omission adversary.
 
-    The fault load picks which processes misbehave and how; the network
-    conditions add the dynamic omission faults of the communication
+    The fault load picks which processes misbehave and how; the loss
+    probability adds the dynamic omission faults of the communication
     failure model. Richer, time-varying fault timelines are expressed
     with {!Schedule} and applied on top of these static knobs. *)
 
@@ -31,16 +31,13 @@ val is_faulty : n:int -> load -> int -> bool
 (** Constant-time membership test for {!faulty_set} (the faulty ids are
     exactly the top [max_f n]). *)
 
-type conditions = {
-  loss_prob : float;            (** iid per-receiver omission probability *)
-  jam_windows : (float * float) list;  (** absolute-time jamming bursts *)
-}
-
-val benign_conditions : conditions
+val benign_loss : float
 (** 5% residual per-receiver loss — an 802.11b channel with the ambient
     interference the paper's fail-stop sensitivity implies. *)
 
-val apply_conditions : Radio.t -> conditions -> unit
+val set_loss : Radio.t -> float -> unit
+(** Sets the radio's iid per-receiver omission probability and records
+    it in the [fault.loss_prob] gauge. *)
 
 val crash : Radio.t -> int -> unit
 (** Marks a node down now, with the [fault]/[crash] trace event and
@@ -50,11 +47,9 @@ val recover : Radio.t -> int -> unit
 (** Brings a crashed node back up, with the [fault]/[recover] trace
     event and metric. *)
 
-val apply_crashes : ?at:(int -> float) -> Radio.t -> n:int -> load -> unit
-(** Crashes the faulty set for [Fail_stop]; no-op otherwise. [at i]
-    gives the crash time of process [i] (default 0, i.e. before the run
-    starts); strictly positive times are scheduled on the radio's
-    engine, so processes can fail mid-run. *)
+val apply_crashes : Radio.t -> n:int -> load -> unit
+(** Crashes the faulty set now, before the run starts, for
+    [Fail_stop]; no-op otherwise. *)
 
 (** {2 Adaptive sigma-edge adversary}
 

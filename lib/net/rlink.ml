@@ -4,6 +4,7 @@
    performed and charged like IPSec AH would. *)
 let channel_key = Bytes.of_string "turquois-sim-ipsec-ah-shared-key"
 
+let window = 8 (* outstanding segments per destination *)
 let min_rto = 0.2
 let max_rto = 10.0
 let tag_len = 32
@@ -39,7 +40,6 @@ type t = {
   dg : Datagram.t;
   cpu : Cpu.t;
   auth : bool;
-  window : int;
   port : int;
   senders : (int, sender_state) Hashtbl.t;
   receivers : (int, receiver_state) Hashtbl.t;
@@ -208,7 +208,7 @@ let unpack_messages payload =
 let fill_window t s =
   let continue = ref true in
   while !continue do
-    if s.next_seq < s.base + t.window && not (Queue.is_empty s.pending) then begin
+    if s.next_seq < s.base + window && not (Queue.is_empty s.pending) then begin
       match pack_messages s with
       | None -> continue := false
       | Some payload ->
@@ -322,14 +322,13 @@ let handle_data t ~src seq payload =
     schedule_ack t r ~dst:src ~in_order:false
   end
 
-let create engine dg cpu ?(auth = false) ?(window = 8) ~port () =
+let create engine dg cpu ?(auth = false) ~port () =
   let t =
     {
       engine;
       dg;
       cpu;
       auth;
-      window;
       port;
       senders = Hashtbl.create 8;
       receivers = Hashtbl.create 8;

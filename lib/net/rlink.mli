@@ -12,11 +12,10 @@
 
 type t
 
-val create :
-  Engine.t -> Datagram.t -> Cpu.t -> ?auth:bool -> ?window:int -> port:int -> unit -> t
+val create : Engine.t -> Datagram.t -> Cpu.t -> ?auth:bool -> port:int -> unit -> t
 (** [create engine dg cpu ~port ()] binds the transport to [port] on the
-    node owning [dg]. [auth] defaults to [false]; [window] to 8
-    outstanding segments per destination. *)
+    node owning [dg], with up to 8 outstanding segments per destination.
+    [auth] defaults to [false]. *)
 
 val send : t -> dst:int -> bytes -> unit
 (** Queues a message for reliable in-order delivery at [dst]. *)

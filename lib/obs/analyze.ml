@@ -281,7 +281,7 @@ let describe_fault (e : Trace2.event) =
           (Option.value ~default:(-1) (field_int f "tx"))
           (Option.value ~default:(-1) (field_int f "rx"))
           (pct "p")
-    | "jam" | "jam_window" -> "jamming"
+    | "jam" -> "jamming"
     | "jam_rx" ->
         Printf.sprintf "jam p%d" (Option.value ~default:(-1) (field_int f "rx"))
     | "rx_delay" ->
@@ -350,8 +350,7 @@ let active_faults_at faults ~time =
   let windows =
     List.filter
       (fun e ->
-        (e.Trace2.label = "jam" || e.Trace2.label = "jam_window"
-        || e.Trace2.label = "jam_rx" || e.Trace2.label = "rx_delay")
+        (e.Trace2.label = "jam" || e.Trace2.label = "jam_rx" || e.Trace2.label = "rx_delay")
         && Option.value ~default:0.0 (field_float e.Trace2.fields "until") > time)
       before
   in

@@ -17,43 +17,33 @@
 
 type behavior = Correct | Attacker | Equivocator | Silent
 
-type config = {
-  sample_size : int;
-  quorum_frac : float; (* of the inverse set heard before advancing *)
-  adopt_frac : float; (* majority share that displaces the coin *)
-  claim_frac : float; (* distinct claimants that import a decision *)
-  confidence : int; (* consecutive supermajority even phases to decide *)
-  tick : float;
-  patience : int; (* ticks without quorum before advancing anyway *)
-  max_phases : int;
-  linger_ticks : int;
-  epochs : int; (* sample tags cycle with this period: flat memory *)
-}
+(* below the crossover where an O(log n) sample actually thins the
+   fan-out, fall back to full membership: at n <= ~32 the sample costs
+   almost as many messages yet two samples can be near disjoint, which
+   is where the probabilistic agreement risk lives *)
+let sample_size ~n =
+  let s = max 8 (int_of_float (ceil (3.0 *. log (float_of_int (max 2 n))))) in
+  if 2 * s >= n then n - 1 else s
 
-let default_config ~n =
-  (* below the crossover where an O(log n) sample actually thins the
-     fan-out, fall back to full membership: at n <= ~32 the sample
-     costs almost as many messages yet two samples can be near
-     disjoint, which is where the probabilistic agreement risk lives *)
-  let sample_size =
-    let s = max 8 (int_of_float (ceil (3.0 *. log (float_of_int (max 2 n))))) in
-    if 2 * s >= n then n - 1 else s
-  in
-  {
-    sample_size;
-    quorum_frac = 0.65;
-    (* low enough that k - f unanimous honest votes always displace
-       the coin (validity), high enough that near-even splits fall
-       through to the shared coin instead of oscillating *)
-    adopt_frac = 0.66;
-    claim_frac = 0.3;
-    confidence = 2;
-    tick = 0.02;
-    patience = 3;
-    max_phases = 40;
-    linger_ticks = 10;
-    epochs = 16;
-  }
+let quorum_frac = 0.65 (* of the inverse set heard before advancing *)
+
+(* majority share that displaces the coin: low enough that k - f
+   unanimous honest votes always displace it (validity), high enough
+   that near-even splits fall through to the shared coin instead of
+   oscillating *)
+let adopt_frac = 0.66
+
+let claim_frac = 0.3 (* distinct claimants that import a decision *)
+
+(* consecutive even-phase supermajorities for the same value before
+   deciding it: one skewed sample during a genuinely split phase must
+   not certify a decision *)
+let confidence = 2
+
+let patience = 3 (* ticks without quorum before advancing anyway *)
+let max_phases = 40
+let linger_ticks = 10 (* decided nodes re-push claims this long *)
+let epochs = 16 (* sample tags cycle with this period: flat memory *)
 
 let claim_tag = 999_983 (* outside the phase-tag cycle *)
 
@@ -61,7 +51,8 @@ type t = {
   node_id : int;
   net : Transport.t;
   sampler : Sampler.t;
-  cfg : config;
+  k : int; (* sample size *)
+  tick : float;
   coin_base : int64;
   behavior : behavior;
   rng : Util.Rng.t; (* attacker randomness only *)
@@ -99,14 +90,16 @@ let decisions = Obs.Metrics.counter ~labels:proto "proto.decisions"
 let phase_changes = Obs.Metrics.counter ~labels:proto "proto.phase_changes"
 let ticks = Obs.Metrics.counter ~labels:proto "proto.ticks"
 
-let create net sampler cfg ~id ~coin_seed ?(behavior = Correct) ~proposal () =
+let create net sampler ~id ~coin_seed ?(tick = 0.02) ?(behavior = Correct) ~proposal () =
   if proposal <> 0 && proposal <> 1 then invalid_arg "Sampled.create: binary values only";
   let n = Sampler.size sampler in
+  let k = sample_size ~n in
   {
     node_id = id;
     net;
     sampler;
-    cfg;
+    k;
+    tick;
     coin_base = coin_seed;
     behavior;
     rng = Util.Rng.create ~seed:(Util.Rng.derive ~base:coin_seed [ 0x5ca1ed; id ]);
@@ -127,7 +120,7 @@ let create net sampler cfg ~id ~coin_seed ?(behavior = Correct) ~proposal () =
     claim0 = 0;
     claim1 = 0;
     claim_incoming =
-      Sampler.incoming sampler ~node:id ~tag:claim_tag ~k:cfg.sample_size;
+      Sampler.incoming sampler ~node:id ~tag:claim_tag ~k;
     pending_votes = Hashtbl.create 32;
     decide_cb = None;
   }
@@ -137,7 +130,7 @@ let phase t = t.phase
 let decision t = t.decided
 let on_decide t f = t.decide_cb <- Some f
 
-let tag t phase = phase mod t.cfg.epochs
+let tag phase = phase mod epochs
 
 (* shared coin: every node derives the same bit for a phase *)
 let coin t ~phase = Int64.to_int (Util.Rng.derive ~base:t.coin_base [ 0xc0; phase ]) land 1
@@ -178,7 +171,7 @@ let send t ~dst msg =
 
 let push_state t =
   let targets =
-    Sampler.sample t.sampler ~owner:t.node_id ~tag:(tag t t.phase) ~k:t.cfg.sample_size
+    Sampler.sample t.sampler ~owner:t.node_id ~tag:(tag t.phase) ~k:t.k
   in
   match t.behavior with
   | Silent -> ()
@@ -196,7 +189,7 @@ let push_state t =
 
 let push_claims t =
   let targets =
-    Sampler.sample t.sampler ~owner:t.node_id ~tag:claim_tag ~k:t.cfg.sample_size
+    Sampler.sample t.sampler ~owner:t.node_id ~tag:claim_tag ~k:t.k
   in
   let value =
     match (t.behavior, t.decided) with
@@ -217,7 +210,7 @@ let push_claims t =
 (* the tally universe: the inverse sample plus the node's own vote *)
 let tally_size t = Array.length t.incoming + 1
 
-let quorum t = max 1 (int_of_float (ceil (t.cfg.quorum_frac *. float_of_int (tally_size t))))
+let quorum t = max 1 (int_of_float (ceil (quorum_frac *. float_of_int (tally_size t))))
 
 (* deciding takes the canonical BFT quorum of the WHOLE tally
    universe, never a share of the votes heard so far (a sparse tally's
@@ -234,7 +227,7 @@ let decide_quorum t =
 
 let claim_quorum t =
   max 2
-    (int_of_float (ceil (t.cfg.claim_frac *. float_of_int (Array.length t.claim_incoming))))
+    (int_of_float (ceil (claim_frac *. float_of_int (Array.length t.claim_incoming))))
 
 let decide t v =
   if t.decided = None then begin
@@ -264,7 +257,7 @@ let rec enter_phase t phase =
   if t.value = 0 then begin t.c0 <- 1; t.c1 <- 0 end
   else begin t.c0 <- 0; t.c1 <- 1 end;
   t.incoming <-
-    Sampler.incoming t.sampler ~node:t.node_id ~tag:(tag t phase) ~k:t.cfg.sample_size;
+    Sampler.incoming t.sampler ~node:t.node_id ~tag:(tag phase) ~k:t.k;
   Obs.Metrics.incr phase_changes;
   (* replay buffered votes from senders already in this phase *)
   Array.iter
@@ -297,7 +290,7 @@ and maybe_advance t ~forced =
           t.streak_value <- b;
           t.streak <- 1
         end;
-        if t.streak >= t.cfg.confidence then decide t b else t.value <- b
+        if t.streak >= confidence then decide t b else t.value <- b
       end
       else if cb >= decide_quorum t - ((tally_size t - 1) / 3) then begin
         (* f-aware coin gate: cb votes for b could be the remnant of a
@@ -309,11 +302,11 @@ and maybe_advance t ~forced =
       end
       else begin
         t.streak <- 0;
-        if frac >= t.cfg.adopt_frac then t.value <- b
+        if frac >= adopt_frac then t.value <- b
         else t.value <- coin t ~phase:t.phase
       end;
       if t.decided = None then
-        if t.phase >= t.cfg.max_phases then t.stopped <- true
+        if t.phase >= max_phases then t.stopped <- true
         else enter_phase t (t.phase + 1)
     end
     else if forced then begin
@@ -329,7 +322,7 @@ and maybe_advance t ~forced =
           t.pending_votes (0, max_int)
       in
       if 2 * ahead >= Array.length t.incoming && target < max_int then begin
-        if target > t.cfg.max_phases then t.stopped <- true
+        if target > max_phases then t.stopped <- true
         else enter_phase t target
       end
     end
@@ -365,7 +358,7 @@ let on_message t ~src raw =
 
 (* --- ticks -------------------------------------------------------------- *)
 
-let rec arm t = Transport.timer t.net ~node:t.node_id ~delay:t.cfg.tick (fun () -> on_tick t)
+let rec arm t = Transport.timer t.net ~node:t.node_id ~delay:t.tick (fun () -> on_tick t)
 
 and on_tick t =
   if not t.stopped then begin
@@ -373,7 +366,7 @@ and on_tick t =
     (match t.decided with
     | Some _ ->
         t.ticks_after_decide <- t.ticks_after_decide + 1;
-        if t.ticks_after_decide <= t.cfg.linger_ticks then begin
+        if t.ticks_after_decide <= linger_ticks then begin
           (* beacon: besides claims, keep voting the decided value
              through successive phases so laggards tally it as STATE
              instead of coining away once the deciders fall silent *)
@@ -384,7 +377,7 @@ and on_tick t =
         else t.stopped <- true (* linger over: go quiet, let the engine drain *)
     | None ->
         t.phase_ticks <- t.phase_ticks + 1;
-        if t.phase_ticks >= t.cfg.patience then maybe_advance t ~forced:true
+        if t.phase_ticks >= patience then maybe_advance t ~forced:true
         else push_state t (* re-push against loss *));
     if not t.stopped then arm t
   end

@@ -10,27 +10,11 @@
 
 type behavior = Correct | Attacker | Equivocator | Silent
 
-type config = {
-  sample_size : int;
-  quorum_frac : float;  (** of the inverse set heard before advancing *)
-  adopt_frac : float;  (** majority share that displaces the coin *)
-  claim_frac : float;  (** distinct claimants that import a decision *)
-  confidence : int;
-      (** consecutive even-phase supermajorities for the same value
-          before deciding it — one skewed sample during a genuinely
-          split phase must not certify a decision *)
-  tick : float;
-  patience : int;  (** ticks without quorum before advancing anyway *)
-  max_phases : int;
-  linger_ticks : int;  (** decided nodes re-push claims this long *)
-  epochs : int;  (** sample tags cycle with this period: flat memory *)
-}
-
-val default_config : n:int -> config
+val sample_size : n:int -> int
 (** Sample size ~ 3 ln n (min 8) — full membership below the crossover
     where sampling would actually thin the fan-out. Deciding takes the
     BFT quorum k - (k-1)/3 of the tally universe (inverse sample plus
-    own vote), sustained for [confidence] consecutive even phases. *)
+    own vote), sustained for two consecutive even phases. *)
 
 val state_frame_bytes : int
 (** Encoded size of one vote frame — what per-frame channel-capacity
@@ -42,15 +26,18 @@ type t
 val create :
   Transport.t ->
   Sampler.t ->
-  config ->
   id:int ->
   coin_seed:int64 ->
+  ?tick:float ->
   ?behavior:behavior ->
   proposal:int ->
   unit ->
   t
 (** [coin_seed] must be identical at every node (public randomness);
-    [proposal] must be 0 or 1. *)
+    [proposal] must be 0 or 1. [tick] (default 20 ms) is the re-push
+    interval: after three ticks in one phase a node acts on a partial
+    tally, it stops at phase 40, and it lingers ten ticks after
+    deciding. *)
 
 val id : t -> int
 val phase : t -> int

@@ -68,7 +68,7 @@ let miller_rabin_round rng n n_minus_1 d s =
     not !witness
   end
 
-let is_probably_prime ?(rounds = 24) rng n =
+let is_probably_prime rng n =
   if Znum.compare n Znum.two < 0 then false
   else if Znum.compare n (Znum.of_int 1000) <= 0 then begin
     match Znum.to_int_opt n with
@@ -82,7 +82,7 @@ let is_probably_prime ?(rounds = 24) rng n =
     (* n-1 = d * 2^s with d odd *)
     let rec split d s = if Znum.is_odd d then (d, s) else split (Znum.shift_right d 1) (s + 1) in
     let d, s = split n_minus_1 0 in
-    let rec go i = i >= rounds || (miller_rabin_round rng n n_minus_1 d s && go (i + 1)) in
+    let rec go i = i >= 24 || (miller_rabin_round rng n n_minus_1 d s && go (i + 1)) in
     go 0
   end
 

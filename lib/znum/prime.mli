@@ -7,11 +7,10 @@
 val small_primes : int array
 (** The primes below 1000, used for trial division. *)
 
-val is_probably_prime : ?rounds:int -> Util.Rng.t -> Znum.t -> bool
-(** Miller–Rabin with [rounds] random bases (default 24) after trial
-    division by {!small_primes}. Error probability at most
-    [4^-rounds] for composites. Deterministically correct for inputs
-    below 10^6. *)
+val is_probably_prime : Util.Rng.t -> Znum.t -> bool
+(** Miller–Rabin with 24 random bases after trial division by
+    {!small_primes}. Error probability at most [4^-24] for composites.
+    Deterministically correct for inputs below 10^6. *)
 
 val random_bits : Util.Rng.t -> bits:int -> Znum.t
 (** Uniform integer in [\[0, 2^bits)]. *)

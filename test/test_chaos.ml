@@ -84,7 +84,7 @@ let test_strategy_lookup () =
 let strategy_machine strategy =
   let cfg = Core.Proto.default_config ~n:4 in
   let rng = Util.Rng.create ~seed:77L in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases in
   Core.Machine.create cfg ~keyring:keyrings.(3) ~rng
     ~behavior:(Core.Machine.Byzantine strategy) ~proposal:1 ()
 
@@ -116,7 +116,7 @@ let test_forged_signature_rejected () =
       let cfg = Core.Proto.default_config ~n:4 in
       let rng = Util.Rng.create ~seed:77L in
       let keyrings =
-        Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases ()
+        Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases
       in
       Alcotest.(check bool) "rejected" false
         (Core.Keyring.check_message keyrings.(0) env.msg)
@@ -203,9 +203,8 @@ let test_runner_strategy_safe () =
     (fun strategy ->
       let r =
         Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4
-          ~dist:Harness.Runner.Divergent ~load:Net.Fault.Byzantine
-          ~conditions:{ Net.Fault.loss_prob = 0.0; jam_windows = [] }
-          ~strategy ~timeout:30.0 ~seed:31L ()
+          ~dist:Harness.Runner.Divergent ~load:Net.Fault.Byzantine ~loss:0.0 ~strategy
+          ~timeout:30.0 ~seed:31L ()
       in
       let name = Core.Strategy.name strategy in
       Alcotest.(check bool) (name ^ ": agreement") true r.agreement;
@@ -227,9 +226,8 @@ let test_runner_schedule_applies () =
   in
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4
-      ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free
-      ~conditions:{ Net.Fault.loss_prob = 0.0; jam_windows = [] }
-      ~schedule ~timeout:60.0 ~seed:17L ()
+      ~dist:Harness.Runner.Unanimous ~load:Net.Fault.Failure_free ~loss:0.0 ~schedule
+      ~timeout:60.0 ~seed:17L ()
   in
   Alcotest.(check bool) "agreement" true r.agreement;
   Alcotest.(check bool) "completes" false r.timed_out;

@@ -204,7 +204,7 @@ let test_msg_digest_covers_proof () =
 
 (* --- Keyring ------------------------------------------------------------- *)
 
-let keyrings = lazy (Core.Keyring.setup (Util.Rng.create ~seed:200L) ~n:4 ~phases:12 ())
+let keyrings = lazy (Core.Keyring.setup (Util.Rng.create ~seed:200L) ~n:4 ~phases:12)
 
 let test_keyring_setup () =
   let krs = Lazy.force keyrings in
@@ -566,7 +566,7 @@ let test_msgstore_matches_reference_model () =
   List.iter
     (fun n ->
       let phases = 4 in
-      let krs = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases () in
+      let krs = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases in
       let s = Core.Msgstore.create () in
       let r = { Ref_store.msgs = []; members = [] } in
       let pool = ref [] in

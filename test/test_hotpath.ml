@@ -153,7 +153,7 @@ let test_ordered_log_snapshot_pinned () =
         Net.Radio.set_loss_prob radio 0.01;
         let cfg = { (Core.Proto.default_config ~n) with max_phases = 45 } in
         let keyrings =
-          Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases) ()
+          Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases)
         in
         let logs =
           Array.init n (fun i ->
@@ -271,7 +271,7 @@ let test_profiler_span_mechanics () =
 
 (* --- store poisoning -------------------------------------------------------- *)
 
-let keyrings = lazy (Core.Keyring.setup (Util.Rng.create ~seed:5L) ~n:2 ~phases:4 ())
+let keyrings = lazy (Core.Keyring.setup (Util.Rng.create ~seed:5L) ~n:2 ~phases:4)
 
 let signed_envelope () =
   let keyrings = Lazy.force keyrings in

@@ -12,7 +12,7 @@ let broadcast m ~justify =
 let make_group ?(n = 4) ?(seed = 300L) ?(proposals = [| 1; 1; 1; 1 |]) ?(byzantine = []) () =
   let rng = Util.Rng.create ~seed in
   let cfg = { (P.default_config ~n) with max_phases = 60 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 in
   let machines =
     Array.init n (fun i ->
         let behavior = if List.mem i byzantine then M.Attacker else M.Correct in
@@ -45,7 +45,7 @@ let test_initial_state () =
 
 let test_rejects_bad_proposal () =
   let rng = Util.Rng.create ~seed:1L in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:12 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:12 in
   Alcotest.check_raises "proposal 2" (Invalid_argument "Proto.value_of_bit: 2") (fun () ->
       ignore
         (M.create
@@ -125,7 +125,7 @@ let test_adoption_catches_up () =
 
 let test_key_horizon_exhaustion () =
   let rng = Util.Rng.create ~seed:304L in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:4 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:4 in
   let cfg = { (P.default_config ~n:4) with max_phases = 4 } in
   let m = M.create cfg ~keyring:keyrings.(0) ~rng ~proposal:1 () in
   Alcotest.(check bool) "phase 1 ok" true (broadcast m ~justify:false <> None)
@@ -139,11 +139,72 @@ let test_attacker_message_content () =
   | None -> Alcotest.fail "no broadcast"
 
 let test_stats_accumulate () =
-  let _, machines = make_group () in
-  round machines;
-  let s = M.stats machines.(0) in
-  Alcotest.(check bool) "accepted some" true (s.accepted > 0);
-  Alcotest.(check int) "no auth failures" 0 s.rejected_auth
+  let (), metrics = Obs.Scope.with_run (fun () -> round (snd (make_group ()))) in
+  (* every machine admits the other three's phase-1 messages *)
+  Alcotest.(check int) "accepted all" 12 (Obs.Metrics.counter_value metrics "validation.accepted");
+  Alcotest.(check int) "no auth failures" 0
+    (Obs.Metrics.counter_value metrics ~labels:[ ("rule", "auth") ] "validation.rejected")
+
+(* The bundle rule as the code ships it: a correct machine's justified
+   bundle is its V set at phi-1, phi-2 and phi-3 plus its deciding
+   quorum, one entry per (sender, phase). Checked on the bundle every
+   correct machine is about to emit, in lossy lockstep walks against
+   the whole strategy alphabet. *)
+let test_bundle_shape () =
+  let module D = Harness.Abstract_rounds.Driven in
+  let rounds = 24 in
+  let checked = ref 0 and deciding = ref 0 and bad = ref [] in
+  let check_bundle ~where m (env : Core.Message.envelope) =
+    incr checked;
+    let phi = env.msg.phase in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Core.Message.t) ->
+        if e.phase >= phi - 3 && e.phase < phi then ()
+        else if Some e.phase = M.decision_phase m then incr deciding
+        else bad := Printf.sprintf "%s: entry at phase %d" where e.phase :: !bad;
+        if Hashtbl.mem seen (e.sender, e.phase) then
+          bad := Printf.sprintf "%s: second entry of p%d" where e.sender :: !bad;
+        Hashtbl.replace seen (e.sender, e.phase) ())
+      env.justification
+  in
+  List.iter
+    (fun (n, byzantine) ->
+      for seed = 1 to 6 do
+        let rng = Util.Rng.create ~seed:(Int64.of_int seed) in
+        let sim =
+          D.create ~n ~k:(n - Net.Fault.max_f n) ~byzantine ~dist:Harness.Runner.Divergent
+            ~horizon:rounds ~rng ()
+        in
+        for round = 1 to rounds do
+          List.iter
+            (fun i ->
+              let m = M.clone (D.machine sim i) in
+              Option.iter
+                (check_bundle ~where:(Printf.sprintf "n=%d seed %d round %d p%d" n seed round i) m)
+                (broadcast m ~justify:true))
+            (D.correct sim);
+          let byz =
+            List.map
+              (fun b ->
+                (b, List.nth Core.Strategy.all ((round + b) mod List.length Core.Strategy.all)))
+              byzantine
+          in
+          let drops =
+            List.concat_map
+              (fun s ->
+                List.filter_map
+                  (fun r -> if r <> s && Util.Rng.int rng 4 = 0 then Some (s, r) else None)
+                  (List.init n Fun.id))
+              (List.init n Fun.id)
+          in
+          D.step sim ~drops ~byz
+        done
+      done)
+    [ (4, [ 3 ]); (7, [ 5; 6 ]) ];
+  Alcotest.(check (list string)) "entries outside the rule" [] (List.rev !bad);
+  Alcotest.(check bool) "bundles checked" true (!checked > 0);
+  Alcotest.(check bool) "deciding quorums outside the window" true (!deciding > 0)
 
 let test_same_state_detection () =
   let _, machines = make_group () in
@@ -158,7 +219,7 @@ let test_same_state_detection () =
 let run_random_schedule ~n ~byzantine ~proposals ~drop_prob ~rounds ~seed =
   let rng = Util.Rng.create ~seed in
   let cfg = { (P.default_config ~n) with max_phases = 3 * rounds + 9 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
   let machines =
     Array.init n (fun i ->
         let behavior = if List.mem i byzantine then M.Attacker else M.Correct in
@@ -375,6 +436,7 @@ let suite =
       Alcotest.test_case "key horizon" `Quick test_key_horizon_exhaustion;
       Alcotest.test_case "attacker content" `Quick test_attacker_message_content;
       Alcotest.test_case "stats" `Quick test_stats_accumulate;
+      Alcotest.test_case "bundle shape" `Quick test_bundle_shape;
       Alcotest.test_case "same state detection" `Quick test_same_state_detection;
       Alcotest.test_case "compact wire equivalence" `Quick test_compact_wire_equivalence;
       Alcotest.test_case "compact framing/unresolved" `Quick

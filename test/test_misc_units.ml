@@ -87,7 +87,7 @@ let test_certificate_rescues_deep_laggard () =
   let n = 4 in
   let rng = Util.Rng.create ~seed:700L in
   let cfg = { (Core.Proto.default_config ~n) with max_phases = 60 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 in
   let machines =
     Array.init n (fun i ->
         Core.Machine.create cfg ~keyring:keyrings.(i) ~rng:(Util.Rng.split rng) ~proposal:1 ())
@@ -128,7 +128,7 @@ let test_certificate_needs_quorum () =
   let n = 4 in
   let rng = Util.Rng.create ~seed:701L in
   let cfg = { (Core.Proto.default_config ~n) with max_phases = 60 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:60 in
   let machines =
     Array.init n (fun i ->
         Core.Machine.create cfg ~keyring:keyrings.(i) ~rng:(Util.Rng.split rng) ~proposal:1 ())
@@ -202,7 +202,7 @@ let test_turquois_ignores_garbage_datagrams () =
   let n = 4 in
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n in
   let cfg = Core.Proto.default_config ~n in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
   let nodes = Array.init n (fun id -> Net.Node.create engine radio ~id ~rng:(Util.Rng.split rng)) in
   let decided = ref 0 in
   let procs =

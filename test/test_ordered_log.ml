@@ -10,7 +10,7 @@ let setup ?(n = 4) ?(capacity = 8) ?(loss = 0.01) ?(seed = 910L) ?(window = 1)
   Net.Radio.set_loss_prob radio loss;
   let cfg = { (Core.Proto.default_config ~n) with max_phases = 45 } in
   let keyrings =
-    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases) ()
+    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(capacity * cfg.max_phases)
   in
   let nodes =
     Array.init n (fun i -> Net.Node.create engine radio ~id:i ~rng:(Util.Rng.split rng))
@@ -266,7 +266,7 @@ let test_rejects_bad_capacity () =
   let rng = Util.Rng.create ~seed:914L in
   let radio = Net.Radio.create (Net.Engine.create ()) (Util.Rng.split rng) ~n:4 in
   let cfg = { (Core.Proto.default_config ~n:4) with max_phases = 45 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:45 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:45 in
   let node = Net.Node.create (Net.Engine.create ()) radio ~id:0 ~rng:(Util.Rng.split rng) in
   Alcotest.check_raises "capacity 0" (Invalid_argument "Ordered_log.create: capacity must be positive")
     (fun () -> ignore (Core.Ordered_log.create node cfg ~keyring:keyrings.(0) ~capacity:0 ()));

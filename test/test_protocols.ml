@@ -26,7 +26,7 @@ let run_protocol ~protocol ~n ~proposals ~byz ~crash ~loss ?(jam = []) ~seed ~ho
   (match protocol with
   | `Turquois ->
       let cfg = Core.Proto.default_config ~n in
-      let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+      let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
       Array.iteri
         (fun i node ->
           let behavior = if List.mem i byz then Core.Turquois.Attacker else Core.Turquois.Correct in
@@ -45,7 +45,7 @@ let run_protocol ~protocol ~n ~proposals ~byz ~crash ~loss ?(jam = []) ~seed ~ho
         nodes
   | `Abba ->
       let f = Net.Fault.max_f n in
-      let keys = Baselines.Abba.setup_keys (Util.Rng.split rng) ~n ~f () in
+      let keys = Baselines.Abba.setup_keys (Util.Rng.split rng) ~n ~f in
       Array.iteri
         (fun i node ->
           let behavior = if List.mem i byz then Baselines.Abba.Attacker else Baselines.Abba.Correct in

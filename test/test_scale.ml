@@ -260,10 +260,9 @@ let sampled_net ~n ~loss ~seed ~proposal ~behavior =
   let net = Scale.Transport.of_medium medium in
   let sampler = Scale.Sampler.create ~seed:(Util.Rng.derive ~base:seed [ 1 ]) ~n in
   let coin_seed = Util.Rng.derive ~base:seed [ 2 ] in
-  let cfg = Scale.Sampled.default_config ~n in
   let nodes =
     Array.init n (fun id ->
-        Scale.Sampled.create net sampler cfg ~id ~coin_seed ~behavior:(behavior id)
+        Scale.Sampled.create net sampler ~id ~coin_seed ~behavior:(behavior id)
           ~proposal:(proposal id) ())
   in
   (engine, nodes)
@@ -326,11 +325,9 @@ let test_sampled_over_nodes () =
   let sampler = Scale.Sampler.create ~seed:21L ~n in
   (* contended 802.11b unicast delivers slower than the abstract
      medium: give each phase time to land *)
-  let cfg = { (Scale.Sampled.default_config ~n) with tick = 0.5 } in
   let nodes =
     Array.init n (fun id ->
-        Scale.Sampled.create net sampler cfg ~id ~coin_seed:99L
-          ~proposal:(id land 1) ())
+        Scale.Sampled.create net sampler ~id ~coin_seed:99L ~tick:0.5 ~proposal:(id land 1) ())
   in
   Array.iter Scale.Sampled.start nodes;
   ignore (check_sampled_agreement ~n ~engine ~nodes ~faulty:(fun _ -> false))

@@ -5,7 +5,7 @@ module P = Core.Proto
 
 let test_slice_signs_with_offset () =
   let rng = Util.Rng.create ~seed:400L in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:20 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:20 in
   let base = keyrings.(1) in
   let sliced = Core.Keyring.slice base ~offset:10 ~phases:5 in
   Alcotest.(check int) "slice phases" 5 (Core.Keyring.phases sliced);
@@ -24,7 +24,7 @@ let test_slice_signs_with_offset () =
 
 let test_slice_window_bounds () =
   let rng = Util.Rng.create ~seed:401L in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:2 ~phases:10 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:2 ~phases:10 in
   Alcotest.check_raises "beyond horizon"
     (Invalid_argument "Keyring.slice: window exceeds the key horizon") (fun () ->
       ignore (Core.Keyring.slice keyrings.(0) ~offset:6 ~phases:5));
@@ -45,7 +45,7 @@ let make_services ?(n = 4) ?(instances = 3) ?(per_instance = 30) ?(seed = 402L)
   Net.Radio.set_loss_prob radio 0.01;
   let cfg = { (P.default_config ~n) with max_phases = per_instance } in
   let keyrings =
-    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(instances * per_instance) ()
+    Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:(instances * per_instance)
   in
   let services =
     Array.init n (fun i ->
@@ -96,7 +96,7 @@ let test_service_rejects_short_keyring () =
   let rng = Util.Rng.create ~seed:403L in
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:4 in
   let cfg = { (P.default_config ~n:4) with max_phases = 30 } in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:50 () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:50 in
   let node = Net.Node.create engine radio ~id:0 ~rng:(Util.Rng.split rng) in
   Alcotest.check_raises "short keyring"
     (Invalid_argument "Service.create: keyring does not cover all instances") (fun () ->
@@ -147,7 +147,7 @@ let run_turquois_with ~tick_policy ~loss ~seed =
   (* fail-stop-like stress: only a bare quorum of processes *)
   Net.Radio.set_down radio 3 true;
   let cfg = P.default_config ~n in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n ~phases:cfg.max_phases in
   let decided = ref 0 in
   let instances =
     Array.init n (fun i ->
@@ -186,7 +186,7 @@ let test_adaptive_rejects_bad_params () =
   let rng = Util.Rng.create ~seed:406L in
   let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:4 in
   let cfg = P.default_config ~n:4 in
-  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases () in
+  let keyrings = Core.Keyring.setup (Util.Rng.split rng) ~n:4 ~phases:cfg.max_phases in
   let node = Net.Node.create engine radio ~id:0 ~rng:(Util.Rng.split rng) in
   Alcotest.check_raises "bad factor"
     (Invalid_argument "Turquois.create: bad adaptive tick parameters") (fun () ->
