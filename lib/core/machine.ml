@@ -2,25 +2,6 @@ type event = Phase_changed of int | Decided of { value : int; phase : int }
 
 type behavior = Correct | Attacker | Byzantine of Strategy.t
 
-(* Everything the emitted broadcast of a Correct/Attacker machine is a
-   function of. While the key is unchanged, re-emitting rebuilds the
-   exact same envelope — so it is memoized instead (skipping the
-   re-sign and the justification rebuild). Byzantine strategies draw
-   from the rng and are never memoized. *)
-type emit_key = {
-  ek_phase : int;
-  ek_value : int;
-  ek_origin : int;
-  ek_status : int;
-  ek_vset_version : int;
-  ek_dq_phase : int;  (* -1 when none *)
-}
-
-let emit_key_equal a b =
-  a.ek_phase = b.ek_phase && a.ek_value = b.ek_value && a.ek_origin = b.ek_origin
-  && a.ek_status = b.ek_status && a.ek_vset_version = b.ek_vset_version
-  && a.ek_dq_phase = b.ek_dq_phase
-
 type t = {
   cfg : Proto.config;
   keyring : Keyring.t;
@@ -42,11 +23,6 @@ type t = {
      the rng position, making {!fingerprint} capture the machine's full
      future behavior without serializing generator internals *)
   mutable coin_flips : int;
-  (* emitted-broadcast memos, one per justification flavor (the stuck
-     rebroadcast alternates justified/plain, so a single slot would
-     thrash) *)
-  mutable emit_memo_plain : (emit_key * Message.envelope) option;
-  mutable emit_memo_justified : (emit_key * Message.envelope) option;
   (* sender-side delta-compression window ({!encode_envelope}): store
      indices of the entries already shipped inside this phase, plus the
      keyframe counter that bounds how long a receiver that missed the
@@ -54,9 +30,6 @@ type t = {
   shipped : (int, unit) Hashtbl.t;
   mutable shipped_phase : int;
   mutable since_keyframe : int;
-  (* last all-references encoding, reusable while the envelope is
-     physically unchanged *)
-  mutable enc_cache : (Message.envelope * bytes) option;
   (* receiver side: one bit per store index this machine may resolve a
      compact reference to — set only once the message passed this
      machine's own authenticity check, or is exactly a member of its V
@@ -92,12 +65,9 @@ let create cfg ~keyring ~rng ?(behavior = Correct) ~proposal () =
     last_broadcast = None;
     decided_claims = Hashtbl.create 16;
     coin_flips = 0;
-    emit_memo_plain = None;
-    emit_memo_justified = None;
     shipped = Hashtbl.create 64;
     shipped_phase = 0;
     since_keyframe = 0;
-    enc_cache = None;
     known = Bytes.empty;
   }
 
@@ -122,12 +92,9 @@ let clone t =
     last_broadcast = t.last_broadcast;
     decided_claims = Hashtbl.copy t.decided_claims;
     coin_flips = t.coin_flips;
-    emit_memo_plain = t.emit_memo_plain;
-    emit_memo_justified = t.emit_memo_justified;
     shipped = Hashtbl.copy t.shipped;
     shipped_phase = t.shipped_phase;
     since_keyframe = t.since_keyframe;
-    enc_cache = t.enc_cache;
     known = Bytes.copy t.known;
   }
 
@@ -319,40 +286,14 @@ let emit t ~justify =
     match t.behavior with
     | Correct | Attacker ->
         let value, origin, status = wire_fields t in
-        let key =
-          {
-            ek_phase = t.phase_i;
-            ek_value = Proto.value_to_int value;
-            ek_origin = (match origin with Proto.Deterministic -> 0 | Proto.Random -> 1);
-            ek_status = (match status with Proto.Undecided -> 0 | Proto.Decided -> 1);
-            ek_vset_version = Vset.version t.v;
-            ek_dq_phase = Option.value ~default:(-1) t.decided_quorum_phase;
-          }
-        in
-        let memo = if justify then t.emit_memo_justified else t.emit_memo_plain in
-        (match memo with
-        | Some (k, env) when emit_key_equal k key ->
-            (* nothing the envelope depends on changed since it was
-               built: reuse it verbatim (its message is already in V) *)
-            t.last_broadcast <- Some (t.phase_i, value, status);
-            Broadcast env
-        | Some _ | None ->
-            let proof = Keyring.sign t.keyring ~phase:t.phase_i ~value ~origin in
-            let msg =
-              { Message.sender = id t; phase = t.phase_i; value; origin; status; proof }
-            in
-            let justification = if justify then build_justification t else [] in
-            t.last_broadcast <- Some (t.phase_i, value, status);
-            (* a correct process trusts its own state: V gets the message
-               directly (any loopback copy is deduplicated) *)
-            ignore (Vset.add t.v msg);
-            let env = { Message.msg; justification } in
-            (* keyed on the post-insert version so the very next
-               unchanged-state emit already hits *)
-            let entry = Some ({ key with ek_vset_version = Vset.version t.v }, env) in
-            if justify then t.emit_memo_justified <- entry
-            else t.emit_memo_plain <- entry;
-            Broadcast env)
+        let proof = Keyring.sign t.keyring ~phase:t.phase_i ~value ~origin in
+        let msg = { Message.sender = id t; phase = t.phase_i; value; origin; status; proof } in
+        let justification = if justify then build_justification t else [] in
+        t.last_broadcast <- Some (t.phase_i, value, status);
+        (* a correct process trusts its own state: V gets the message
+           directly (any loopback copy is deduplicated) *)
+        ignore (Vset.add t.v msg);
+        Broadcast { Message.msg; justification }
     | Byzantine strategy -> emit_strategy t strategy ~justify
 
 let emit_as t ~strategy ~justify =
@@ -642,37 +583,24 @@ let encode_justified t (env : Message.envelope) =
   if t.shipped_phase <> t.phase_i then begin
     Hashtbl.reset t.shipped;
     t.shipped_phase <- t.phase_i;
-    t.since_keyframe <- 0;
-    t.enc_cache <- None
+    t.since_keyframe <- 0
   end;
   let keyframe = t.since_keyframe mod keyframe_every = 0 in
   t.since_keyframe <- t.since_keyframe + 1;
-  match t.enc_cache with
-  | Some (cached, b) when (not keyframe) && cached == env && not (Obs.Trace2.enabled ()) ->
-      (* same envelope, window unchanged: every entry is still a
-         shipped reference, so the previous wire bytes are exact.
-         (Skipped under causal tracing, which identifies frames by
-         physical payload: each send must then own fresh bytes.) *)
-      b
-  | Some _ | None ->
-      let store = store t in
-      let all_refs = ref true in
-      let wjust =
-        List.map
-          (fun m ->
-            let idx = Msgstore.intern store m in
-            if (not keyframe) && Hashtbl.mem t.shipped idx then
-              Message.Ref (Msgstore.digest store idx)
-            else begin
-              Hashtbl.replace t.shipped idx ();
-              all_refs := false;
-              Message.Full m
-            end)
-          env.Message.justification
-      in
-      let b = Message.encode_wire { Message.wmsg = env.Message.msg; wjust } in
-      t.enc_cache <- (if !all_refs then Some (env, b) else None);
-      b
+  let store = store t in
+  let wjust =
+    List.map
+      (fun m ->
+        let idx = Msgstore.intern store m in
+        if (not keyframe) && Hashtbl.mem t.shipped idx then
+          Message.Ref (Msgstore.digest store idx)
+        else begin
+          Hashtbl.replace t.shipped idx ();
+          Message.Full m
+        end)
+      env.Message.justification
+  in
+  Message.encode_wire { Message.wmsg = env.Message.msg; wjust }
 
 (* Delta-compressed justification bundles, on unless a test forces the
    plain wire format as its reference. A sender-side switch only:

@@ -65,9 +65,10 @@ val emit : t -> justify:bool -> transmission
     strategy, which may stay silent or equivocate per receiver. With
     [justify], the explicit-validation bundle is attached: the V set
     over the three previous phases plus, once decided, the deciding
-    quorum. Correct
-    machines also record their own message in their V set. [Quiet] once
-    the phase exceeds the one-time key horizon. *)
+    quorum. Every call signs and builds the bundle from the current V
+    set. Correct machines also record their own message in their V set,
+    where the next bundle's deciding quorum can include it. [Quiet]
+    once the phase exceeds the one-time key horizon. *)
 
 val emit_as : t -> strategy:Strategy.t -> justify:bool -> transmission
 (** The transmission the given strategy produces from this machine's
@@ -103,9 +104,8 @@ val encode_envelope : t -> Message.envelope -> bytes
     justified encode of a phase is a keyframe shipping everything in
     full again (bounding the blackout of receivers that missed a full
     copy). Falls back to the plain format — byte-identical but for the
-    format byte — when compaction is off or the bundle is empty. Repeat
-    encodes of the physically same envelope reuse the previous buffer
-    (except under causal tracing, which needs per-send bytes). *)
+    format byte — when compaction is off or the bundle is empty. Every
+    call returns fresh bytes. *)
 
 val handle_wire : t -> Msgstore.frame -> event list * int
 (** {!handle} for a frame decoded through {!store}, compact references

@@ -25,9 +25,6 @@ type t = {
   mutable rows : row option array;  (* by phase; None = nothing stored *)
   mutable highest : Message.t option;
   mutable total : int;
-  (* bumped on every successful insert: the cheap invalidation key for
-     downstream memos (the machine's justification/envelope cache) *)
-  mutable version : int;
 }
 
 let create ~n =
@@ -37,10 +34,8 @@ let create ~n =
     rows = Array.make 8 None;
     highest = None;
     total = 0;
-    version = 0;
   }
 
-let version t = t.version
 let store t = t.store
 
 let row_at t phase =
@@ -78,7 +73,6 @@ let add_unprofiled t (m : Message.t) =
     if r.slots.(m.sender) = 0 then begin
       r.slots.(m.sender) <- Msgstore.admit t.store m;
       t.total <- t.total + 1;
-      t.version <- t.version + 1;
       r.senders <- r.senders + 1;
       r.supporters.(code) <- r.supporters.(code) + 1;
       (match t.highest with
@@ -99,7 +93,6 @@ let add_unprofiled t (m : Message.t) =
         if Array.length r.extras = 0 then r.extras <- Array.make t.n [];
         r.extras.(m.sender) <- Msgstore.admit t.store m :: r.extras.(m.sender);
         t.total <- t.total + 1;
-        t.version <- t.version + 1;
         (* an extra always sits next to a primary from the same
            sender, so the phase's sender count is unchanged; the sender
            now additionally supports this (previously unseen) value *)

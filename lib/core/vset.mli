@@ -78,12 +78,6 @@ val highest_message : t -> Message.t option
 val size : t -> int
 (** Total stored messages. *)
 
-val version : t -> int
-(** Bumped on every successful {!add} — a cheap invalidation key for
-    memos derived from the set's contents (the machine's justification
-    and envelope caches). Cloning preserves the counter; the clone and
-    the original then advance it independently. *)
-
 val clone : t -> t
 (** An independent deep copy (messages themselves are immutable and
     shared). The model checker forks a machine's V set per enumerated

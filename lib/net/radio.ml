@@ -7,9 +7,7 @@ type transmission = {
 
 type stats = {
   mutable frames_sent : int;
-  mutable frames_delivered : int;
   mutable collisions : int;
-  mutable losses : int;
   mutable jammed : int;
   mutable bytes_sent : int;
   mutable airtime : float;
@@ -80,9 +78,7 @@ let create engine rng ~n =
     stats =
       {
         frames_sent = 0;
-        frames_delivered = 0;
         collisions = 0;
-        losses = 0;
         jammed = 0;
         bytes_sent = 0;
         airtime = 0.0;
@@ -254,8 +250,6 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
                    end
                  done;
                  (* one registry update per transmission, not per receiver *)
-                 t.stats.losses <- t.stats.losses + !omitted;
-                 t.stats.frames_delivered <- t.stats.frames_delivered + !delivered;
                  if !omitted > 0 then Obs.Metrics.incr_by omissions !omitted;
                  if !delivered > 0 then Obs.Metrics.incr_by delivered_frames !delivered
            end;

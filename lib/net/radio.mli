@@ -15,9 +15,7 @@ type t
 
 type stats = {
   mutable frames_sent : int;
-  mutable frames_delivered : int;
   mutable collisions : int;      (** frames corrupted by overlap *)
-  mutable losses : int;          (** per-receiver Bernoulli drops *)
   mutable jammed : int;          (** frames destroyed by jamming *)
   mutable bytes_sent : int;
   mutable airtime : float;       (** cumulative seconds of occupancy *)

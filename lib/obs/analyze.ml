@@ -6,21 +6,6 @@
    arithmetic: obs sits below net and core, which both use it. *)
 let sigma ~n ~k ~t = (((n - t + 1) / 2) * (n - k - t)) + k - 2
 
-let field_int fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.I i) -> Some i
-  | Some (Trace2.F f) -> Some (int_of_float f)
-  | _ -> None
-
-let field_float fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.F f) -> Some f
-  | Some (Trace2.I i) -> Some (float_of_int i)
-  | _ -> None
-
-let field_str fields key =
-  match List.assoc_opt key fields with Some (Trace2.S s) -> Some s | _ -> None
-
 type meta = {
   m_protocol : string;
   m_load : string;
@@ -52,15 +37,15 @@ let read_meta events =
   | Some e ->
       let f = e.Trace2.fields in
       {
-        m_protocol = Option.value ~default:"?" (field_str f "protocol");
-        m_load = Option.value ~default:"?" (field_str f "load");
-        m_dist = Option.value ~default:"?" (field_str f "dist");
-        m_seed = Option.value ~default:"?" (field_str f "seed");
-        m_n = field_int f "n";
-        m_k = field_int f "k";
-        m_t = field_int f "t";
-        m_tick = Option.value ~default:10.0e-3 (field_float f "tick_s");
-        m_crashed = Option.value ~default:"" (field_str f "crashed");
+        m_protocol = Option.value ~default:"?" (Trace2.field_str f "protocol");
+        m_load = Option.value ~default:"?" (Trace2.field_str f "load");
+        m_dist = Option.value ~default:"?" (Trace2.field_str f "dist");
+        m_seed = Option.value ~default:"?" (Trace2.field_str f "seed");
+        m_n = Trace2.field_int f "n";
+        m_k = Trace2.field_int f "k";
+        m_t = Trace2.field_int f "t";
+        m_tick = Option.value ~default:10.0e-3 (Trace2.field_float f "tick_s");
+        m_crashed = Option.value ~default:"" (Trace2.field_str f "crashed");
       }
 
 (* --- medium breakdown ---------------------------------------------------- *)
@@ -90,18 +75,19 @@ let medium_breakdown events =
       if e.Trace2.layer = "radio" then
         match e.Trace2.label with
         | "tx" ->
-            let cls = Option.value ~default:"?" (field_str e.fields "class") in
+            let cls = Option.value ~default:"?" (Trace2.field_str e.fields "class") in
             let a = acc cls in
             a.frames <- a.frames + 1;
-            a.airtime <- a.airtime +. (Option.value ~default:0.0 (field_float e.fields "us") /. 1.0e6);
-            a.bytes <- a.bytes + Option.value ~default:0 (field_int e.fields "bytes");
+            let us = Option.value ~default:0.0 (Trace2.field_float e.fields "us") in
+            a.airtime <- a.airtime +. (us /. 1.0e6);
+            a.bytes <- a.bytes + Option.value ~default:0 (Trace2.field_int e.fields "bytes");
             (match List.assoc_opt "collision" e.fields with
             | Some (Trace2.B true) -> a.collided <- a.collided + 1
             | _ -> ())
         | "jammed" -> incr jammed
         | "omission" ->
             incr omission_total;
-            let rx = Option.value ~default:(-1) (field_int e.fields "rx") in
+            let rx = Option.value ~default:(-1) (Trace2.field_int e.fields "rx") in
             Hashtbl.replace omissions rx (1 + Option.value ~default:0 (Hashtbl.find_opt omissions rx))
         | _ -> ())
     events;
@@ -203,9 +189,9 @@ let phase_entries events =
       match e.Trace2.label with
       | "phase" | "round" -> (
           let num =
-            match field_int e.fields "phase" with
+            match Trace2.field_int e.fields "phase" with
             | Some p -> Some p
-            | None -> field_int e.fields "round"
+            | None -> Trace2.field_int e.fields "round"
           in
           match num with
           | Some p ->
@@ -215,7 +201,7 @@ let phase_entries events =
       | "decide" ->
           if not (Hashtbl.mem decides e.node) then
             Hashtbl.replace decides e.node
-              (e.time, Option.value ~default:0 (field_int e.fields "value"))
+              (e.time, Option.value ~default:0 (Trace2.field_int e.fields "value"))
       | _ -> ())
     events;
   (entries, decides)
@@ -265,8 +251,8 @@ let timeline ~n entries decides =
 
 let describe_fault (e : Trace2.event) =
   let f = e.fields in
-  let node = match field_int f "node" with Some i -> i | None -> e.node in
-  let pct key = 100.0 *. Option.value ~default:0.0 (field_float f key) in
+  let node = match Trace2.field_int f "node" with Some i -> i | None -> e.node in
+  let pct key = 100.0 *. Option.value ~default:0.0 (Trace2.field_float f key) in
   let tag =
     match e.label with
     | "crash" -> Printf.sprintf "crash p%d" node
@@ -274,23 +260,23 @@ let describe_fault (e : Trace2.event) =
     | "set_loss" -> Printf.sprintf "loss=%.0f%%" (pct "p")
     | "set_rx_loss" ->
         Printf.sprintf "rx-loss p%d=%.0f%%"
-          (Option.value ~default:(-1) (field_int f "rx"))
+          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
           (pct "p")
     | "set_link_loss" ->
         Printf.sprintf "link-loss p%d->p%d=%.0f%%"
-          (Option.value ~default:(-1) (field_int f "tx"))
-          (Option.value ~default:(-1) (field_int f "rx"))
+          (Option.value ~default:(-1) (Trace2.field_int f "tx"))
+          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
           (pct "p")
     | "jam" -> "jamming"
     | "jam_rx" ->
-        Printf.sprintf "jam p%d" (Option.value ~default:(-1) (field_int f "rx"))
+        Printf.sprintf "jam p%d" (Option.value ~default:(-1) (Trace2.field_int f "rx"))
     | "rx_delay" ->
         Printf.sprintf "rx-delay p%d"
-          (Option.value ~default:(-1) (field_int f "rx"))
+          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
     | "sigma_edge" ->
         Printf.sprintf "sigma-edge adversary (%d drops/round on p{%s})"
-          (Option.value ~default:0 (field_int f "budget"))
-          (Option.value ~default:"?" (field_str f "victims"))
+          (Option.value ~default:0 (Trace2.field_int f "budget"))
+          (Option.value ~default:"?" (Trace2.field_str f "victims"))
     | l -> l
   in
   Printf.sprintf "%s @%.1fms" tag (e.time *. 1000.0)
@@ -312,12 +298,12 @@ let active_faults_at faults ~time =
     List.fold_left
       (fun acc e ->
         if e.Trace2.label = label then
-          let k = Option.value ~default:(-1) (field_int e.fields key) in
+          let k = Option.value ~default:(-1) (Trace2.field_int e.fields key) in
           (k, e) :: List.remove_assoc k acc
         else acc)
       [] before
   in
-  let nonzero (_, e) = Option.value ~default:0.0 (field_float e.Trace2.fields "p") > 0.0 in
+  let nonzero (_, e) = Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "p") > 0.0 in
   let losses = List.filter nonzero (latest "set_loss" "none") in
   let rx_losses = List.filter nonzero (latest "set_rx_loss" "rx") in
   let link_losses =
@@ -326,20 +312,20 @@ let active_faults_at faults ~time =
       (fun acc e ->
         if e.Trace2.label = "set_link_loss" then
           let k =
-            ( Option.value ~default:(-1) (field_int e.fields "tx"),
-              Option.value ~default:(-1) (field_int e.fields "rx") )
+            ( Option.value ~default:(-1) (Trace2.field_int e.fields "tx"),
+              Option.value ~default:(-1) (Trace2.field_int e.fields "rx") )
           in
           (k, e) :: List.remove_assoc k acc
         else acc)
       [] before
     |> List.filter (fun (_, e) ->
-           Option.value ~default:0.0 (field_float e.Trace2.fields "p") > 0.0)
+           Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "p") > 0.0)
   in
   let crashes =
     List.fold_left
       (fun acc e ->
         let node =
-          match field_int e.Trace2.fields "node" with Some i -> i | None -> e.Trace2.node
+          match Trace2.field_int e.Trace2.fields "node" with Some i -> i | None -> e.Trace2.node
         in
         match e.Trace2.label with
         | "crash" -> (node, e) :: List.remove_assoc node acc
@@ -351,7 +337,7 @@ let active_faults_at faults ~time =
     List.filter
       (fun e ->
         (e.Trace2.label = "jam" || e.Trace2.label = "jam_rx" || e.Trace2.label = "rx_delay")
-        && Option.value ~default:0.0 (field_float e.Trace2.fields "until") > time)
+        && Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "until") > time)
       before
   in
   let adversaries = List.filter (fun e -> e.Trace2.label = "sigma_edge") before in

@@ -84,16 +84,6 @@ type dag = {
   never_on_air : replaced list; (* chronological *)
 }
 
-let fint fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.I i) -> Some i
-  | _ -> None
-
-let fstr fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.S s) -> Some s
-  | _ -> None
-
 let build events =
   let sends = Hashtbl.create 128 in
   let delivers = ref [] in
@@ -107,7 +97,7 @@ let build events =
   let on_air = Hashtbl.create 128 in
   List.iter
     (fun (e : Trace2.event) ->
-      let mid () = fstr e.fields "mid" in
+      let mid () = Trace2.field_str e.fields "mid" in
       match (e.layer, e.label) with
       | _, ("broadcast" | "equivocate") -> (
           match mid () with
@@ -119,7 +109,7 @@ let build events =
                   {
                     s_mid = m;
                     s_sender = e.node;
-                    s_phase = Option.value ~default:(-1) (fint e.fields "phase");
+                    s_phase = Option.value ~default:(-1) (Trace2.field_int e.fields "phase");
                     s_time = e.time;
                   })
       | "radio", "tx" -> Option.iter (fun m -> Hashtbl.replace on_air m ()) (mid ())
@@ -129,7 +119,7 @@ let build events =
               replaced := { rp_mid = m; rp_node = e.node; rp_time = e.time } :: !replaced
           | Some _ | None -> ())
       | "radio", "deliver" -> (
-          match (mid (), fint e.fields "rx") with
+          match (mid (), Trace2.field_int e.fields "rx") with
           | Some m, Some rx ->
               delivers := { d_mid = m; d_rx = rx; d_time = e.time } :: !delivers
           | _ -> ())
@@ -138,7 +128,12 @@ let build events =
           | None -> ()
           | Some m ->
               drops :=
-                { dr_mid = m; dr_kind = "omission"; dr_rx = fint e.fields "rx"; dr_time = e.time }
+                {
+                  dr_mid = m;
+                  dr_kind = "omission";
+                  dr_rx = Trace2.field_int e.fields "rx";
+                  dr_time = e.time;
+                }
                 :: !drops)
       | "radio", "jammed" -> (
           match mid () with
@@ -150,7 +145,12 @@ let build events =
           | None -> ()
           | Some m ->
               drops :=
-                { dr_mid = m; dr_kind = "mac-drop"; dr_rx = fint e.fields "dst"; dr_time = e.time }
+                {
+                  dr_mid = m;
+                  dr_kind = "mac-drop";
+                  dr_rx = Trace2.field_int e.fields "dst";
+                  dr_time = e.time;
+                }
                 :: !drops)
       | _, "decide" ->
           if not (Hashtbl.mem decides e.node) then Hashtbl.replace decides e.node e.time

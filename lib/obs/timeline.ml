@@ -9,12 +9,6 @@
 
 type change = Phase of int | Decide | Crash | Recover
 
-let fint fields key =
-  match List.assoc_opt key fields with
-  | Some (Trace2.I i) -> Some i
-  | Some (Trace2.F f) -> Some (int_of_float f)
-  | _ -> None
-
 (* node -> chronological (time, change) list *)
 let changes events =
   let per_node : (int, (float * change) list) Hashtbl.t = Hashtbl.create 16 in
@@ -28,16 +22,18 @@ let changes events =
       match e.label with
       | "phase" | "round" -> (
           let num =
-            match fint e.fields "phase" with
+            match Trace2.field_int e.fields "phase" with
             | Some p -> Some p
-            | None -> fint e.fields "round"
+            | None -> Trace2.field_int e.fields "round"
           in
           match num with Some p -> push e.node e.time (Phase p) | None -> ())
       | "decide" -> push e.node e.time Decide
       | "crash" when e.layer = "fault" ->
-          push (match fint e.fields "node" with Some i -> i | None -> e.node) e.time Crash
+          let node = Option.value ~default:e.node (Trace2.field_int e.fields "node") in
+          push node e.time Crash
       | "recover" when e.layer = "fault" ->
-          push (match fint e.fields "node" with Some i -> i | None -> e.node) e.time Recover
+          let node = Option.value ~default:e.node (Trace2.field_int e.fields "node") in
+          push node e.time Recover
       | _ -> ())
     events;
   Hashtbl.iter

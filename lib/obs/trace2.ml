@@ -65,6 +65,22 @@ let field_to_string = function
 let fields_to_string fields =
   String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ field_to_string v) fields)
 
+(* --- typed field readers ------------------------------------------------- *)
+
+let field_int fields key =
+  match List.assoc_opt key fields with
+  | Some (I i) -> Some i
+  | Some (F f) -> Some (int_of_float f)
+  | _ -> None
+
+let field_float fields key =
+  match List.assoc_opt key fields with
+  | Some (F f) -> Some f
+  | Some (I i) -> Some (float_of_int i)
+  | _ -> None
+
+let field_str fields key = match List.assoc_opt key fields with Some (S s) -> Some s | _ -> None
+
 let render ?(filter = fun _ -> true) ?(max_events = max_int) () =
   let matched = List.filter filter (events ()) in
   let buf = Buffer.create 4096 in

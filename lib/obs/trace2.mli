@@ -36,6 +36,16 @@ val field_to_string : field -> string
 val fields_to_string : (string * field) list -> string
 (** ["k=v k2=v2"]. *)
 
+val field_int : (string * field) list -> string -> int option
+(** The named field as an int; a float field reads truncated. [None]
+    when absent or not numeric. *)
+
+val field_float : (string * field) list -> string -> float option
+(** The named field as a float; an int field reads converted. *)
+
+val field_str : (string * field) list -> string -> string option
+(** The named field when it is a string. *)
+
 val render : ?filter:(event -> bool) -> ?max_events:int -> unit -> string
 (** One line per collected event: [time node layer label fields]. Ends
     with a ["(+N more, M dropped)"] trailer when [max_events] truncated

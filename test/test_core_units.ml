@@ -385,8 +385,6 @@ let test_vset_matches_reference_model () =
     (fun n ->
       let v = Core.Vset.create ~n in
       let r = Ref_vset.create ~n in
-      let version0 = Core.Vset.version v in
-      let accepted = ref 0 in
       for step = 1 to 400 do
         let sender = Util.Rng.int rng (n + 2) - 1 (* includes out-of-range *) in
         let phase = 1 + Util.Rng.int rng 6 in
@@ -396,15 +394,11 @@ let test_vset_matches_reference_model () =
         let origin = if Util.Rng.bool rng then P.Deterministic else P.Random in
         let status = if Util.Rng.bool rng then P.Undecided else P.Decided in
         let m = mk_msg ~sender ~phase ~value ~origin ~status ~proof:(Util.Rng.bytes rng 32) () in
-        let stored = Core.Vset.add v m in
-        if stored then incr accepted;
-        if stored <> Ref_vset.add r m then
+        if Core.Vset.add v m <> Ref_vset.add r m then
           Alcotest.failf "step %d: add disagrees with the model on %s" step
             (Core.Message.describe m)
       done;
       Alcotest.(check int) "size" (Ref_vset.size r) (Core.Vset.size v);
-      Alcotest.(check int) "version counts accepted adds" (version0 + !accepted)
-        (Core.Vset.version v);
       Alcotest.(check int) "max phase" (Ref_vset.max_phase r) (Core.Vset.max_phase v);
       (match Core.Vset.highest_message v with
       | Some m -> Alcotest.(check int) "highest at max phase" (Ref_vset.max_phase r) m.phase
@@ -469,7 +463,6 @@ let test_vset_matches_reference_model () =
         Buffer.contents b
       in
       Alcotest.(check string) "clone canonical" (render v) (render c);
-      Alcotest.(check int) "clone version" (Core.Vset.version v) (Core.Vset.version c);
       ignore (Core.Vset.add c (mk_msg ~sender:0 ~phase:9 ()));
       Alcotest.(check int) "original size untouched" (Ref_vset.size r) (Core.Vset.size v);
       Alcotest.(check bool) "canonicals diverge after clone add" false

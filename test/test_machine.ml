@@ -149,11 +149,14 @@ let test_stats_accumulate () =
    bundle is its V set at phi-1, phi-2 and phi-3 plus its deciding
    quorum, one entry per (sender, phase). Checked on the bundle every
    correct machine is about to emit, in lossy lockstep walks against
-   the whole strategy alphabet. *)
+   the whole strategy alphabet. A second emit with no input in between
+   is built from the V set the first left behind, the machine's own
+   message included: a deciding quorum at phi that was short of a full
+   quorum must now ship that message. *)
 let test_bundle_shape () =
   let module D = Harness.Abstract_rounds.Driven in
   let rounds = 24 in
-  let checked = ref 0 and deciding = ref 0 and bad = ref [] in
+  let checked = ref 0 and deciding = ref 0 and reemits = ref 0 and bad = ref [] in
   let check_bundle ~where m (env : Core.Message.envelope) =
     incr checked;
     let phi = env.msg.phase in
@@ -168,8 +171,23 @@ let test_bundle_shape () =
         Hashtbl.replace seen (e.sender, e.phase) ())
       env.justification
   in
+  let check_reemit ~where ~quorum m (first : Core.Message.envelope) second =
+    let phi = first.msg.phase in
+    let at_phi (env : Core.Message.envelope) =
+      List.filter (fun (e : Core.Message.t) -> e.phase = phi) env.justification
+    in
+    if M.decision_phase m = Some phi && List.length (at_phi first) < quorum then begin
+      incr reemits;
+      match second with
+      | Some (env : Core.Message.envelope)
+        when List.exists (Core.Message.header_equal env.msg) (at_phi env) -> ()
+      | Some _ | None ->
+          bad := Printf.sprintf "%s: re-emit at phase %d lacks its own message" where phi :: !bad
+    end
+  in
   List.iter
     (fun (n, byzantine) ->
+      let quorum = ((n + Net.Fault.max_f n) / 2) + 1 in
       for seed = 1 to 6 do
         let rng = Util.Rng.create ~seed:(Int64.of_int seed) in
         let sim =
@@ -179,9 +197,15 @@ let test_bundle_shape () =
         for round = 1 to rounds do
           List.iter
             (fun i ->
+              let where =
+                Printf.sprintf "n=%d t=%d seed %d round %d p%d" n (List.length byzantine) seed
+                  round i
+              in
               let m = M.clone (D.machine sim i) in
               Option.iter
-                (check_bundle ~where:(Printf.sprintf "n=%d seed %d round %d p%d" n seed round i) m)
+                (fun env ->
+                  check_bundle ~where m env;
+                  check_reemit ~where ~quorum m env (broadcast m ~justify:true))
                 (broadcast m ~justify:true))
             (D.correct sim);
           let byz =
@@ -201,10 +225,11 @@ let test_bundle_shape () =
           D.step sim ~drops ~byz
         done
       done)
-    [ (4, [ 3 ]); (7, [ 5; 6 ]) ];
+    [ (4, []); (4, [ 3 ]); (7, [ 5; 6 ]) ];
   Alcotest.(check (list string)) "entries outside the rule" [] (List.rev !bad);
   Alcotest.(check bool) "bundles checked" true (!checked > 0);
-  Alcotest.(check bool) "deciding quorums outside the window" true (!deciding > 0)
+  Alcotest.(check bool) "deciding quorums outside the window" true (!deciding > 0);
+  Alcotest.(check bool) "short deciding quorums re-emitted" true (!reemits > 0)
 
 let test_same_state_detection () =
   let _, machines = make_group () in

@@ -439,30 +439,34 @@ let qcheck_mac_exactly_once =
       in
       List.for_all covered expected && no_duplicates delivered && in_order delivered)
 
-(* radio conservation: sent = delivered + losses + (collided and jammed
-   frames accounted separately); no phantom deliveries *)
+(* radio conservation: sent = delivered + omissions + (collided and
+   jammed frames accounted separately); no phantom deliveries *)
 let qcheck_radio_conservation =
   QCheck.Test.make ~name:"radio delivery conservation" ~count:30
     QCheck.(pair (int_range 1 40) int64)
     (fun (frames, seed) ->
-      let engine = Net.Engine.create () in
-      let rng = Util.Rng.create ~seed in
-      let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:3 in
-      Net.Radio.set_loss_prob radio 0.3;
-      let received = ref 0 in
-      Net.Radio.on_receive radio (fun _ ~sender:_ _ -> incr received);
-      (* spaced transmissions: no collisions by construction *)
-      for i = 0 to frames - 1 do
-        ignore
-          (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
-               Net.Radio.transmit radio ~sender:(i mod 3) ~duration:0.001
-                 (Bytes.of_string "x")))
-      done;
-      Net.Engine.run engine;
-      let stats = Net.Radio.stats radio in
+      let (stats, received), metrics =
+        Obs.Scope.with_run (fun () ->
+            let engine = Net.Engine.create () in
+            let rng = Util.Rng.create ~seed in
+            let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:3 in
+            Net.Radio.set_loss_prob radio 0.3;
+            let received = ref 0 in
+            Net.Radio.on_receive radio (fun _ ~sender:_ _ -> incr received);
+            (* spaced transmissions: no collisions by construction *)
+            for i = 0 to frames - 1 do
+              ignore
+                (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
+                     Net.Radio.transmit radio ~sender:(i mod 3) ~duration:0.001
+                       (Bytes.of_string "x")))
+            done;
+            Net.Engine.run engine;
+            (Net.Radio.stats radio, !received))
+      in
+      let delivered = Obs.Metrics.counter_value metrics "radio.delivered" in
       stats.frames_sent = frames
-      && !received = stats.frames_delivered
-      && stats.frames_delivered + stats.losses = 2 * frames
+      && received = delivered
+      && delivered + Obs.Metrics.counter_value metrics "radio.omissions" = 2 * frames
       && stats.collisions = 0)
 
 let suite =
