@@ -1,7 +1,8 @@
 (* The two regression gates. Each writes a fixed, deterministic slice of
-   the benchmark surface to a committed document, and --compare re-runs
-   a document with the parameters it records and diffs the two under
-   Harness.Gate's rules:
+   the benchmark surface to a committed gate document (Harness.Gate),
+   and --compare re-runs the gate the document names with the seed and
+   parameters it records, then diffs the re-run against the recorded
+   values under Harness.Gate's rules:
 
      BENCH_baseline.json  the regression-gate grid (-j 1): host wall
                           clock of a sigma sweep, a table cell, a chaos
@@ -49,9 +50,8 @@ let speclist =
    --baseline-out when that change is intentional. *)
 let gate_grid ~seed =
   let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
+    let v, (cost : Harness.Gate.cost) = Harness.Gate.measure f in
+    (v, cost.wall_s)
   in
   let n = 8 in
   let k = n - Net.Fault.max_f n in
@@ -97,50 +97,70 @@ let gate_grid ~seed =
         else acc)
       0.0 rep.metrics
   in
-  {
-    Harness.Gate.seed;
-    wall =
-      [
-        ("sigma_sweep_s", sweep_s);
-        ("table_cell_s", cell_s);
-        ("chaos_s", chaos_s);
-        ("workload_s", workload_s);
-      ];
-    airtime =
-      [
-        ("frames_sent", float_of_int rep.frames_sent);
-        ("bytes_sent", float_of_int rep.bytes_sent);
-        ("airtime_s", airtime);
-        ("sim_duration_s", rep.duration);
-        ("workload_delivered", float_of_int wl.delivered_commands);
-        ("workload_slots", float_of_int (wl.committed_slots + wl.skipped_slots));
-        ("workload_sim_s", wl.duration);
-      ];
-  }
+  let field section rule key value = { Harness.Gate.key = section ^ "/" ^ key; rule; value } in
+  let wall = field "wall" Harness.Gate.wall_growth in
+  let exact = field "airtime" Harness.Gate.Exact in
+  [
+    wall "sigma_sweep_s" sweep_s;
+    wall "table_cell_s" cell_s;
+    wall "chaos_s" chaos_s;
+    wall "workload_s" workload_s;
+    exact "frames_sent" (float_of_int rep.frames_sent);
+    exact "bytes_sent" (float_of_int rep.bytes_sent);
+    exact "airtime_s" airtime;
+    exact "sim_duration_s" rep.duration;
+    exact "workload_delivered" (float_of_int wl.delivered_commands);
+    exact "workload_slots" (float_of_int (wl.committed_slots + wl.skipped_slots));
+    exact "workload_sim_s" wl.duration;
+  ]
 
-let scaling_sweep (d : Harness.Scaling.doc) =
-  let points =
-    Harness.Scaling.sweep ~jobs:!jobs ~ns:d.ns ~turquois_cap:d.turquois_cap
-      ~radio_cap:d.radio_cap ~timeout:d.timeout ~seed:d.seed ()
+(* Scaling's default grid and caps, with a 30 s simulated timeout *)
+let scaling_params =
+  [
+    ("sizes", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) Harness.Scaling.default_ns));
+    ("turquois_cap", Obs.Json.Int 128);
+    ("radio_cap", Obs.Json.Int 256);
+    ("timeout_s", Obs.Json.Float 30.0);
+  ]
+
+let die file msg =
+  Printf.eprintf "bench: %s: %s\n" file msg;
+  exit 2
+
+let scaling_sweep ~file ~seed params =
+  let get key conv = Option.bind (List.assoc_opt key params) conv in
+  let ints l =
+    List.fold_right
+      (fun j acc ->
+        match (Obs.Json.to_int j, acc) with Some n, Some ns -> Some (n :: ns) | _ -> None)
+      l (Some [])
   in
-  print_string (Harness.Scaling.render points);
-  { d with points }
+  match
+    ( Option.bind (get "sizes" Obs.Json.to_list) ints,
+      get "turquois_cap" Obs.Json.to_int,
+      get "radio_cap" Obs.Json.to_int,
+      get "timeout_s" Obs.Json.to_float )
+  with
+  | Some ns, Some turquois_cap, Some radio_cap, Some timeout ->
+      let points =
+        Harness.Scaling.sweep ~jobs:!jobs ~ns ~turquois_cap ~radio_cap ~timeout ~seed ()
+      in
+      print_string (Harness.Scaling.render points);
+      Harness.Scaling.fields points
+  | _ -> die file "malformed scaling parameters"
 
 let print_fields fields =
   List.iter
     (fun (f : Harness.Gate.field) -> Printf.printf "  %-28s %14.6g\n" f.key f.value)
     fields
 
-let write file json =
+let write file ~bench ~params fields =
+  let values = List.map (fun (f : Harness.Gate.field) -> (f.key, f.value)) fields in
   let oc = open_out file in
-  output_string oc (Obs.Json.to_string json);
+  output_string oc (Obs.Json.to_string (Harness.Gate.to_json { bench; seed; params; values }));
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" file
-
-let die file msg =
-  Printf.eprintf "bench: %s: %s\n" file msg;
-  exit 2
 
 let run_compare file =
   let json =
@@ -151,22 +171,29 @@ let run_compare file =
     | Ok json -> json
     | Error e -> die file e
   in
-  let ok = function Ok doc -> doc | Error e -> die file e in
-  let baseline, rerun =
-    match Option.bind (Obs.Json.member "bench" json) Obs.Json.to_str with
-    | Some "scaling" ->
-        let base = ok (Harness.Scaling.of_json json) in
-        Printf.printf "scaling gate: re-run the sweep of %s\n" file;
-        let rerun = scaling_sweep base in
-        (Harness.Scaling.fields base.points, Harness.Scaling.fields rerun.points)
-    | _ ->
-        let base = ok (Harness.Gate.of_json json) in
-        Printf.printf "regression gate: re-run the grid of %s\n" file;
-        let rerun = Harness.Gate.fields (gate_grid ~seed:base.seed) in
-        print_fields rerun;
-        (Harness.Gate.fields base, rerun)
+  let doc =
+    match Harness.Gate.of_json json with
+    | Ok doc -> doc
+    | Error e -> (
+        (* name the option that writes this kind of document *)
+        match Option.bind (Obs.Json.member "bench" json) Obs.Json.to_str with
+        | Some "regression-gate" -> die file (e ^ " (regenerate it with --baseline-out)")
+        | Some "scaling" -> die file (e ^ " (regenerate it with --scaling-out)")
+        | _ -> die file e)
   in
-  match Harness.Gate.check ~baseline rerun with
+  let rerun =
+    match doc.bench with
+    | "regression-gate" ->
+        Printf.printf "regression gate: re-run the grid of %s\n" file;
+        let fields = gate_grid ~seed:doc.seed in
+        print_fields fields;
+        fields
+    | "scaling" ->
+        Printf.printf "scaling gate: re-run the sweep of %s\n" file;
+        scaling_sweep ~file ~seed:doc.seed doc.params
+    | bench -> die file (Printf.sprintf "no gate writes %S documents" bench)
+  in
+  match Harness.Gate.check ~baseline:doc.values rerun with
   | [] -> Printf.printf "gate passed: %d fields against %s\n" (List.length rerun) file
   | failures ->
       List.iter (Printf.printf "  FAIL %s\n") failures;
@@ -185,23 +212,13 @@ let () =
   end;
   Option.iter
     (fun file ->
-      let baseline = gate_grid ~seed in
-      print_fields (Harness.Gate.fields baseline);
-      write file (Harness.Gate.to_json baseline))
+      let fields = gate_grid ~seed in
+      print_fields fields;
+      write file ~bench:"regression-gate" ~params:[] fields)
     !baseline_out;
   Option.iter
     (fun file ->
-      (* Scaling's default grid and caps, with a 30 s simulated timeout *)
-      write file
-        (Harness.Scaling.to_json
-           (scaling_sweep
-              {
-                ns = Harness.Scaling.default_ns;
-                turquois_cap = 128;
-                radio_cap = 256;
-                timeout = 30.0;
-                seed;
-                points = [];
-              })))
+      write file ~bench:"scaling" ~params:scaling_params
+        (scaling_sweep ~file ~seed scaling_params))
     !scaling_out;
   Option.iter run_compare !compare_against

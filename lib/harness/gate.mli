@@ -1,16 +1,17 @@
-(** The rules of the two committed regression gates, and the
-    regression-gate baseline document.
+(** The two committed regression gates: their one document layout, the
+    rules their fields are compared by, and the cost reader both
+    measure with.
 
-    [BENCH_baseline.json] holds a {!baseline}: the host wall clock of a
-    fixed grid plus deterministic counts of representative runs.
-    [BENCH_scaling.json] holds a {!Scaling.doc}. Each gate flattens its
-    document into named {!field}s, each under the {!rule} it is
-    compared by, and {!check} diffs a re-run against the committed
-    baseline. *)
+    [BENCH_baseline.json] records the regression grid: the host wall
+    clock of a fixed grid plus deterministic counts of representative
+    runs. [BENCH_scaling.json] records the scaling sweep ({!Scaling}).
+    Each gate flattens a run into named {!field}s, each under the
+    {!rule} it is compared by; a {!doc} records their values, and
+    {!check} diffs a re-run against them. *)
 
 val schema_version : int
-(** Layout version of both gate documents. Their [of_json] readers
-    reject a document of any other version instead of misreading it. *)
+(** Layout version of the gate document. {!of_json} rejects a document
+    of any other version instead of misreading it. *)
 
 type rule =
   | Exact
@@ -29,26 +30,43 @@ val words_growth : rule
 
 type field = { key : string; rule : rule; value : float }
 
-val check : baseline:field list -> field list -> string list
+val check : baseline:(string * float) list -> field list -> string list
 (** [check ~baseline rerun] describes every failure, one line each,
-    and is [[]] when the re-run passes. A key present on one side only
-    fails; otherwise the re-run field's rule decides. *)
+    and is [[]] when the re-run passes. [baseline] is a {!doc}'s
+    [values]. A key present on one side only fails; otherwise the
+    re-run field's rule decides. *)
 
-(** {2 The regression-gate baseline} *)
+(** {2 The gate document} *)
 
-type baseline = {
+type doc = {
+  bench : string;  (** the gate that wrote it: ["regression-gate"] or ["scaling"] *)
   seed : int64;
-  wall : (string * float) list;  (** host seconds per grid section *)
-  airtime : (string * float) list;
-      (** frame, byte, airtime and workload counts of representative
-          runs: deterministic for [seed] *)
+  params : (string * Obs.Json.t) list;
+      (** what a re-run needs besides [seed]: the scaling sweep's sizes,
+          caps and timeout; nothing for the regression grid *)
+  values : (string * float) list;  (** each field's key and recorded value *)
 }
 
-val fields : baseline -> field list
-(** [wall/<key>] under {!wall_growth}, [airtime/<key>] under
-    {!Exact}. *)
+val to_json : doc -> Obs.Json.t
+(** [{"bench", "schema_version", "seed", "params", "values"}], with
+    [values] an object from key to number. *)
 
-val to_json : baseline -> Obs.Json.t
+val of_json : Obs.Json.t -> (doc, string) result
+(** Reads a document written by {!to_json}; [Error] for any other
+    layout or schema version. *)
 
-val of_json : Obs.Json.t -> (baseline, string) result
-(** Parses a document written by {!to_json}. *)
+(** {2 Cost} *)
+
+type cost = {
+  wall_s : float;  (** host wall-clock seconds *)
+  minor_words : int;  (** words allocated in the minor heap *)
+  major_words : int;
+      (** words allocated directly in the major heap (major minus
+          promoted), so the two add up to total allocation *)
+}
+
+val measure : (unit -> 'a) -> 'a * cost
+(** [measure f] runs [f] and reads what it cost the calling domain.
+    The words come from that domain's own counters, so no other
+    domain's allocation bleeds into them under [-j N]; a domain-cache
+    warmup can still shift them by a small constant. *)

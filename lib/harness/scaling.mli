@@ -30,20 +30,14 @@ type point = {
           interned messages in the per-run {!Core.Msgstore} (Turquois
           runs); 0 where neither applies *)
   timed_out : bool;
-  mem_words : int;
-      (** words allocated by the point on its own domain (minor +
-          major - promoted delta) — a coarse memory-cost proxy that,
-          unlike a process-global heap high-water mark, does not
-          depend on which points ran earlier. Minor words are read
-          from the domain's allocation pointer ([Gc.minor_words]),
-          promoted and major words from its own GC counters
-          ([Gc.counters]), so no other domain's allocation bleeds
-          into them under [-j N]. Domain-cache warmup can shift them
-          by a small constant, so they are excluded from {!render} and
-          compared one-sidedly. *)
-  minor_words : int;  (** minor-generation component of [mem_words] *)
-  major_words : int;
-      (** net major-generation component (major - promoted) *)
+  minor_words : int;
+      (** words the point allocated in the minor heap of its own
+          domain, read by {!Gate.measure} — a coarse memory-cost proxy
+          that, unlike a process-global heap high-water mark, does not
+          depend on which points ran earlier. Domain-cache warmup can
+          shift the two word counts by a small constant, so they are
+          excluded from {!render} and compared one-sidedly. *)
+  major_words : int;  (** words it allocated directly in the major heap *)
 }
 
 val default_ns : int list
@@ -66,27 +60,7 @@ val sweep :
 val render : point list -> string
 (** Fixed-width table of the deterministic fields only. *)
 
-type doc = {
-  ns : int list;
-  turquois_cap : int;
-  radio_cap : int;  (** largest n of the Sampled-radio task *)
-  timeout : float;
-  seed : int64;
-  points : point list;
-}
-(** A scaling document: the sweep parameters it was generated with (so
-    a gate can re-run the identical grid) plus its points. *)
-
-val to_json : doc -> Obs.Json.t
-(** Self-describing document (["bench"] = ["scaling"], with
-    {!Gate.schema_version}) for [BENCH_scaling.json], allocation-word
-    fields included. *)
-
-val of_json : Obs.Json.t -> (doc, string) result
-(** Parses a document produced by {!to_json}; [Error] for any other
-    kind or schema version. *)
-
 val fields : point list -> Gate.field list
 (** The gate's view of the points, keyed ["<protocol> n=<n>/<field>"]:
-    the three allocation-word counts under {!Gate.words_growth}, every
+    the two allocation-word counts under {!Gate.words_growth}, every
     other field {!Gate.Exact} ([timed_out] as 0 or 1). *)

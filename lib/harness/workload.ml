@@ -222,10 +222,10 @@ let sweep ?jobs ~base ~loads ~reps () =
         reps;
       })
 
-let knee ?(efficiency = 0.9) points =
+let knee points =
   List.fold_left
     (fun acc p ->
-      if p.mean_throughput >= efficiency *. p.load_point then
+      if p.mean_throughput >= 0.9 *. p.load_point then
         match acc with
         | Some best when best >= p.load_point -> acc
         | Some _ | None -> Some p.load_point

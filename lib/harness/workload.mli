@@ -76,9 +76,8 @@ val sweep :
 (** Runs [reps] runs per offered load on the worker pool; point order
     follows [loads]. Bit-identical for any [jobs]. *)
 
-val knee : ?efficiency:float -> point list -> float option
-(** Highest offered load still served at [efficiency] (default 0.9) of
-    the offered rate — the saturation knee. [None] when even the
-    lowest load saturates. *)
+val knee : point list -> float option
+(** Highest offered load still served at 90% of the offered rate — the
+    saturation knee. [None] when even the lowest load saturates. *)
 
 val render_points : point list -> string

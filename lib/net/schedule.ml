@@ -33,42 +33,30 @@ let sort sched = List.stable_sort (fun a b -> compare a.at b.at) sched
 
 let injected = Obs.Metrics.counter "fault.injected"
 
-(* Trace every injected fault so the analyzer can attribute stalls. *)
-let emit_injection ~time action =
-  Obs.Metrics.incr injected;
-  let label, fields =
-    match action with
-    | Crash i -> ("crash", [ ("node", Obs.Trace2.I i) ])
-    | Recover i -> ("recover", [ ("node", Obs.Trace2.I i) ])
-    | Set_loss p -> ("set_loss", [ ("p", Obs.Trace2.F p) ])
-    | Set_rx_loss { rx; p } ->
-        ("set_rx_loss", [ ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ])
-    | Set_link_loss { tx; rx; p } ->
-        ( "set_link_loss",
-          [ ("tx", Obs.Trace2.I tx); ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ] )
-    | Jam { until } -> ("jam", [ ("until", Obs.Trace2.F until) ])
-    | Jam_rx { rx; until } ->
-        ("jam_rx", [ ("rx", Obs.Trace2.I rx); ("until", Obs.Trace2.F until) ])
-    | Delay_rx { rx; delay; until } ->
-        ( "delay_rx",
-          [
-            ("rx", Obs.Trace2.I rx);
-            ("delay_s", Obs.Trace2.F delay);
-            ("until", Obs.Trace2.F until);
-          ] )
-  in
-  Obs.Trace2.emit ~time ~node:(-1) ~layer:"fault" ~label fields
+(* Trace every injected fault so the analyzer can attribute stalls.
+   Fault.crash and Fault.recover trace their own event. *)
+let trace ~time label fields = Obs.Trace2.emit ~time ~node:(-1) ~layer:"fault" ~label fields
 
 let perform radio now action =
-  emit_injection ~time:now action;
+  Obs.Metrics.incr injected;
   match action with
   | Crash i -> Fault.crash radio i
   | Recover i -> Fault.recover radio i
-  | Set_loss p -> Radio.set_loss_prob radio p
-  | Set_rx_loss { rx; p } -> Radio.set_rx_loss radio ~rx p
-  | Set_link_loss { tx; rx; p } -> Radio.set_link_loss radio ~tx ~rx p
-  | Jam { until } -> Radio.jam radio ~from:now ~until
+  | Set_loss p ->
+      trace ~time:now "set_loss" [ ("p", Obs.Trace2.F p) ];
+      Radio.set_loss_prob radio p
+  | Set_rx_loss { rx; p } ->
+      trace ~time:now "set_rx_loss" [ ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ];
+      Radio.set_rx_loss radio ~rx p
+  | Set_link_loss { tx; rx; p } ->
+      trace ~time:now "set_link_loss"
+        [ ("tx", Obs.Trace2.I tx); ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ];
+      Radio.set_link_loss radio ~tx ~rx p
+  | Jam { until } ->
+      trace ~time:now "jam" [ ("until", Obs.Trace2.F until) ];
+      Radio.jam radio ~from:now ~until
   | Jam_rx { rx; until } ->
+      trace ~time:now "jam_rx" [ ("rx", Obs.Trace2.I rx); ("until", Obs.Trace2.F until) ];
       (* targeted jamming: destroy everything arriving at rx for the
          window, then restore its previous overlay (assumed 0) *)
       Radio.set_rx_loss radio ~rx 1.0;
@@ -76,6 +64,8 @@ let perform radio now action =
         (Engine.at (Radio.engine radio) ~time:until (fun () ->
              Radio.set_rx_loss radio ~rx 0.0))
   | Delay_rx { rx; delay; until } ->
+      trace ~time:now "delay_rx"
+        [ ("rx", Obs.Trace2.I rx); ("delay_s", Obs.Trace2.F delay); ("until", Obs.Trace2.F until) ];
       Radio.set_rx_delay radio ~rx delay;
       ignore
         (Engine.at (Radio.engine radio) ~time:until (fun () ->

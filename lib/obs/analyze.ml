@@ -270,7 +270,7 @@ let describe_fault (e : Trace2.event) =
     | "jam" -> "jamming"
     | "jam_rx" ->
         Printf.sprintf "jam p%d" (Option.value ~default:(-1) (Trace2.field_int f "rx"))
-    | "rx_delay" ->
+    | "delay_rx" ->
         Printf.sprintf "rx-delay p%d"
           (Option.value ~default:(-1) (Trace2.field_int f "rx"))
     | "sigma_edge" ->
@@ -336,7 +336,7 @@ let active_faults_at faults ~time =
   let windows =
     List.filter
       (fun e ->
-        (e.Trace2.label = "jam" || e.Trace2.label = "jam_rx" || e.Trace2.label = "rx_delay")
+        (e.Trace2.label = "jam" || e.Trace2.label = "jam_rx" || e.Trace2.label = "delay_rx")
         && Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "until") > time)
       before
   in

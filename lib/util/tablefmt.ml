@@ -1,5 +1,3 @@
-type align = Left | Right | Center
-
 (* display width of a UTF-8 cell: its code points, so the two-byte "±"
    of [latency_cell] pads as one column *)
 let display_width s =
@@ -7,19 +5,12 @@ let display_width s =
   String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
   !n
 
-let pad align width s =
-  let n = display_width s in
-  if n >= width then s
-  else
-    let fill = width - n in
-    match align with
-    | Left -> s ^ String.make fill ' '
-    | Right -> String.make fill ' ' ^ s
-    | Center ->
-        let left = fill / 2 in
-        String.make left ' ' ^ s ^ String.make (fill - left) ' '
+(* the first column is left-aligned, the rest right-aligned *)
+let pad ~left width s =
+  let fill = String.make (max 0 (width - display_width s)) ' ' in
+  if left then s ^ fill else fill ^ s
 
-let render ?align ~header ~rows () =
+let render ~header ~rows () =
   let ncols = List.length header in
   let rows =
     let normalize row =
@@ -27,11 +18,6 @@ let render ?align ~header ~rows () =
       if len >= ncols then row else row @ List.init (ncols - len) (fun _ -> "")
     in
     List.map normalize rows
-  in
-  let aligns =
-    match align with
-    | Some a when List.length a = ncols -> a
-    | Some _ | None -> List.init ncols (fun i -> if i = 0 then Left else Right)
   in
   let widths =
     List.mapi
@@ -44,10 +30,7 @@ let render ?align ~header ~rows () =
   in
   let format_row cells =
     let parts =
-      List.map2
-        (fun (w, a) c -> " " ^ pad a w c ^ " ")
-        (List.combine widths aligns)
-        cells
+      List.mapi (fun i (w, c) -> " " ^ pad ~left:(i = 0) w c ^ " ") (List.combine widths cells)
     in
     "|" ^ String.concat "|" parts ^ "|"
   in

@@ -1,17 +1,9 @@
 (** ASCII table rendering in the style of the paper's Tables 1–3. *)
 
-type align = Left | Right | Center
-
-val render :
-  ?align:align list ->
-  header:string list ->
-  rows:string list list ->
-  unit ->
-  string
-(** [render ~header ~rows ()] lays out a boxed table with padded,
-    aligned columns. [align] defaults to left for the first column and
-    right for the rest. Rows shorter than the header are padded with
-    empty cells. *)
+val render : header:string list -> rows:string list list -> unit -> string
+(** [render ~header ~rows ()] lays out a boxed table with padded
+    columns, the first left-aligned and the rest right-aligned. Rows
+    shorter than the header are padded with empty cells. *)
 
 val latency_cell : mean:float -> ci:float -> string
 (** Formats "mean ± ci" in milliseconds with two decimals, matching the

@@ -267,6 +267,52 @@ let test_analyze_attributes_faults () =
   Alcotest.(check bool)
     "crash injected during the window" true (contains "crash p0")
 
+(* The same attribution on the events Net.Schedule really writes: in
+   this traced run phase 3 stalls from 6.2 ms to 257.5 ms, with the
+   delay burst on p1 in force at the window's start and p3's recovery
+   injected inside it. *)
+let test_analyze_schedule_trace () =
+  let schedule =
+    [
+      { S.at = 0.001; action = S.Delay_rx { rx = 1; delay = 0.004; until = 0.5 } };
+      { S.at = 0.002; action = S.Crash 3 };
+      { S.at = 0.003; action = S.Jam_rx { rx = 2; until = 0.3 } };
+      { S.at = 0.2; action = S.Recover 3 };
+    ]
+  in
+  Obs.Trace2.start ();
+  ignore
+    (Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:4
+       ~dist:Harness.Runner.Divergent ~load:Net.Fault.Failure_free ~loss:0.0 ~schedule
+       ~seed:11L ());
+  let events = Obs.Trace2.events () in
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  let traced label =
+    List.length
+      (List.filter (fun (e : Obs.Trace2.event) -> e.layer = "fault" && e.label = label) events)
+  in
+  Alcotest.(check int) "one crash event" 1 (traced "crash");
+  Alcotest.(check int) "one recover event" 1 (traced "recover");
+  let lines =
+    List.map String.trim (String.split_on_char '\n' (Obs.Analyze.analyze ~dropped:0 events))
+  in
+  (* the ';'-separated entries of the first report line after [prefix] *)
+  let entries prefix =
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | None -> Alcotest.fail ("no report line " ^ prefix)
+    | Some l ->
+        let from = String.length prefix in
+        List.map String.trim
+          (String.split_on_char ';' (String.sub l from (String.length l - from)))
+  in
+  Alcotest.(check bool) "phase 3 stalls" true
+    (List.exists (String.starts_with ~prefix:"phase 3 stalled for 251.3 ms") lines);
+  Alcotest.(check bool) "delay burst in force at window start" true
+    (List.mem "rx-delay p1 @1.0ms" (entries "injected faults in force at window start:"));
+  Alcotest.(check (list string)) "recovery listed once" [ "recover p3 @200.0ms" ]
+    (entries "injected during the window:")
+
 let suite =
   ( "chaos",
     [
@@ -286,4 +332,5 @@ let suite =
       Alcotest.test_case "runner strategies safe" `Slow test_runner_strategy_safe;
       Alcotest.test_case "runner schedule applies" `Quick test_runner_schedule_applies;
       Alcotest.test_case "analyze attributes faults" `Quick test_analyze_attributes_faults;
+      Alcotest.test_case "analyze schedule trace" `Quick test_analyze_schedule_trace;
     ] )

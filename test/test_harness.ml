@@ -233,13 +233,21 @@ let test_phase_distribution () =
   let unan = List.find (fun (r : Harness.Sweeps.phase_row) -> r.dist = R.Unanimous) rows in
   Alcotest.(check (float 1e-9)) "unanimous decides at phase 3" 3.0 unan.phase_stats.mean
 
-(* Both gates' rules on synthetic documents, each read back through the
-   JSON layout its committed BENCH file uses. *)
+(* Both gates' rules on synthetic runs, each recorded through the one
+   gate document layout and read back before the re-run is checked. *)
 let test_gate_rules () =
   let module G = Harness.Gate in
   let module S = Harness.Scaling in
-  let reparse of_json json =
-    match of_json json with Ok doc -> doc | Error e -> Alcotest.fail e
+  let doc bench params fields =
+    {
+      G.bench;
+      seed = 1000L;
+      params;
+      values = List.map (fun (f : G.field) -> (f.key, f.value)) fields;
+    }
+  in
+  let reparse (d : G.doc) =
+    match G.of_json (G.to_json d) with Ok d -> d | Error e -> Alcotest.fail e
   in
   let point protocol n =
     {
@@ -257,29 +265,31 @@ let test_gate_rules () =
       queued_peak = 63;
       arena_hw = 64;
       timed_out = false;
-      mem_words = 15136361;
       minor_words = 14896233;
       major_words = 240128;
     }
   in
   let scaling points =
-    S.to_json
-      { S.ns = [ 16 ]; turquois_cap = 16; radio_cap = 16; timeout = 30.0; seed = 1000L; points }
+    doc "scaling"
+      [
+        ("sizes", Obs.Json.List [ Obs.Json.Int 16 ]);
+        ("turquois_cap", Obs.Json.Int 16);
+        ("radio_cap", Obs.Json.Int 16);
+        ("timeout_s", Obs.Json.Float 30.0);
+      ]
+      (S.fields points)
   in
   let turquois = point "Turquois" 16 and sampled = point "Sampled" 16 in
   let scaling_passes points =
-    let baseline = reparse S.of_json (scaling [ turquois; sampled ]) in
-    G.check ~baseline:(S.fields baseline.points) (S.fields points) = []
+    let baseline = reparse (scaling [ turquois; sampled ]) in
+    G.check ~baseline:baseline.values (S.fields points) = []
   in
   let words x p =
     let scale w = int_of_float (x *. float_of_int w) in
-    {
-      p with
-      S.mem_words = scale p.S.mem_words;
-      minor_words = scale p.minor_words;
-      major_words = scale p.major_words;
-    }
+    { p with S.minor_words = scale p.S.minor_words; major_words = scale p.major_words }
   in
+  Alcotest.(check bool) "scaling document round-trips" true
+    (reparse (scaling [ turquois; sampled ]) = scaling [ turquois; sampled ]);
   Alcotest.(check bool) "identical scaling passes" true (scaling_passes [ turquois; sampled ]);
   Alcotest.(check bool) "msgs lowered by one fails" false
     (scaling_passes [ { turquois with msgs = 45 }; sampled ]);
@@ -292,14 +302,16 @@ let test_gate_rules () =
     (scaling_passes [ words 1.6 turquois; sampled ]);
   Alcotest.(check bool) "words x0.1 pass" true
     (scaling_passes [ words 0.1 turquois; sampled ]);
-  let gate wall airtime = { G.seed = 1000L; wall; airtime } in
+  let gate wall airtime =
+    List.map (fun (k, value) -> { G.key = "wall/" ^ k; rule = G.wall_growth; value }) wall
+    @ List.map (fun (k, value) -> { G.key = "airtime/" ^ k; rule = G.Exact; value }) airtime
+  in
   let chaos = ("chaos_s", 3.17) and frames = ("frames_sent", 21.0) in
   let air = ("airtime_s", 0.0057578181818181843) in
-  let base = gate [ chaos ] [ frames; air ] in
-  let gate_passes b =
-    G.check ~baseline:(G.fields base) (G.fields (reparse G.of_json (G.to_json b))) = []
-  in
-  Alcotest.(check bool) "identical baseline passes" true (gate_passes base);
+  let base = doc "regression-gate" [] (gate [ chaos ] [ frames; air ]) in
+  let gate_passes rerun = G.check ~baseline:(reparse base).values rerun = [] in
+  Alcotest.(check bool) "identical baseline passes" true
+    (gate_passes (gate [ chaos ] [ frames; air ]));
   Alcotest.(check bool) "frames lowered by one fails" false
     (gate_passes (gate [ chaos ] [ ("frames_sent", 20.0); air ]));
   Alcotest.(check bool) "missing key fails" false (gate_passes (gate [ chaos ] [ frames ]));
@@ -309,16 +321,19 @@ let test_gate_rules () =
     (gate_passes (gate [ ("chaos_s", 5.0 *. 3.17) ] [ frames; air ]));
   Alcotest.(check bool) "wall x0.5 passes" true
     (gate_passes (gate [ ("chaos_s", 0.5 *. 3.17) ] [ frames; air ]));
-  let version key = function
+  let version d =
+    match G.to_json d with
     | Obs.Json.Obj kvs ->
         Obs.Json.Obj
-          (List.map (fun (k, v) -> if k = key then (k, Obs.Json.Int 3) else (k, v)) kvs)
+          (List.map
+             (fun (k, v) -> if k = "schema_version" then (k, Obs.Json.Int 3) else (k, v))
+             kvs)
     | json -> json
   in
   Alcotest.(check bool) "baseline of another schema rejected" true
-    (Result.is_error (G.of_json (version "schema_version" (G.to_json base))));
+    (Result.is_error (G.of_json (version base)));
   Alcotest.(check bool) "scaling of another schema rejected" true
-    (Result.is_error (S.of_json (version "bench_schema_version" (scaling [ turquois ]))))
+    (Result.is_error (G.of_json (version (scaling [ turquois ]))))
 
 let suite =
   ( "harness",
