@@ -14,11 +14,18 @@ fmt:
 	dune build @fmt
 
 # chaos smoke: a short randomized fault-injection sweep (fixed seed, so
-# it is deterministic) plus the harness self-test against a planted bug
+# it is deterministic) plus the harness self-test against a planted bug,
+# whose reproducers (Sampled's included) must each replay
 chaos:
 	dune exec bin/turquois_lab.exe -- chaos --runs 25 --seed 42 --quiet
-	dune exec bin/turquois_lab.exe -- chaos --runs 3 --seed 7 --broken-machine --quiet > /dev/null 2>&1; \
-	  test $$? -eq 1 || { echo "chaos self-test failed: planted bug not detected"; exit 1; }
+	D=$$(mktemp -d) && trap 'rm -rf "$$D"' EXIT; \
+	dune exec bin/turquois_lab.exe -- chaos --runs 3 --seed 7 --broken-machine --with-sampled \
+	  --repro-out "$$D" --quiet > /dev/null 2>&1; \
+	  test $$? -eq 1 || { echo "chaos self-test failed: planted bug not detected"; exit 1; }; \
+	for f in "$$D"/*.json; do \
+	  ./_build/default/bin/turquois_lab.exe run --replay "$$f" > /dev/null \
+	    || { echo "chaos reproducer $$f does not replay"; exit 1; }; \
+	done
 
 # causal smoke: export a traced sigma-edge run and make sure the causal
 # analyzer reconstructs tagged sends from it end to end

@@ -215,12 +215,9 @@ let messages_cmd =
 
 let protocol_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "turquois" -> Ok Harness.Runner.Turquois
-    | "bracha" -> Ok Harness.Runner.Bracha
-    | "abba" -> Ok Harness.Runner.Abba
-    | "sampled" -> Ok Harness.Runner.Sampled
-    | other -> Error (`Msg (Printf.sprintf "unknown protocol %S" other))
+    Option.to_result
+      ~none:(`Msg (Printf.sprintf "unknown protocol %S" s))
+      (Harness.Runner.protocol_of_string s)
   in
   Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Harness.Runner.protocol_to_string p))
 

@@ -6,6 +6,11 @@ let protocol_to_string = function
   | Abba -> "ABBA"
   | Sampled -> "Sampled"
 
+let protocol_of_string s =
+  List.find_opt
+    (fun p -> String.lowercase_ascii (protocol_to_string p) = String.lowercase_ascii s)
+    [ Turquois; Bracha; Abba; Sampled ]
+
 type dist = Unanimous | Divergent
 
 let dist_to_string = function Unanimous -> "unanimous" | Divergent -> "divergent"

@@ -18,6 +18,10 @@ type protocol = Turquois | Bracha | Abba | Sampled
 
 val protocol_to_string : protocol -> string
 
+val protocol_of_string : string -> protocol option
+(** {!protocol_to_string}'s inverse, ignoring case: the CLI's and the
+    reproducer codec's one parser. *)
+
 type dist = Unanimous | Divergent
 
 val dist_to_string : dist -> string

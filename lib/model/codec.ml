@@ -9,7 +9,6 @@ type round_choice = {
 
 type expect =
   | Stall of { deciders : int; advanced : int }
-  | Decide of { min_deciders : int }
   | Violations of string list
 
 type rounds_artifact = {
@@ -49,8 +48,6 @@ let protocol_to_json p = J.String (String.lowercase_ascii (Harness.Runner.protoc
 let expect_to_json = function
   | Stall { deciders; advanced } ->
       J.Obj [ ("kind", J.String "stall"); ("deciders", J.Int deciders); ("advanced", J.Int advanced) ]
-  | Decide { min_deciders } ->
-      J.Obj [ ("kind", J.String "decide"); ("min_deciders", J.Int min_deciders) ]
   | Violations vs ->
       J.Obj
         [ ("kind", J.String "violations"); ("violations", J.List (List.map (fun v -> J.String v) vs)) ]
@@ -61,34 +58,6 @@ let round_to_json r =
       ("drops", J.List (List.map (fun (s, rx) -> J.List [ J.Int s; J.Int rx ]) r.drops));
       ("byz", J.List (List.map (fun (i, s) -> J.List [ J.Int i; J.String s ]) r.byz));
     ]
-
-let action_to_json =
-  let module S = Net.Schedule in
-  function
-  | S.Crash node -> J.Obj [ ("action", J.String "crash"); ("node", J.Int node) ]
-  | S.Recover node -> J.Obj [ ("action", J.String "recover"); ("node", J.Int node) ]
-  | S.Set_loss p -> J.Obj [ ("action", J.String "set_loss"); ("p", J.Float p) ]
-  | S.Set_rx_loss { rx; p } ->
-      J.Obj [ ("action", J.String "set_rx_loss"); ("rx", J.Int rx); ("p", J.Float p) ]
-  | S.Set_link_loss { tx; rx; p } ->
-      J.Obj
-        [ ("action", J.String "set_link_loss"); ("tx", J.Int tx); ("rx", J.Int rx); ("p", J.Float p) ]
-  | S.Jam { until } -> J.Obj [ ("action", J.String "jam"); ("until", J.Float until) ]
-  | S.Jam_rx { rx; until } ->
-      J.Obj [ ("action", J.String "jam_rx"); ("rx", J.Int rx); ("until", J.Float until) ]
-  | S.Delay_rx { rx; delay; until } ->
-      J.Obj
-        [
-          ("action", J.String "delay_rx");
-          ("rx", J.Int rx);
-          ("delay", J.Float delay);
-          ("until", J.Float until);
-        ]
-
-let entry_to_json (e : Net.Schedule.entry) =
-  match action_to_json e.action with
-  | J.Obj fields -> J.Obj (("at", J.Float e.at) :: fields)
-  | _ -> assert false
 
 let to_json = function
   | Rounds a ->
@@ -119,7 +88,7 @@ let to_json = function
             match a.c_strategy with None -> J.Null | Some s -> J.String s );
           ("seed", J.String (Int64.to_string a.c_seed));
           ("bug", J.Bool a.c_bug);
-          ("schedule", J.List (List.map entry_to_json a.c_schedule));
+          ("schedule", J.List (List.map Obs.Fault_event.entry_to_json a.c_schedule));
           ( "expect",
             expect_to_json (Violations a.c_expect) );
         ]
@@ -136,12 +105,6 @@ let field name json =
 let as_int name json =
   let* v = field name json in
   match J.to_int v with Some i -> Ok i | None -> Error (Printf.sprintf "field %S: expected int" name)
-
-let as_float name json =
-  let* v = field name json in
-  match J.to_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: expected number" name)
 
 let as_string name json =
   let* v = field name json in
@@ -168,12 +131,6 @@ let dist_of_string = function
   | "divergent" -> Ok Harness.Runner.Divergent
   | other -> Error (Printf.sprintf "unknown dist %S" other)
 
-let protocol_of_string = function
-  | "turquois" -> Ok Harness.Runner.Turquois
-  | "bracha" -> Ok Harness.Runner.Bracha
-  | "abba" -> Ok Harness.Runner.Abba
-  | other -> Error (Printf.sprintf "unknown protocol %S" other)
-
 let seed_of json =
   let* s = as_string "seed" json in
   match Int64.of_string_opt s with
@@ -197,9 +154,6 @@ let expect_of json =
       let* deciders = as_int "deciders" e in
       let* advanced = as_int "advanced" e in
       Ok (Stall { deciders; advanced })
-  | "decide" ->
-      let* min_deciders = as_int "min_deciders" e in
-      Ok (Decide { min_deciders })
   | "violations" ->
       let* vs = as_list "violations" e in
       let* vs =
@@ -211,6 +165,11 @@ let expect_of json =
       Ok (Violations vs)
   | other -> Error (Printf.sprintf "unknown expect kind %S" other)
 
+let strategy s =
+  match Core.Strategy.of_string s with
+  | Some _ -> Ok s
+  | None -> Error (Printf.sprintf "unknown strategy %S" s)
+
 let round_of json =
   let* drops = as_list "drops" json in
   let* drops = map_result (int_pair "drops") drops in
@@ -221,57 +180,13 @@ let round_of json =
         match J.to_list entry with
         | Some [ i; s ] -> begin
             match (J.to_int i, J.to_str s) with
-            | Some i, Some s -> begin
-                match Core.Strategy.of_string s with
-                | Some _ -> Ok (i, s)
-                | None -> Error (Printf.sprintf "unknown strategy %S" s)
-              end
+            | Some i, Some s -> Result.map (fun s -> (i, s)) (strategy s)
             | _ -> Error "byz: expected [int, string]"
           end
         | _ -> Error "byz: expected [int, string]")
       byz
   in
   Ok { drops; byz }
-
-let entry_of json =
-  let module S = Net.Schedule in
-  let* at = as_float "at" json in
-  let* action = as_string "action" json in
-  let* action =
-    match action with
-    | "crash" ->
-        let* node = as_int "node" json in
-        Ok (S.Crash node)
-    | "recover" ->
-        let* node = as_int "node" json in
-        Ok (S.Recover node)
-    | "set_loss" ->
-        let* p = as_float "p" json in
-        Ok (S.Set_loss p)
-    | "set_rx_loss" ->
-        let* rx = as_int "rx" json in
-        let* p = as_float "p" json in
-        Ok (S.Set_rx_loss { rx; p })
-    | "set_link_loss" ->
-        let* tx = as_int "tx" json in
-        let* rx = as_int "rx" json in
-        let* p = as_float "p" json in
-        Ok (S.Set_link_loss { tx; rx; p })
-    | "jam" ->
-        let* until = as_float "until" json in
-        Ok (S.Jam { until })
-    | "jam_rx" ->
-        let* rx = as_int "rx" json in
-        let* until = as_float "until" json in
-        Ok (S.Jam_rx { rx; until })
-    | "delay_rx" ->
-        let* rx = as_int "rx" json in
-        let* delay = as_float "delay" json in
-        let* until = as_float "until" json in
-        Ok (S.Delay_rx { rx; delay; until })
-    | other -> Error (Printf.sprintf "unknown schedule action %S" other)
-  in
-  Ok { S.at; action }
 
 let of_json json =
   let* s = as_string "schema" json in
@@ -300,23 +215,20 @@ let of_json json =
         Ok (Rounds { r_n; r_k; r_byzantine; r_dist; r_seed; r_budget; r_rounds; r_expect; r_note = note })
     | "radio" ->
         let* protocol = as_string "protocol" json in
-        let* c_protocol = protocol_of_string protocol in
+        let* c_protocol =
+          Option.to_result
+            ~none:(Printf.sprintf "unknown protocol %S" protocol)
+            (Harness.Runner.protocol_of_string protocol)
+        in
         let* c_n = as_int "n" json in
         let* dist = as_string "dist" json in
         let* c_dist = dist_of_string dist in
         let* c_strategy =
           let* v = field "strategy" json in
-          match v with
-          | J.Null -> Ok None
-          | _ -> begin
-              match J.to_str v with
-              | Some s -> begin
-                  match Core.Strategy.of_string s with
-                  | Some _ -> Ok (Some s)
-                  | None -> Error (Printf.sprintf "unknown strategy %S" s)
-                end
-              | None -> Error "field \"strategy\": expected string or null"
-            end
+          match (v, J.to_str v) with
+          | J.Null, _ -> Ok None
+          | _, Some s -> Result.map Option.some (strategy s)
+          | _, None -> Error "field \"strategy\": expected string or null"
         in
         let* c_seed = seed_of json in
         let* c_bug =
@@ -324,12 +236,12 @@ let of_json json =
           match J.to_bool v with Some b -> Ok b | None -> Error "field \"bug\": expected bool"
         in
         let* schedule = as_list "schedule" json in
-        let* c_schedule = map_result entry_of schedule in
+        let* c_schedule = map_result Obs.Fault_event.entry_of_json schedule in
         let* expect = expect_of json in
         let* c_expect =
           match expect with
           | Violations vs -> Ok vs
-          | Stall _ | Decide _ -> Error "radio artifacts expect violations"
+          | Stall _ -> Error "radio artifacts expect violations"
         in
         Ok (Radio { c_protocol; c_n; c_dist; c_strategy; c_seed; c_bug; c_schedule; c_expect; c_note = note })
     | other -> Error (Printf.sprintf "unknown artifact kind %S" other)

@@ -28,8 +28,6 @@ type round_choice = {
 type expect =
   | Stall of { deciders : int; advanced : int }
       (** exact horizon outcome of a worst-case stall schedule *)
-  | Decide of { min_deciders : int }
-      (** at least this many correct deciders at the horizon *)
   | Violations of string list
       (** the exact invariant breaches the run must reproduce *)
 

@@ -30,15 +30,6 @@ let run_rounds (a : Codec.rounds_artifact) =
           Printf.sprintf "stall replay: deciders %d (want %d), advanced %d (want %d), %d violations"
             deciders want_d advanced want_a (List.length violations);
       }
-  | Codec.Decide { min_deciders } ->
-      let ok = deciders >= min_deciders && violations = [] in
-      {
-        ok;
-        violations;
-        detail =
-          Printf.sprintf "decide replay: deciders %d (want >= %d), %d violations" deciders
-            min_deciders (List.length violations);
-      }
   | Codec.Violations want ->
       let ok = violations = want in
       {

@@ -30,16 +30,17 @@ let set_loss radio p =
   Radio.set_loss_prob radio p;
   Obs.Metrics.set loss_prob_gauge p
 
+let traced radio action =
+  Obs.Fault_event.(emit (Injected { at = Engine.now (Radio.engine radio); action }))
+
 let crash radio i =
   Obs.Metrics.incr crashes;
-  Obs.Trace2.emit ~time:(Engine.now (Radio.engine radio)) ~node:i ~layer:"fault"
-    ~label:"crash" [];
+  traced radio (Crash i);
   Radio.set_down radio i true
 
 let recover radio i =
   Obs.Metrics.incr recoveries;
-  Obs.Trace2.emit ~time:(Engine.now (Radio.engine radio)) ~node:i ~layer:"fault"
-    ~label:"recover" [];
+  traced radio (Recover i);
   Radio.set_down radio i false
 
 let apply_crashes radio ~n load =
@@ -82,13 +83,7 @@ let sigma_edge radio ~n ~k ~t =
            true
          end
          else false));
-  Obs.Trace2.emit ~time:(Engine.now (Radio.engine radio)) ~node:(-1) ~layer:"fault"
-    ~label:"sigma_edge"
-    [
-      ("budget", Obs.Trace2.I bound);
-      ("round_s", Obs.Trace2.F sigma_edge_round);
-      ( "victims",
-        Obs.Trace2.S
-          (String.concat "," (Array.to_list (Array.map string_of_int victims))) );
-    ];
+  let at = Engine.now (Radio.engine radio) in
+  let victims = Array.to_list victims in
+  Obs.Fault_event.emit (Sigma_edge { at; budget = bound; round_s = sigma_edge_round; victims });
   a

@@ -40,12 +40,11 @@ val set_loss : Radio.t -> float -> unit
     it in the [fault.loss_prob] gauge. *)
 
 val crash : Radio.t -> int -> unit
-(** Marks a node down now, with the [fault]/[crash] trace event and
-    metric. *)
+(** Marks a node down now, with its {!Obs.Fault_event} and metric. *)
 
 val recover : Radio.t -> int -> unit
-(** Brings a crashed node back up, with the [fault]/[recover] trace
-    event and metric. *)
+(** Brings a crashed node back up, with its {!Obs.Fault_event} and
+    metric. *)
 
 val apply_crashes : Radio.t -> n:int -> load -> unit
 (** Crashes the faulty set now, before the run starts, for

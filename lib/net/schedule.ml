@@ -1,4 +1,4 @@
-type action =
+type action = Obs.Fault_event.action =
   | Crash of int
   | Recover of int
   | Set_loss of float
@@ -8,55 +8,35 @@ type action =
   | Jam_rx of { rx : int; until : float }
   | Delay_rx of { rx : int; delay : float; until : float }
 
-type entry = { at : float; action : action }
+type entry = Obs.Fault_event.entry = { at : float; action : action }
 type t = entry list
-
-let action_to_string = function
-  | Crash i -> Printf.sprintf "crash p%d" i
-  | Recover i -> Printf.sprintf "recover p%d" i
-  | Set_loss p -> Printf.sprintf "loss %.3f" p
-  | Set_rx_loss { rx; p } -> Printf.sprintf "rx-loss p%d %.3f" rx p
-  | Set_link_loss { tx; rx; p } -> Printf.sprintf "link-loss p%d->p%d %.3f" tx rx p
-  | Jam { until } -> Printf.sprintf "jam until %.3fs" until
-  | Jam_rx { rx; until } -> Printf.sprintf "jam p%d until %.3fs" rx until
-  | Delay_rx { rx; delay; until } ->
-      Printf.sprintf "delay p%d +%.1fms until %.3fs" rx (delay *. 1000.0) until
-
-let entry_to_string e = Printf.sprintf "%.3fs %s" e.at (action_to_string e.action)
 
 let to_string sched =
   match sched with
   | [] -> "(empty schedule)"
-  | entries -> String.concat "; " (List.map entry_to_string entries)
+  | entries ->
+      String.concat "; "
+        (List.map (fun e -> Obs.Fault_event.(to_string (Injected e))) entries)
 
 let sort sched = List.stable_sort (fun a b -> compare a.at b.at) sched
 
 let injected = Obs.Metrics.counter "fault.injected"
 
-(* Trace every injected fault so the analyzer can attribute stalls.
+(* Every injected fault is traced so the analyzer can attribute stalls;
    Fault.crash and Fault.recover trace their own event. *)
-let trace ~time label fields = Obs.Trace2.emit ~time ~node:(-1) ~layer:"fault" ~label fields
-
 let perform radio now action =
   Obs.Metrics.incr injected;
+  (match action with
+  | Crash _ | Recover _ -> ()
+  | _ -> Obs.Fault_event.emit (Injected { at = now; action }));
   match action with
   | Crash i -> Fault.crash radio i
   | Recover i -> Fault.recover radio i
-  | Set_loss p ->
-      trace ~time:now "set_loss" [ ("p", Obs.Trace2.F p) ];
-      Radio.set_loss_prob radio p
-  | Set_rx_loss { rx; p } ->
-      trace ~time:now "set_rx_loss" [ ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ];
-      Radio.set_rx_loss radio ~rx p
-  | Set_link_loss { tx; rx; p } ->
-      trace ~time:now "set_link_loss"
-        [ ("tx", Obs.Trace2.I tx); ("rx", Obs.Trace2.I rx); ("p", Obs.Trace2.F p) ];
-      Radio.set_link_loss radio ~tx ~rx p
-  | Jam { until } ->
-      trace ~time:now "jam" [ ("until", Obs.Trace2.F until) ];
-      Radio.jam radio ~from:now ~until
+  | Set_loss p -> Radio.set_loss_prob radio p
+  | Set_rx_loss { rx; p } -> Radio.set_rx_loss radio ~rx p
+  | Set_link_loss { tx; rx; p } -> Radio.set_link_loss radio ~tx ~rx p
+  | Jam { until } -> Radio.jam radio ~from:now ~until
   | Jam_rx { rx; until } ->
-      trace ~time:now "jam_rx" [ ("rx", Obs.Trace2.I rx); ("until", Obs.Trace2.F until) ];
       (* targeted jamming: destroy everything arriving at rx for the
          window, then restore its previous overlay (assumed 0) *)
       Radio.set_rx_loss radio ~rx 1.0;
@@ -64,8 +44,6 @@ let perform radio now action =
         (Engine.at (Radio.engine radio) ~time:until (fun () ->
              Radio.set_rx_loss radio ~rx 0.0))
   | Delay_rx { rx; delay; until } ->
-      trace ~time:now "delay_rx"
-        [ ("rx", Obs.Trace2.I rx); ("delay_s", Obs.Trace2.F delay); ("until", Obs.Trace2.F until) ];
       Radio.set_rx_delay radio ~rx delay;
       ignore
         (Engine.at (Radio.engine radio) ~time:until (fun () ->
@@ -136,34 +114,13 @@ let random ~rng ~n ~duration ?(events = 6) () =
 
 (* --- quiescence ------------------------------------------------------------- *)
 
-(* When is the channel provably back to zero injected faults? Fold the
-   timeline tracking residual state; [None] if any overlay, crash or
-   window persists past the last entry. *)
+(* The channel is provably back to zero injected faults once every
+   window has closed, if nothing the schedule set is still in force. *)
 let quiet_after sched =
-  let horizon = ref 0.0 in
-  let bump x = if x > !horizon then horizon := x in
-  let loss = ref 0.0 in
-  let rx_loss : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let link_loss : (int * int, float) Hashtbl.t = Hashtbl.create 8 in
-  let down : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun { at; action } ->
-      bump at;
-      match action with
-      | Crash i -> Hashtbl.replace down i ()
-      | Recover i -> Hashtbl.remove down i
-      | Set_loss p -> loss := p
-      | Set_rx_loss { rx; p } ->
-          if p = 0.0 then Hashtbl.remove rx_loss rx else Hashtbl.replace rx_loss rx p
-      | Set_link_loss { tx; rx; p } ->
-          if p = 0.0 then Hashtbl.remove link_loss (tx, rx)
-          else Hashtbl.replace link_loss (tx, rx) p
-      | Jam { until } | Jam_rx { until; _ } | Delay_rx { until; _ } -> bump until)
-    (sort sched);
-  if !loss = 0.0 && Hashtbl.length rx_loss = 0 && Hashtbl.length link_loss = 0
-     && Hashtbl.length down = 0
-  then Some !horizon
-  else None
+  let faults = List.map (fun e -> Obs.Fault_event.Injected e) sched in
+  match Obs.Fault_event.in_force faults ~time:Float.infinity with
+  | _ :: _ -> None
+  | [] -> Some (List.fold_left (fun h f -> Float.max h (Obs.Fault_event.ends f)) 0.0 faults)
 
 (* --- shrinking -------------------------------------------------------------- *)
 

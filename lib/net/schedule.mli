@@ -5,33 +5,26 @@
     per-link omission rates, targeted jamming, and delivery-delay bursts
     (which reorder frames across receivers). {!apply} arms the whole
     timeline on the radio's engine before a run starts; every injection
-    bumps the [fault.injected] metric and emits a ["fault"]-layer
-    {!Obs.Trace2} event, so the offline analyzer can attribute stalls to
-    the faults that caused them.
+    bumps the [fault.injected] metric and emits its {!Obs.Fault_event},
+    so the offline analyzer can attribute stalls to the faults that
+    caused them.
 
     Schedules are plain data: the chaos harness generates them from a
     seed ({!random}), prints them ({!to_string}), and shrinks failing
     ones to minimal reproducers ({!shrink_candidates}). *)
 
-type action =
-  | Crash of int                 (** node goes silent (radio down) *)
-  | Recover of int               (** node comes back *)
-  | Set_loss of float            (** global iid omission probability *)
+type action = Obs.Fault_event.action =
+  | Crash of int
+  | Recover of int
+  | Set_loss of float
   | Set_rx_loss of { rx : int; p : float }
-      (** per-receiver omission overlay *)
   | Set_link_loss of { tx : int; rx : int; p : float }
-      (** directed-link omission overlay *)
-  | Jam of { until : float }     (** broadband jamming window from [at] *)
+  | Jam of { until : float }
   | Jam_rx of { rx : int; until : float }
-      (** targeted jamming: everything arriving at [rx] is destroyed *)
   | Delay_rx of { rx : int; delay : float; until : float }
-      (** delivery-delay burst at one receiver (reorders frames) *)
 
-type entry = { at : float; action : action }
+type entry = Obs.Fault_event.entry = { at : float; action : action }
 type t = entry list
-
-val action_to_string : action -> string
-val entry_to_string : entry -> string
 
 val to_string : t -> string
 (** One-line rendering, suitable for a printed reproducer. *)
@@ -51,10 +44,11 @@ val random : rng:Util.Rng.t -> n:int -> duration:float -> ?events:int -> unit ->
     liveness check relies on this. Deterministic in [rng]. *)
 
 val quiet_after : t -> float option
-(** [Some h] when the schedule provably injects nothing after time [h]:
-    every overlay is cleared, every jam/delay window has expired, and
-    every crashed node has recovered. [None] if any fault persists —
-    liveness cannot be asserted for such a run. *)
+(** [Some h] when nothing is in force at infinity
+    ({!Obs.Fault_event.in_force}: every overlay is cleared and every
+    crashed node has recovered), where [h] is the last entry's time or
+    window end. [None] if any fault persists — liveness cannot be
+    asserted for such a run. *)
 
 val shrink_candidates : t -> t list
 (** Simplifications of a failing schedule (halves first, then each

@@ -130,7 +130,7 @@ let medium_breakdown events =
       ^ String.concat " "
           (List.map (fun (rx, c) -> Printf.sprintf "p%d:%d" rx c) by_rx)
       ^ "\n");
-  (Buffer.contents buf, !omission_total)
+  Buffer.contents buf
 
 (* --- ordered-log summary ---------------------------------------------------- *)
 
@@ -241,110 +241,6 @@ let timeline ~n entries decides =
     Buffer.add_string buf (Util.Tablefmt.render ~header ~rows:(rows @ [ decide_row ]) ())
   end;
   Buffer.contents buf
-
-(* --- injected-fault attribution ------------------------------------------- *)
-
-(* Everything the fault-injection layer emits — Fault.crash/recover,
-   Schedule.apply actions, jam windows, the sigma-edge adversary — lands
-   on the "fault" trace layer, so stall windows can be attributed to the
-   faults that overlap them. *)
-
-let describe_fault (e : Trace2.event) =
-  let f = e.fields in
-  let node = match Trace2.field_int f "node" with Some i -> i | None -> e.node in
-  let pct key = 100.0 *. Option.value ~default:0.0 (Trace2.field_float f key) in
-  let tag =
-    match e.label with
-    | "crash" -> Printf.sprintf "crash p%d" node
-    | "recover" -> Printf.sprintf "recover p%d" node
-    | "set_loss" -> Printf.sprintf "loss=%.0f%%" (pct "p")
-    | "set_rx_loss" ->
-        Printf.sprintf "rx-loss p%d=%.0f%%"
-          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
-          (pct "p")
-    | "set_link_loss" ->
-        Printf.sprintf "link-loss p%d->p%d=%.0f%%"
-          (Option.value ~default:(-1) (Trace2.field_int f "tx"))
-          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
-          (pct "p")
-    | "jam" -> "jamming"
-    | "jam_rx" ->
-        Printf.sprintf "jam p%d" (Option.value ~default:(-1) (Trace2.field_int f "rx"))
-    | "delay_rx" ->
-        Printf.sprintf "rx-delay p%d"
-          (Option.value ~default:(-1) (Trace2.field_int f "rx"))
-    | "sigma_edge" ->
-        Printf.sprintf "sigma-edge adversary (%d drops/round on p{%s})"
-          (Option.value ~default:0 (Trace2.field_int f "budget"))
-          (Option.value ~default:"?" (Trace2.field_str f "victims"))
-    | l -> l
-  in
-  Printf.sprintf "%s @%.1fms" tag (e.time *. 1000.0)
-
-let fault_events events = List.filter (fun e -> e.Trace2.layer = "fault") events
-
-let faults_in faults ~from ~until =
-  List.filter (fun e -> e.Trace2.time >= from && e.Trace2.time < until) faults
-  |> List.map describe_fault
-
-(* Injected faults from before [time] that are still in force at [time]:
-   the latest non-zero loss overlays, unrecovered crashes, jamming or
-   delay windows reaching past [time], and any installed sigma-edge
-   filter (filters are never uninstalled). *)
-let active_faults_at faults ~time =
-  let before = List.filter (fun e -> e.Trace2.time < time) faults in
-  let latest label key =
-    (* last event with this label, keyed by an int field (or -1) *)
-    List.fold_left
-      (fun acc e ->
-        if e.Trace2.label = label then
-          let k = Option.value ~default:(-1) (Trace2.field_int e.fields key) in
-          (k, e) :: List.remove_assoc k acc
-        else acc)
-      [] before
-  in
-  let nonzero (_, e) = Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "p") > 0.0 in
-  let losses = List.filter nonzero (latest "set_loss" "none") in
-  let rx_losses = List.filter nonzero (latest "set_rx_loss" "rx") in
-  let link_losses =
-    (* keyed per (tx, rx); fold manually since `latest` keys on one field *)
-    List.fold_left
-      (fun acc e ->
-        if e.Trace2.label = "set_link_loss" then
-          let k =
-            ( Option.value ~default:(-1) (Trace2.field_int e.fields "tx"),
-              Option.value ~default:(-1) (Trace2.field_int e.fields "rx") )
-          in
-          (k, e) :: List.remove_assoc k acc
-        else acc)
-      [] before
-    |> List.filter (fun (_, e) ->
-           Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "p") > 0.0)
-  in
-  let crashes =
-    List.fold_left
-      (fun acc e ->
-        let node =
-          match Trace2.field_int e.Trace2.fields "node" with Some i -> i | None -> e.Trace2.node
-        in
-        match e.Trace2.label with
-        | "crash" -> (node, e) :: List.remove_assoc node acc
-        | "recover" -> List.remove_assoc node acc
-        | _ -> acc)
-      [] before
-  in
-  let windows =
-    List.filter
-      (fun e ->
-        (e.Trace2.label = "jam" || e.Trace2.label = "jam_rx" || e.Trace2.label = "delay_rx")
-        && Option.value ~default:0.0 (Trace2.field_float e.Trace2.fields "until") > time)
-      before
-  in
-  let adversaries = List.filter (fun e -> e.Trace2.label = "sigma_edge") before in
-  let snd_events l = List.map (fun (_, e) -> e) l in
-  List.map describe_fault
-    (snd_events losses @ snd_events rx_losses @ snd_events link_losses
-   @ snd_events crashes @ windows @ adversaries)
 
 (* --- stall report --------------------------------------------------------- *)
 
@@ -459,22 +355,30 @@ let stall_report ~n ~k ~t ~tick events entries =
               every window\n"
              bound)
     | stalls ->
-        let faults = fault_events events in
+        let faults = List.filter_map Fault_event.of_event events in
         List.iter
           (fun w ->
+            (* only a window past the stall threshold is called stalled *)
+            let line : (_, unit, string) format =
+              match (w.w_stalled, w.w_exceeds) with
+              | true, true ->
+                  "  phase %d stalled for %.1f ms (>3x the %.1f ms median window): %d omissions \
+                   (%.1f/round) exceed sigma = %d — the Section 5 bound says progress can halt \
+                   under this load\n"
+              | true, false ->
+                  "  phase %d stalled for %.1f ms (>3x the %.1f ms median window) with %d \
+                   omissions (%.1f/round, sigma = %d): slow but within the liveness bound\n"
+              | false, _ ->
+                  "  phase %d exceeded sigma in %.1f ms (median window %.1f ms): %d omissions \
+                   (%.1f/round) exceed sigma = %d, but the window closed without stalling\n"
+            in
             Buffer.add_string buf
-              (if w.w_exceeds then
-                 Printf.sprintf
-                   "  phase %d stalled for %.1f ms: %d omissions (%.1f/round) exceed sigma = \
-                    %d — the Section 5 bound says progress can halt under this load\n"
-                   w.w_phase (w.w_dur *. 1000.0) w.w_om w.w_per_round bound
-               else
-                 Printf.sprintf
-                   "  phase %d stalled for %.1f ms (>3x the %.1f ms median window) with %d \
-                    omissions (%.1f/round, sigma = %d): slow but within the liveness bound\n"
-                   w.w_phase (w.w_dur *. 1000.0) (median *. 1000.0) w.w_om w.w_per_round bound);
-            let active = active_faults_at faults ~time:w.w_from in
-            let injected = faults_in faults ~from:w.w_from ~until:w.w_until in
+              (Printf.sprintf line w.w_phase (w.w_dur *. 1000.0) (median *. 1000.0) w.w_om
+                 w.w_per_round bound);
+            let render = List.map Fault_event.to_string in
+            let during f = Fault_event.time f >= w.w_from && Fault_event.time f < w.w_until in
+            let active = render (Fault_event.in_force faults ~time:w.w_from) in
+            let injected = render (List.filter during faults) in
             if active = [] && injected = [] then
               Buffer.add_string buf
                 "    no injected faults overlap this window (ambient loss / collisions)\n"
@@ -528,8 +432,7 @@ let analyze ?n ?k ?t ~dropped events =
           ms of the run\n"
          dropped (first *. 1000.0) (last *. 1000.0));
   Buffer.add_char buf '\n';
-  let medium, _omissions = medium_breakdown events in
-  Buffer.add_string buf medium;
+  Buffer.add_string buf (medium_breakdown events);
   Buffer.add_char buf '\n';
   (match log_section events with
   | "" -> ()

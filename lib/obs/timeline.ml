@@ -5,7 +5,7 @@
    bucket — the last digit of its current phase, 'D' once decided, 'X'
    while crashed, '.' before its first phase transition. State changes
    come straight off the trace: protocol "phase"/"round" and "decide"
-   events, fault-layer "crash"/"recover". *)
+   events, and the crashes and recoveries Fault_event decodes. *)
 
 type change = Phase of int | Decide | Crash | Recover
 
@@ -19,22 +19,19 @@ let changes events =
   in
   List.iter
     (fun (e : Trace2.event) ->
-      match e.label with
-      | "phase" | "round" -> (
+      match (Fault_event.of_event e, e.label) with
+      | Some (Injected { action = Crash i; _ }), _ -> push i e.time Crash
+      | Some (Injected { action = Recover i; _ }), _ -> push i e.time Recover
+      | Some _, _ -> ()
+      | None, ("phase" | "round") -> (
           let num =
             match Trace2.field_int e.fields "phase" with
             | Some p -> Some p
             | None -> Trace2.field_int e.fields "round"
           in
           match num with Some p -> push e.node e.time (Phase p) | None -> ())
-      | "decide" -> push e.node e.time Decide
-      | "crash" when e.layer = "fault" ->
-          let node = Option.value ~default:e.node (Trace2.field_int e.fields "node") in
-          push node e.time Crash
-      | "recover" when e.layer = "fault" ->
-          let node = Option.value ~default:e.node (Trace2.field_int e.fields "node") in
-          push node e.time Recover
-      | _ -> ())
+      | None, "decide" -> push e.node e.time Decide
+      | None, _ -> ())
     events;
   Hashtbl.iter
     (fun node l -> Hashtbl.replace per_node node (List.rev l))

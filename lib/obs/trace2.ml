@@ -152,7 +152,7 @@ let parse_line line =
    written by a different generation instead of mis-parsing them. The
    header also records how many events the sink dropped at its limit,
    so a truncated file says so. *)
-let schema_version = 2
+let schema_version = 3
 
 let schema_header () =
   {

@@ -32,10 +32,6 @@ val events : unit -> event list
 
 val dropped : unit -> int
 
-val field_to_string : field -> string
-val fields_to_string : (string * field) list -> string
-(** ["k=v k2=v2"]. *)
-
 val field_int : (string * field) list -> string -> int option
 (** The named field as an int; a float field reads truncated. [None]
     when absent or not numeric. *)
@@ -57,8 +53,10 @@ val render : ?filter:(event -> bool) -> ?max_events:int -> unit -> string
     One event per line:
     [{"t":0.012,"node":3,"layer":"radio","label":"tx","f":{"class":"bcast","bytes":93,...}}] *)
 
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
+val field_to_json : field -> Json.t
+val field_of_json : Json.t -> field option
+(** [None] for null, lists and objects. *)
+
 val to_jsonl_line : event -> string
 val parse_line : string -> (event, string) result
 

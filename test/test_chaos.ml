@@ -263,14 +263,17 @@ let test_analyze_attributes_faults () =
   in
   Alcotest.(check bool) "stall detected" true (contains "STALL");
   Alcotest.(check bool)
-    "loss overlay in force at window start" true (contains "loss=50%");
+    "loss overlay in force at window start" true
+    (contains "    injected faults in force at window start: 0.005s loss 0.500\n");
   Alcotest.(check bool)
-    "crash injected during the window" true (contains "crash p0")
+    "crash injected during the window" true
+    (contains "    injected during the window: 0.035s crash p0\n")
 
 (* The same attribution on the events Net.Schedule really writes: in
    this traced run phase 3 stalls from 6.2 ms to 257.5 ms, with the
-   delay burst on p1 in force at the window's start and p3's recovery
-   injected inside it. *)
+   delay burst on p1, p3's crash and the jamming of p2 in force at the
+   window's start and p3's recovery injected inside it. Phase 4's
+   window exceeds sigma but closes in 4.7 ms, so it is not a stall. *)
 let test_analyze_schedule_trace () =
   let schedule =
     [
@@ -308,10 +311,16 @@ let test_analyze_schedule_trace () =
   in
   Alcotest.(check bool) "phase 3 stalls" true
     (List.exists (String.starts_with ~prefix:"phase 3 stalled for 251.3 ms") lines);
-  Alcotest.(check bool) "delay burst in force at window start" true
-    (List.mem "rx-delay p1 @1.0ms" (entries "injected faults in force at window start:"));
-  Alcotest.(check (list string)) "recovery listed once" [ "recover p3 @200.0ms" ]
-    (entries "injected during the window:")
+  Alcotest.(check (list string)) "faults in force at window start, in time order"
+    [ "0.001s delay p1 +4.0ms until 0.500s"; "0.002s crash p3"; "0.003s jam p2 until 0.300s" ]
+    (entries "injected faults in force at window start:");
+  Alcotest.(check (list string)) "recovery listed once" [ "0.200s recover p3" ]
+    (entries "injected during the window:");
+  Alcotest.(check bool) "phase 4 exceeds sigma without stalling" true
+    (List.mem
+       "phase 4 exceeded sigma in 4.7 ms (median window 3.1 ms): 4 omissions (4.0/round) \
+        exceed sigma = 3, but the window closed without stalling"
+       lines)
 
 let suite =
   ( "chaos",

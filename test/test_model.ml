@@ -151,43 +151,69 @@ let test_codec_rounds_roundtrip () =
       Alcotest.(check (list int)) "delivered counts" [ 4; 6 ] (Codec.delivered_per_round a)
   | _ -> assert false
 
-let test_codec_radio_roundtrip () =
+(* Every schedule action once, so the fixture covers the whole fault
+   vocabulary the artifact can hold. *)
+let radio_fixture protocol =
   let module S = Net.Schedule in
-  let artifact =
-    Codec.Radio
-      {
-        c_protocol = Harness.Runner.Bracha;
-        c_n = 4;
-        c_dist = Harness.Runner.Unanimous;
-        c_strategy = Some "equivocate";
-        c_seed = 424242L;
-        c_bug = true;
-        c_schedule =
-          [
-            { S.at = 0.01; action = S.Crash 2 };
-            { S.at = 0.05; action = S.Recover 2 };
-            { S.at = 0.1; action = S.Set_loss 0.25 };
-            { S.at = 0.12; action = S.Set_rx_loss { rx = 1; p = 0.5 } };
-            { S.at = 0.15; action = S.Set_link_loss { tx = 0; rx = 3; p = 1.0 } };
-            { S.at = 0.2; action = S.Jam { until = 0.3 } };
-            { S.at = 0.32; action = S.Jam_rx { rx = 0; until = 0.4 } };
-            { S.at = 0.45; action = S.Delay_rx { rx = 2; delay = 0.02; until = 0.6 } };
-          ];
-        c_expect = [ "agreement: p0 decided 1, p1 decided 0" ];
-        c_note = "round-trip fixture";
-      }
-  in
-  Alcotest.(check bool) "radio artifact survives JSON" true (roundtrip artifact = artifact);
-  Alcotest.(check bool) "unknown strategy rejected" true
-    (match
-       Codec.of_json
-         (Codec.to_json
-            (match artifact with
-            | Codec.Radio a -> Codec.Radio { a with c_strategy = Some "no_such" }
-            | r -> r))
-     with
-    | Error _ -> true
-    | Ok _ -> false)
+  Codec.Radio
+    {
+      c_protocol = protocol;
+      c_n = 4;
+      c_dist = Harness.Runner.Unanimous;
+      c_strategy = Some "equivocate";
+      c_seed = 424242L;
+      c_bug = true;
+      c_schedule =
+        [
+          { S.at = 0.01; action = S.Crash 2 };
+          { S.at = 0.05; action = S.Recover 2 };
+          { S.at = 0.1; action = S.Set_loss 0.25 };
+          { S.at = 0.12; action = S.Set_rx_loss { rx = 1; p = 0.5 } };
+          { S.at = 0.15; action = S.Set_link_loss { tx = 0; rx = 3; p = 1.0 } };
+          { S.at = 0.2; action = S.Jam { until = 0.3 } };
+          { S.at = 0.32; action = S.Jam_rx { rx = 0; until = 0.4 } };
+          { S.at = 0.45; action = S.Delay_rx { rx = 2; delay = 0.02; until = 0.6 } };
+        ];
+      c_expect = [ "agreement: p0 decided 1, p1 decided 0" ];
+      c_note = "round-trip fixture";
+    }
+
+let test_codec_radio_roundtrip () =
+  List.iter
+    (fun protocol ->
+      let artifact = radio_fixture protocol in
+      let name = Harness.Runner.protocol_to_string protocol in
+      Alcotest.(check bool) (name ^ " radio artifact survives JSON") true
+        (roundtrip artifact = artifact);
+      Alcotest.(check bool) (name ^ ": unknown strategy rejected") true
+        (match
+           Codec.of_json
+             (Codec.to_json
+                (match artifact with
+                | Codec.Radio a -> Codec.Radio { a with c_strategy = Some "no_such" }
+                | r -> r))
+         with
+        | Error _ -> true
+        | Ok _ -> false))
+    [ Harness.Runner.Turquois; Harness.Runner.Bracha; Harness.Runner.Abba; Harness.Runner.Sampled ];
+  let entry fields = Obs.Fault_event.entry_of_json (Obs.Json.Obj fields) in
+  let at = ("at", Obs.Json.Float 0.01) and crash = ("action", Obs.Json.String "crash") in
+  Alcotest.(check bool) "an integral node reads" true
+    (entry [ at; crash; ("node", Obs.Json.Float 2.0) ]
+    = Ok { Net.Schedule.at = 0.01; action = Crash 2 });
+  Alcotest.(check bool) "a fractional node is rejected" true
+    (Result.is_error (entry [ at; crash; ("node", Obs.Json.Float 2.5) ]));
+  Alcotest.(check bool) "an unknown action is rejected" true
+    (Result.is_error (entry [ at; ("action", Obs.Json.String "flood") ]))
+
+(* The artifact layout is a fixed point: reproducers already on disk
+   must keep loading and replaying, so the fixture's JSON bytes are
+   pinned. *)
+let test_codec_radio_bytes_pinned () =
+  Alcotest.(check string) "radio fixture JSON"
+    "8c0378e43d09d5b2922f2bfb1cc3db3a2484794a205f2000a2234834f6ae8001"
+    (Crypto.Sha256.hex_digest_string
+       (Obs.Json.to_string (Codec.to_json (radio_fixture Harness.Runner.Bracha))))
 
 (* --- chaos reproducer round-trip ---------------------------------------------- *)
 
@@ -281,6 +307,7 @@ let suite =
       Alcotest.test_case "state cap degrades gracefully" `Slow test_state_cap_degrades_gracefully;
       Alcotest.test_case "codec rounds round-trip" `Quick test_codec_rounds_roundtrip;
       Alcotest.test_case "codec radio round-trip" `Quick test_codec_radio_roundtrip;
+      Alcotest.test_case "codec radio bytes pinned" `Quick test_codec_radio_bytes_pinned;
       Alcotest.test_case "chaos reproducer round-trip" `Slow test_chaos_repro_roundtrip;
       Alcotest.test_case "driven matches single_round" `Quick test_driven_matches_single_round;
       Alcotest.test_case "walk stats pinned" `Quick test_walk_stats_pinned;

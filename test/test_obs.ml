@@ -295,7 +295,7 @@ let test_schema_header_roundtrip () =
   let first = input_line ic in
   close_in ic;
   Alcotest.(check bool) "header is the first line" true
-    (contains "\"schema\"" first && contains "\"version\":2" first);
+    (contains "\"schema\"" first && contains "\"version\":3" first);
   (* ...but filtered from the loaded events *)
   (match Obs.Trace2.load_file file with
   | Error e -> Alcotest.fail e
@@ -347,7 +347,7 @@ let test_schema_version_mismatch_rejected () =
   | Ok _ -> Alcotest.fail "accepted a trace with a mismatched schema version"
   | Error msg ->
       Alcotest.(check bool) "error names both versions" true
-        (contains "999" msg && contains "version 2" msg));
+        (contains "999" msg && contains "version 3" msg));
   Sys.remove file
 
 (* --- causal DAG -------------------------------------------------------------- *)
@@ -435,9 +435,9 @@ let test_analyze_edge_cases () =
   (* fault-only trace: crashes, no protocol progress at all *)
   well_formed "fault-only"
     [
-      ev 0.001 1 "fault" "crash" [];
-      ev 0.050 1 "fault" "recover" [];
-      ev 0.060 2 "fault" "crash" [];
+      ev 0.001 1 "fault" "crash" [ ("node", Obs.Trace2.I 1) ];
+      ev 0.050 1 "fault" "recover" [ ("node", Obs.Trace2.I 1) ];
+      ev 0.060 2 "fault" "crash" [ ("node", Obs.Trace2.I 2) ];
     ];
   (* phases but zero decisions *)
   well_formed "no decisions"
@@ -456,8 +456,8 @@ let test_timeline_render_states () =
         ev 0.000 0 "turquois" "phase" [ ("phase", Obs.Trace2.I 1) ];
         ev 0.050 0 "turquois" "phase" [ ("phase", Obs.Trace2.I 2) ];
         ev 0.090 0 "turquois" "decide" [ ("value", Obs.Trace2.I 1) ];
-        ev 0.001 1 "fault" "crash" [];
-        ev 0.100 1 "fault" "recover" [];
+        ev 0.001 1 "fault" "crash" [ ("node", Obs.Trace2.I 1) ];
+        ev 0.100 1 "fault" "recover" [ ("node", Obs.Trace2.I 1) ];
       ]
   in
   Alcotest.(check bool) "row per node" true
@@ -467,6 +467,112 @@ let test_timeline_render_states () =
   Alcotest.(check bool) "crash marker" true (contains "X" out);
   Alcotest.(check bool) "empty trace renders a notice" true
     (contains "no events" (Obs.Timeline.render []))
+
+(* --- the fault vocabulary ------------------------------------------------------ *)
+
+(* Every fault the injectors emit decodes back from its trace event to
+   the fault that was emitted, and renders the same way. *)
+let test_fault_events_roundtrip () =
+  let module F = Obs.Fault_event in
+  let faults =
+    [
+      F.Injected { at = 0.01; action = F.Crash 2 };
+      F.Injected { at = 0.05; action = F.Recover 2 };
+      F.Injected { at = 0.1; action = F.Set_loss 0.25 };
+      F.Injected { at = 0.12; action = F.Set_rx_loss { rx = 1; p = 0.5 } };
+      F.Injected { at = 0.15; action = F.Set_link_loss { tx = 0; rx = 3; p = 1.0 } };
+      F.Injected { at = 0.2; action = F.Jam { until = 0.3 } };
+      F.Injected { at = 0.32; action = F.Jam_rx { rx = 0; until = 0.4 } };
+      F.Injected { at = 0.45; action = F.Delay_rx { rx = 2; delay = 0.02; until = 0.6 } };
+      F.Sigma_edge { at = 0.0; budget = 3; round_s = 0.01; victims = [ 0; 1 ] };
+    ]
+  in
+  fresh ();
+  F.emit (List.hd faults);
+  Alcotest.(check int) "nothing is traced while tracing is off" 0
+    (List.length (Obs.Trace2.events ()));
+  Obs.Trace2.start ();
+  List.iter F.emit faults;
+  let events = Obs.Trace2.events () in
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  Alcotest.(check int) "one event per fault" (List.length faults) (List.length events);
+  List.iter2
+    (fun fault (e : Obs.Trace2.event) ->
+      Alcotest.(check bool) (F.to_string fault ^ " decodes to itself") true
+        (F.of_event e = Some fault);
+      match F.of_event (Result.get_ok (Obs.Trace2.parse_line (Obs.Trace2.to_jsonl_line e))) with
+      | Some back -> Alcotest.(check string) "through JSONL" (F.to_string fault) (F.to_string back)
+      | None -> Alcotest.fail ("JSONL lost " ^ F.to_string fault))
+    faults events;
+  Alcotest.(check bool) "other layers decode to nothing" true
+    (F.of_event (ev 0.0 0 "turquois" "crash" [ ("node", Obs.Trace2.I 0) ]) = None);
+  (* the injectors write the same events: a schedule applied to a radio
+     traces each entry as itself, crashes and recoveries included *)
+  let schedule =
+    List.filter_map (function F.Injected e -> Some e | F.Sigma_edge _ -> None) faults
+  in
+  let engine = Net.Engine.create () in
+  let radio = Net.Radio.create engine (Util.Rng.create ~seed:1L) ~n:4 in
+  Obs.Trace2.start ();
+  Net.Schedule.apply radio schedule;
+  Net.Engine.run engine;
+  let traced = List.filter_map F.of_event (Obs.Trace2.events ()) in
+  Obs.Trace2.stop ();
+  Obs.Trace2.clear ();
+  Alcotest.(check bool) "a schedule's events decode to its entries" true
+    (traced = List.map (fun e -> F.Injected e) schedule)
+
+(* In force at a time: the latest non-zero overlay per scope, crashes
+   not yet recovered, open windows and the sigma-edge adversary, in
+   time order. *)
+let test_fault_in_force () =
+  let module F = Obs.Fault_event in
+  let inj at action = F.Injected { at; action } in
+  let faults =
+    [
+      inj 0.01 (F.Set_loss 0.2);
+      inj 0.02 (F.Crash 1);
+      inj 0.03 (F.Set_rx_loss { rx = 2; p = 0.5 });
+      inj 0.04 (F.Jam_rx { rx = 0; until = 0.2 });
+      inj 0.05 (F.Set_loss 0.0);
+      inj 0.06 (F.Delay_rx { rx = 3; delay = 0.001; until = 0.08 });
+      inj 0.07 (F.Set_rx_loss { rx = 2; p = 0.7 });
+      F.Sigma_edge { at = 0.0; budget = 1; round_s = 0.01; victims = [ 0 ] };
+      inj 0.3 (F.Recover 1);
+    ]
+  in
+  let at time = List.map F.to_string (F.in_force faults ~time) in
+  Alcotest.(check (list string)) "at 100 ms"
+    [
+      "0.000s sigma-edge adversary (1 drops/round on p{0})";
+      "0.020s crash p1";
+      "0.040s jam p0 until 0.200s";
+      "0.070s rx-loss p2 0.700";
+    ]
+    (at 0.1);
+  Alcotest.(check (list string)) "at infinity"
+    [ "0.000s sigma-edge adversary (1 drops/round on p{0})"; "0.070s rx-loss p2 0.700" ]
+    (at Float.infinity)
+
+(* A window that exceeds sigma but closes within the stall threshold is
+   reported as exceeding sigma, next to the median, and not as a
+   stall. *)
+let test_stall_report_names_only_stalls () =
+  let phase time p = ev time 0 "turquois" "phase" [ ("phase", Obs.Trace2.I p) ] in
+  let omission time = ev time (-1) "radio" "omission" [ ("rx", Obs.Trace2.I 1) ] in
+  let events =
+    [ phase 0.0 1; phase 0.01 2 ]
+    @ List.init 5 (fun i -> omission (0.011 +. (0.001 *. float_of_int i)))
+    @ [ phase 0.02 3; phase 0.03 4; phase 0.04 5 ]
+  in
+  let report = Obs.Analyze.analyze ~n:4 ~k:3 ~t:0 ~dropped:0 events in
+  Alcotest.(check bool) "reported as exceeding sigma" true
+    (contains
+       "  phase 2 exceeded sigma in 10.0 ms (median window 10.0 ms): 5 omissions (5.0/round) \
+        exceed sigma = 3, but the window closed without stalling\n"
+       report);
+  Alcotest.(check bool) "not called stalled" false (contains "stalled" report)
 
 (* --- end-to-end: sigma-edge stall attribution -------------------------------- *)
 
@@ -603,6 +709,10 @@ let suite =
       Alcotest.test_case "causal attribution cover" `Quick test_causal_attribution_cover;
       Alcotest.test_case "analyze edge cases" `Quick test_analyze_edge_cases;
       Alcotest.test_case "timeline render states" `Quick test_timeline_render_states;
+      Alcotest.test_case "fault events roundtrip" `Quick test_fault_events_roundtrip;
+      Alcotest.test_case "fault in force" `Quick test_fault_in_force;
+      Alcotest.test_case "stall report names only stalls" `Quick
+        test_stall_report_names_only_stalls;
       Alcotest.test_case "causal end-to-end under sigma-edge" `Quick
         test_causal_end_to_end_sigma_edge;
       Alcotest.test_case "causal report pinned" `Quick test_causal_report_pinned;
