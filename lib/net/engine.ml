@@ -148,6 +148,10 @@ let cancel t handle =
     t.live <- t.live - 1
   end
 
+(* [last] is [nil] (whose action is [dead]) once the action fired, and
+   a cancelled action is [dead] too *)
+let last_is t f = t.last.act == f
+
 let pending t = t.live
 let heap_size t = t.size
 let live_peak t = t.live_peak

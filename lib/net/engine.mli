@@ -26,6 +26,12 @@ val at : t -> time:float -> (unit -> unit) -> handle
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)
 
+val last_is : t -> (unit -> unit) -> bool
+(** [last_is t f] holds while the most recently scheduled action is [f]
+    (physically) and has neither fired nor been cancelled. An action
+    scheduled now for [f]'s time would then run right after [f], with
+    nothing between them, so [f] may run it in its place. *)
+
 val pending : t -> int
 (** Number of live (not cancelled, not yet fired) events. Safe as a
     quiescence signal: cancelled events never count, even before they

@@ -89,6 +89,7 @@ type t = {
   radio : Radio.t;
   node_id : int;
   rng : Util.Rng.t;
+  contention : contention;
   queue : pending Queue.t;
   mutable current : pending option;
   mutable remaining_slots : int;  (* frozen backoff survives across busy periods *)
@@ -99,6 +100,44 @@ type t = {
   mutable dropped : (dst:int -> bytes -> unit) option;
   seen : (int * int, unit) Hashtbl.t; (* (src, seq) dedup for retransmitted unicast *)
 }
+
+(* What the MACs of one radio share: the dispatch table, and the
+   batches their carrier-sense checks run in. *)
+and contention = {
+  macs : t option array;
+  mutable joinable : batch;  (* the batch opened last; members join it while it may run them *)
+  mutable spare : batch list;  (* fired batches, reused with their arrays *)
+}
+
+(* The checks at the end of one sensing period, all started at
+   [start]: member [i] runs if its generation is still [gens.(i)]. *)
+and batch = {
+  mutable start : float;
+  mutable period : period;
+  mutable members : t array;
+  mutable gens : int array;
+  mutable count : int;
+  fire : unit -> unit;  (* the batch's engine action *)
+}
+
+and period = Difs | Slot  (* a DIFS, or one backoff slot *)
+
+(* joins nothing, as its start is NaN *)
+let no_batch =
+  { start = Float.nan; period = Difs; members = [||]; gens = [||]; count = 0; fire = ignore }
+
+let join b t =
+  if b.count = Array.length b.members then begin
+    let cap = max 8 (2 * b.count) in
+    let members = Array.make cap t and gens = Array.make cap 0 in
+    Array.blit b.members 0 members 0 b.count;
+    Array.blit b.gens 0 gens 0 b.count;
+    b.members <- members;
+    b.gens <- gens
+  end;
+  b.members.(b.count) <- t;
+  b.gens.(b.count) <- t.generation;
+  b.count <- b.count + 1
 
 let id t = t.node_id
 let radio t = t.radio
@@ -128,27 +167,56 @@ and wait_for_idle t =
   else begin
     (* sense for DIFS; abort if anything starts meanwhile *)
     Obs.Metrics.incr difs_waits;
-    let difs_start = Engine.now t.engine in
-    ignore
-      (Engine.schedule t.engine ~delay:Const.difs (fun () ->
-           if t.generation = gen then
-             if Radio.idle_since t.radio difs_start then countdown t else wait_for_idle t))
+    sense t Difs
   end
 
-and countdown t =
-  let gen = t.generation in
-  if t.remaining_slots <= 0 then transmit_current t
+and countdown t = if t.remaining_slots <= 0 then transmit_current t else sense t Slot
+
+(* Checks at the end of [period] whether the medium stayed idle from
+   now on. The check joins the batch opened last when that batch senses
+   the same period from the same start and its action is still the
+   engine's most recently scheduled one: the check's own action would
+   then have run right behind the batch's members, so running it as the
+   next member keeps the (time, seq) order. Otherwise the check opens a
+   batch. *)
+and sense t period =
+  let c = t.contention and start = Engine.now t.engine in
+  let b = c.joinable in
+  if b.start = start && b.period = period && Engine.last_is t.engine b.fire then join b t
   else begin
-    let slot_start = Engine.now t.engine in
-    ignore
-      (Engine.schedule t.engine ~delay:Const.slot (fun () ->
-           if t.generation = gen then
-             if Radio.idle_since t.radio slot_start then begin
-               t.remaining_slots <- t.remaining_slots - 1;
-               countdown t
-             end
-             else wait_for_idle t))
+    let b =
+      match c.spare with
+      | b :: rest ->
+          c.spare <- rest;
+          b
+      | [] -> new_batch c
+    in
+    b.start <- start;
+    b.period <- period;
+    b.count <- 0;
+    join b t;
+    c.joinable <- b;
+    let delay = match period with Difs -> Const.difs | Slot -> Const.slot in
+    ignore (Engine.schedule t.engine ~delay b.fire)
   end
+
+and new_batch c =
+  let rec b = { no_batch with fire = (fun () -> fire c b) } in
+  b
+
+(* Each live member counts its slot down, or leaves backoff for
+   [wait_for_idle], on the medium as it finds it. *)
+and fire c b =
+  for i = 0 to b.count - 1 do
+    let t = b.members.(i) in
+    if t.generation = b.gens.(i) then
+      if Radio.idle_since t.radio b.start then begin
+        (match b.period with Difs -> () | Slot -> t.remaining_slots <- t.remaining_slots - 1);
+        countdown t
+      end
+      else wait_for_idle t
+  done;
+  c.spare <- b :: c.spare
 
 and transmit_current t =
   match t.current with
@@ -264,16 +332,17 @@ let handle_mac_frame t frame =
         end
       end
 
-(* Shared dispatch: the radio has a single receive callback, so the first
+(* Shared state: the radio has a single receive callback, so the first
    MAC created on a radio installs a dispatcher over the radio's MACs,
-   indexed by node id. The table is attached to the radio itself rather
-   than kept in a global registry, so a finished run's radio and MACs
-   become garbage together. *)
-type Radio.attachment += Macs of t option array
+   indexed by node id, and the contention batches they share. Both are
+   attached to the radio itself rather than kept in a global registry,
+   so a finished run's radio and MACs become garbage together. *)
+type Radio.attachment += Contention of contention
 
-let install_dispatch radio =
+let install_contention radio =
   let macs = Array.make (Radio.size radio) None in
-  Radio.attach radio (Macs macs);
+  let c = { macs; joinable = no_batch; spare = [] } in
+  Radio.attach radio (Contention c);
   (* The radio hands every receiver of one transmission the same
      physical frame bytes, so a one-entry cache keyed on physical
      equality decodes once per transmission and shares the decoded
@@ -300,14 +369,15 @@ let install_dispatch radio =
       match (macs.(receiver), decode_shared raw) with
       | Some mac, Some frame -> handle_mac_frame mac frame
       | _, None | None, _ -> ());
-  macs
+  c
 
 let create engine radio ~id ~rng =
-  let macs =
+  let contention =
     match Radio.attachment radio with
-    | Some (Macs macs) -> macs
-    | Some _ | None -> install_dispatch radio
+    | Some (Contention c) -> c
+    | Some _ | None -> install_contention radio
   in
+  let macs = contention.macs in
   if id < 0 || id >= Array.length macs then
     invalid_arg
       (Printf.sprintf "Mac.create: id %d outside the radio's 0..%d" id (Array.length macs - 1));
@@ -319,6 +389,7 @@ let create engine radio ~id ~rng =
       radio;
       node_id = id;
       rng;
+      contention;
       queue = Queue.create ();
       current = None;
       remaining_slots = 0;

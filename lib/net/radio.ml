@@ -14,6 +14,7 @@ type stats = {
 }
 
 type attachment = ..
+type delay_window = { delay : float }
 
 type frame_class = {
   class_name : string;
@@ -45,8 +46,9 @@ type t = {
   down : bool array;
   mutable loss_prob : float;
   rx_loss : float array;                  (* per-receiver omission overlay *)
+  rx_jams : int array;                    (* open jamming windows per receiver *)
   link_loss : (int * int, float) Hashtbl.t;  (* (tx, rx) omission overlay *)
-  rx_delay : float array;                 (* extra delivery latency per receiver *)
+  rx_delays : delay_window list array;    (* open delay windows per receiver, latest first *)
   mutable filter : (now:float -> tx:int -> rx:int -> bool) option;
   mutable jam_windows : (float * float) list;
   mutable ongoing : transmission list;
@@ -66,8 +68,9 @@ let create engine rng ~n =
     down = Array.make n false;
     loss_prob = 0.0;
     rx_loss = Array.make n 0.0;
+    rx_jams = Array.make n 0;
     link_loss = Hashtbl.create 16;
-    rx_delay = Array.make n 0.0;
+    rx_delays = Array.make n [];
     filter = None;
     jam_windows = [];
     ongoing = [];
@@ -103,9 +106,19 @@ let set_link_loss t ~tx ~rx p =
   if p = 0.0 then Hashtbl.remove t.link_loss (tx, rx)
   else Hashtbl.replace t.link_loss (tx, rx) p
 
-let set_rx_delay t ~rx d =
-  if d < 0.0 then invalid_arg "Radio.set_rx_delay";
-  t.rx_delay.(rx) <- d
+(* Each window closes by its own action at [until], scheduled as it
+   opens. *)
+let jam_rx t ~rx ~until =
+  t.rx_jams.(rx) <- t.rx_jams.(rx) + 1;
+  ignore (Engine.at t.engine ~time:until (fun () -> t.rx_jams.(rx) <- t.rx_jams.(rx) - 1))
+
+let delay_rx t ~rx ~delay ~until =
+  if delay < 0.0 then invalid_arg "Radio.delay_rx";
+  let w = { delay } in
+  t.rx_delays.(rx) <- w :: t.rx_delays.(rx);
+  ignore
+    (Engine.at t.engine ~time:until (fun () ->
+         t.rx_delays.(rx) <- List.filter (fun o -> o != w) t.rx_delays.(rx)))
 
 let set_filter t f = t.filter <- f
 
@@ -131,11 +144,13 @@ let subscribe_idle t f =
   if not (busy t) then ignore (Engine.schedule t.engine ~delay:0.0 f)
   else t.idle_waiters <- f :: t.idle_waiters
 
+(* One action wakes every waiter, in subscription order: the order one
+   action per waiter, scheduled back to back, would run them in. *)
 let notify_idle_if_clear t =
   if not (busy t) && t.idle_waiters <> [] then begin
     let waiters = List.rev t.idle_waiters in
     t.idle_waiters <- [];
-    List.iter (fun f -> ignore (Engine.schedule t.engine ~delay:0.0 f)) waiters
+    ignore (Engine.schedule t.engine ~delay:0.0 (fun () -> List.iter (fun f -> f ()) waiters))
   end
 
 let overlaps_jam t start finish =
@@ -206,13 +221,16 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
                  let delivered = ref 0 and omitted = ref 0 in
                  for receiver = 0 to t.n - 1 do
                    if receiver <> sender && not t.down.(receiver) then begin
-                     (* independent overlays: global, per-receiver, per-link;
-                        then the adversarial filter. An absent link draws
-                        nothing, so the table is only probed when set. *)
+                     (* independent overlays: global, per-receiver (1 while
+                        the receiver is jammed), per-link; then the
+                        adversarial filter. An absent link draws nothing,
+                        so the table is only probed when set. *)
+                     let rx_loss =
+                       if t.rx_jams.(receiver) > 0 then 1.0 else t.rx_loss.(receiver)
+                     in
                      let omit =
                        Util.Rng.bernoulli t.rng t.loss_prob
-                       || (t.rx_loss.(receiver) > 0.0
-                          && Util.Rng.bernoulli t.rng t.rx_loss.(receiver))
+                       || (rx_loss > 0.0 && Util.Rng.bernoulli t.rng rx_loss)
                        || (Hashtbl.length t.link_loss > 0
                           &&
                           match Hashtbl.find_opt t.link_loss (sender, receiver) with
@@ -239,13 +257,13 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
                          Obs.Trace2.emit ~time:now ~node:sender ~layer:"radio"
                            ~label:"deliver"
                            (("rx", Obs.Trace2.I receiver) :: mid);
-                       let extra = t.rx_delay.(receiver) in
-                       if extra > 0.0 then
-                         ignore
-                           (Engine.schedule t.engine ~delay:extra (fun () ->
-                                if not t.down.(receiver) then
-                                  deliver receiver ~sender frame))
-                       else deliver receiver ~sender frame
+                       match t.rx_delays.(receiver) with
+                       | { delay } :: _ when delay > 0.0 ->
+                           ignore
+                             (Engine.schedule t.engine ~delay (fun () ->
+                                  if not t.down.(receiver) then
+                                    deliver receiver ~sender frame))
+                       | _ -> deliver receiver ~sender frame
                      end
                    end
                  done;

@@ -36,10 +36,18 @@ val set_link_loss : t -> tx:int -> rx:int -> float -> unit
 (** Additional, independent omission probability for one directed
     (sender, receiver) link. 0 removes the overlay. *)
 
-val set_rx_delay : t -> rx:int -> float -> unit
-(** Extra delivery latency (seconds) for frames arriving at [rx] —
-    models a station whose reception path is momentarily slow; varying
-    it across receivers reorders deliveries. Default 0. *)
+val jam_rx : t -> rx:int -> until:float -> unit
+(** Destroys every frame arriving at [rx] from now until [until]
+    (absolute time): its per-receiver omission probability is 1
+    meanwhile. Windows may overlap each other and the {!set_rx_loss}
+    overlay; once the last window closes, the overlay applies again. *)
+
+val delay_rx : t -> rx:int -> delay:float -> until:float -> unit
+(** Adds [delay] seconds of delivery latency at [rx] from now until
+    [until] (absolute time) — a station whose reception path is
+    momentarily slow; varying it across receivers reorders deliveries.
+    While windows overlap, the one opened last applies; once the last
+    closes, [rx] delivers without delay. *)
 
 val set_filter : t -> (now:float -> tx:int -> rx:int -> bool) option -> unit
 (** Installs (or clears) an adversarial drop predicate consulted for
@@ -71,7 +79,8 @@ val on_receive : t -> (int -> sender:int -> bytes -> unit) -> unit
 
 type attachment = ..
 (** State a layer above keeps with the radio it serves, so that it lives
-    exactly as long as the radio does (the MAC's dispatch table). *)
+    exactly as long as the radio does (the MACs' dispatch table and
+    contention batches). *)
 
 val attachment : t -> attachment option
 val attach : t -> attachment -> unit
@@ -99,6 +108,8 @@ val idle_since : t -> float -> bool
 
 val subscribe_idle : t -> (unit -> unit) -> unit
 (** One-shot callback at the next instant the medium becomes idle
-    (immediately-next event if it is idle already). *)
+    (immediately-next event if it is idle already). The callbacks
+    waiting for one idle instant run in one engine action, in
+    subscription order. *)
 
 val stats : t -> stats

@@ -36,18 +36,8 @@ let perform radio now action =
   | Set_rx_loss { rx; p } -> Radio.set_rx_loss radio ~rx p
   | Set_link_loss { tx; rx; p } -> Radio.set_link_loss radio ~tx ~rx p
   | Jam { until } -> Radio.jam radio ~from:now ~until
-  | Jam_rx { rx; until } ->
-      (* targeted jamming: destroy everything arriving at rx for the
-         window, then restore its previous overlay (assumed 0) *)
-      Radio.set_rx_loss radio ~rx 1.0;
-      ignore
-        (Engine.at (Radio.engine radio) ~time:until (fun () ->
-             Radio.set_rx_loss radio ~rx 0.0))
-  | Delay_rx { rx; delay; until } ->
-      Radio.set_rx_delay radio ~rx delay;
-      ignore
-        (Engine.at (Radio.engine radio) ~time:until (fun () ->
-             Radio.set_rx_delay radio ~rx 0.0))
+  | Jam_rx { rx; until } -> Radio.jam_rx radio ~rx ~until
+  | Delay_rx { rx; delay; until } -> Radio.delay_rx radio ~rx ~delay ~until
 
 let apply radio sched =
   let engine = Radio.engine radio in

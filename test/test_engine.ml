@@ -112,6 +112,25 @@ let test_max_events () =
   Net.Engine.run engine ~max_events:4;
   Alcotest.(check int) "bounded" 4 !count
 
+(* [last_is] names the most recently scheduled action only while it is
+   still queued and live *)
+let test_last_is () =
+  let engine = Net.Engine.create () in
+  let f () = () and g () = () in
+  Alcotest.(check bool) "nothing scheduled" false (Net.Engine.last_is engine f);
+  ignore (Net.Engine.schedule engine ~delay:1.0 f);
+  Alcotest.(check bool) "f is last" true (Net.Engine.last_is engine f);
+  let h = Net.Engine.schedule engine ~delay:1.0 g in
+  Alcotest.(check bool) "g scheduled after f" false (Net.Engine.last_is engine f);
+  Alcotest.(check bool) "g is last" true (Net.Engine.last_is engine g);
+  Net.Engine.cancel engine h;
+  Alcotest.(check bool) "cancelled" false (Net.Engine.last_is engine g);
+  ignore (Net.Engine.schedule engine ~delay:2.0 f);
+  ignore (Net.Engine.step engine);
+  Alcotest.(check bool) "still queued" true (Net.Engine.last_is engine f);
+  Net.Engine.run engine;
+  Alcotest.(check bool) "fired" false (Net.Engine.last_is engine f)
+
 let test_at_in_past_clamped () =
   let engine = Net.Engine.create () in
   let when_fired = ref (-1.0) in
@@ -432,6 +451,7 @@ let suite =
       Alcotest.test_case "run until" `Quick test_run_until;
       Alcotest.test_case "run while" `Quick test_run_while;
       Alcotest.test_case "max events" `Quick test_max_events;
+      Alcotest.test_case "last is" `Quick test_last_is;
       Alcotest.test_case "at in past" `Quick test_at_in_past_clamped;
       Alcotest.test_case "bad delay" `Quick test_bad_delay_rejected;
       Alcotest.test_case "step" `Quick test_step;

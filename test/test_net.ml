@@ -208,6 +208,106 @@ let test_mac_radio_collected () =
   Gc.full_major ();
   Alcotest.(check bool) "radio collected" false (Weak.check w 0)
 
+(* Two MACs start DIFS at the same instant S, and an outside
+   transmission is scheduled between them for exactly S + DIFS. In
+   (time, seq) order the first MAC's DIFS check runs before that
+   transmission and the second's after it, so the second must find the
+   medium busy and defer. Had the two checks run side by side, the
+   second, with no backoff slot left to count, would transmit into the
+   outside frame. *)
+let test_mac_difs_end_after_outside_transmit () =
+  let engine = Net.Engine.create () in
+  let radio = Net.Radio.create engine (Util.Rng.create ~seed:5L) ~n:4 in
+  (* a MAC whose first backoff draw satisfies [p] *)
+  let mac id p =
+    let first_draw seed = Util.Rng.int (Util.Rng.create ~seed) (Net.Mac.Const.cw_min + 1) in
+    let rec seed_where s = if p (first_draw s) then s else seed_where (Int64.succ s) in
+    Net.Mac.create engine radio ~id ~rng:(Util.Rng.create ~seed:(seed_where 1L))
+  in
+  let a = mac 0 (fun slots -> slots > 0) and b = mac 1 (fun slots -> slots = 0) in
+  let c = mac 2 (fun _ -> true) in
+  let got = ref [] in
+  Net.Mac.on_deliver c (fun ~src payload -> got := (src, Bytes.to_string payload) :: !got);
+  ignore
+    (Net.Engine.at engine ~time:0.001 (fun () ->
+         Net.Mac.send_broadcast a (Bytes.of_string "a");
+         ignore
+           (Net.Engine.at engine
+              ~time:(Net.Engine.now engine +. Net.Mac.Const.difs)
+              (fun () ->
+                Net.Radio.transmit radio ~sender:3 ~duration:0.0005 (Bytes.of_string "outside")));
+         Net.Mac.send_broadcast b (Bytes.of_string "b")));
+  Net.Engine.run engine;
+  Alcotest.(check int) "no collision" 0 (Net.Radio.stats radio).collisions;
+  Alcotest.(check (list (pair int string)))
+    "both MAC frames arrive" [ (0, "a"); (1, "b") ] (List.sort compare !got)
+
+(* Every frame a run puts on the air, hashed: its start time (exact, as
+   %h), sender, size, class and whether it started into a collision.
+   Between them the runs reach broadcast replacement (the Byzantine
+   Turquois run replaces 45 queued frames), rlink unicasts with ACKs and
+   retries, 128 contenders on one medium, and receive delays, a crash
+   and jamming. How the MAC schedules its contention may change; when
+   and what it transmits may not. Recorded before contention was
+   batched. *)
+let tx_digest run =
+  Obs.Trace2.start ~limit:1_000_000 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace2.stop ();
+      Obs.Trace2.clear ())
+    (fun () ->
+      ignore (run ());
+      Alcotest.(check int) "trace complete" 0 (Obs.Trace2.dropped ());
+      let b = Buffer.create 65536 in
+      List.iter
+        (fun (e : Obs.Trace2.event) ->
+          if e.layer = "radio" && e.label = "tx" then
+            let f = e.fields in
+            Printf.bprintf b "%h %d %d %s %b\n" e.time e.node
+              (Option.get (Obs.Trace2.field_int f "bytes"))
+              (Option.get (Obs.Trace2.field_str f "class"))
+              (List.assoc "collision" f = Obs.Trace2.B true))
+        (Obs.Trace2.events ());
+      Crypto.Sha256.hex_digest_string (Buffer.contents b))
+
+let test_mac_trajectories_pinned () =
+  let module R = Harness.Runner in
+  let runs =
+    [
+      ( "turquois n=16 divergent byzantine",
+        "6e7cbd84253f43d1667d46b632413cf0577bf3fa04a266506bfe954b82c7c5a8",
+        fun () ->
+          R.run ~protocol:R.Turquois ~n:16 ~dist:R.Divergent ~load:Net.Fault.Byzantine
+            ~seed:1000L () );
+      ( "bracha n=10 loss 5%",
+        "bbe966bed15d91029602619ff07e5aef81c6da27b97594194c5b1248bd5d4de9",
+        fun () ->
+          R.run ~protocol:R.Bracha ~n:10 ~dist:R.Unanimous ~load:Net.Fault.Failure_free
+            ~loss:0.05 ~seed:7L () );
+      ( "sampled n=128",
+        "07b2eb481b9a044c600ea169fbbf47cf5cfaca4480ef9715eef9bf01b6053ba1",
+        fun () ->
+          R.run ~protocol:R.Sampled ~n:128 ~dist:R.Unanimous ~load:Net.Fault.Failure_free
+            ~seed:7L () );
+      ( "turquois n=4 delay, crash, jam",
+        "5a4b2510f1ca4ce7bc85f6c0c463bd2bf0d0afba061de89d5581f7e503741a49",
+        fun () ->
+          let schedule =
+            Net.Schedule.
+              [
+                { at = 0.001; action = Delay_rx { rx = 1; delay = 0.004; until = 0.5 } };
+                { at = 0.002; action = Crash 3 };
+                { at = 0.003; action = Jam_rx { rx = 2; until = 0.3 } };
+                { at = 0.2; action = Recover 3 };
+              ]
+          in
+          R.run ~protocol:R.Turquois ~n:4 ~dist:R.Divergent ~load:Net.Fault.Failure_free ~loss:0.0
+            ~schedule ~seed:11L () );
+    ]
+  in
+  List.iter (fun (name, want, run) -> Alcotest.(check string) name want (tx_digest run)) runs
+
 (* --- datagram ------------------------------------------------------------------- *)
 
 let make_nodes ?(n = 3) ?(seed = 31L) () =
@@ -342,6 +442,80 @@ let qcheck_rlink_random_loss =
       Net.Engine.run engine ~until:300.0;
       List.rev !got = List.init msgs string_of_int)
 
+(* --- fault windows ------------------------------------------------------------------------ *)
+
+(* Applies [schedule] to a bare n=4 radio, then has p0 send one short
+   frame every 1 ms from 1 ms to 100 ms; the receive time of each frame
+   at p1 and at p2, by send time in ms. *)
+let receptions schedule =
+  let engine, _, radio = make_radio ~seed:13L () in
+  Net.Schedule.apply radio schedule;
+  let at = Array.make_matrix 4 101 Float.nan in
+  Net.Radio.on_receive radio (fun receiver ~sender:_ frame ->
+      at.(receiver).(int_of_string (Bytes.to_string frame)) <- Net.Engine.now engine);
+  for ms = 1 to 100 do
+    ignore
+      (Net.Engine.at engine ~time:(float_of_int ms *. 1e-3) (fun () ->
+           Net.Radio.transmit radio ~sender:0 ~duration:1e-4 (Bytes.of_string (string_of_int ms))))
+  done;
+  Net.Engine.run engine;
+  fun rx ms -> at.(rx).(ms)
+
+(* how many of the frames sent from [from] to [until] ms reached [rx] *)
+let received rx ~from ~until got =
+  List.length
+    (List.filter (fun ms -> not (Float.is_nan (got rx ms))) (List.init (until - from + 1) (( + ) from)))
+
+(* Ending a jamming window restores the receiver's own loss overlay,
+   which Fault_event.in_force still reports, rather than erasing it. *)
+let test_jam_rx_end_keeps_rx_loss () =
+  let got =
+    receptions
+      Net.Schedule.
+        [
+          { at = 0.0005; action = Set_rx_loss { rx = 1; p = 0.5 } };
+          { at = 0.0015; action = Jam_rx { rx = 1; until = 0.0105 } };
+        ]
+  in
+  Alcotest.(check int) "jammed p1 receives nothing" 0 (received 1 ~from:2 ~until:10 got);
+  let after = received 1 ~from:11 ~until:100 got in
+  Alcotest.(check bool)
+    (Printf.sprintf "p1 loses about half after the jam (%d of 90 received)" after)
+    true
+    (after > 25 && after < 65);
+  Alcotest.(check int) "p2 unaffected" 100 (received 2 ~from:1 ~until:100 got)
+
+(* A receiver stays jammed until its last window closes. *)
+let test_jam_rx_windows_overlap () =
+  let got =
+    receptions
+      Net.Schedule.
+        [
+          { at = 0.0005; action = Jam_rx { rx = 1; until = 0.0305 } };
+          { at = 0.0015; action = Jam_rx { rx = 1; until = 0.0105 } };
+        ]
+  in
+  Alcotest.(check int) "jammed until the outer window closes" 0 (received 1 ~from:1 ~until:30 got);
+  Alcotest.(check int) "receives after it" 70 (received 1 ~from:31 ~until:100 got)
+
+(* While delay windows overlap, the one opened last applies; when it
+   closes the receiver falls back to the one still open, and to no delay
+   once that closes too. *)
+let test_delay_rx_windows_overlap () =
+  let got =
+    receptions
+      Net.Schedule.
+        [
+          { at = 0.0005; action = Delay_rx { rx = 1; delay = 0.004; until = 0.0505 } };
+          { at = 0.0015; action = Delay_rx { rx = 1; delay = 0.002; until = 0.0105 } };
+        ]
+  in
+  let lag ms = Float.round ((got 1 ms -. got 2 ms) *. 1e6) in
+  Alcotest.(check (float 0.0)) "outer window alone" 4000.0 (lag 1);
+  Alcotest.(check (float 0.0)) "inner window opened last" 2000.0 (lag 5);
+  Alcotest.(check (float 0.0)) "back to the outer window" 4000.0 (lag 20);
+  Alcotest.(check (float 0.0)) "no window left" 0.0 (lag 60)
+
 (* --- fault loads ----------------------------------------------------------------------- *)
 
 let test_fault_max_f () =
@@ -387,6 +561,9 @@ let suite =
       Alcotest.test_case "mac fifo queue" `Quick test_mac_queue_drains_in_order;
       Alcotest.test_case "mac contention" `Quick test_mac_contention_eventually_delivers;
       Alcotest.test_case "mac radio collected" `Quick test_mac_radio_collected;
+      Alcotest.test_case "mac difs end after outside transmit" `Quick
+        test_mac_difs_end_after_outside_transmit;
+      Alcotest.test_case "mac trajectories pinned" `Quick test_mac_trajectories_pinned;
       Alcotest.test_case "datagram ports" `Quick test_datagram_port_dispatch;
       Alcotest.test_case "datagram loopback" `Quick test_datagram_broadcast_loopback;
       Alcotest.test_case "node timers" `Quick test_node_timers;
@@ -396,6 +573,9 @@ let suite =
       Alcotest.test_case "rlink authenticated" `Quick test_rlink_authenticated;
       Alcotest.test_case "rlink large messages" `Quick test_rlink_large_messages;
       QCheck_alcotest.to_alcotest qcheck_rlink_random_loss;
+      Alcotest.test_case "jam end keeps rx loss" `Quick test_jam_rx_end_keeps_rx_loss;
+      Alcotest.test_case "jam windows overlap" `Quick test_jam_rx_windows_overlap;
+      Alcotest.test_case "delay windows overlap" `Quick test_delay_rx_windows_overlap;
       Alcotest.test_case "fault max_f" `Quick test_fault_max_f;
       Alcotest.test_case "fault sets" `Quick test_fault_sets;
       Alcotest.test_case "fault crashes" `Quick test_fault_apply_crashes;
