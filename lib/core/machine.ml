@@ -2,6 +2,12 @@ type event = Phase_changed of int | Decided of { value : int; phase : int }
 
 type behavior = Correct | Attacker | Byzantine of Strategy.t
 
+(* A message waiting for its witnesses, stamped with V's size when it
+   last failed validation (-1: never checked). V only grows, and the
+   verdict reads only V and the config, so while V keeps that size the
+   message would fail again. *)
+type pending = { msg : Message.t; rejected_at : int }
+
 type t = {
   cfg : Proto.config;
   keyring : Keyring.t;
@@ -12,7 +18,7 @@ type t = {
   mutable origin_i : Proto.origin;
   mutable status_i : Proto.status;
   v : Vset.t;
-  pending : (int * int, Message.t list) Hashtbl.t;
+  pending : (int * int, pending list) Hashtbl.t;
   mutable pending_count : int;
   mutable decision : int option;
   mutable decision_phase : int option;
@@ -131,7 +137,7 @@ let fingerprint t =
     (fun ((sender, phase) as key) ->
       Buffer.add_string buf (Printf.sprintf "s%dp%d=" sender phase);
       List.iter
-        (fun (m : Message.t) ->
+        (fun { msg = m; _ } ->
           Buffer.add_string buf
             (Printf.sprintf "%d.%d.%d;" (Proto.value_to_int m.value)
                (match m.origin with Proto.Deterministic -> 0 | Proto.Random -> 1)
@@ -432,10 +438,10 @@ let update_state t =
 let pending_add t (m : Message.t) =
   let key = (m.sender, m.phase) in
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.pending key) in
-  if List.exists (Message.header_equal m) existing then ()
+  if List.exists (fun p -> Message.header_equal m p.msg) existing then ()
   else if List.length existing >= Crypto.Onetime_sig.slot_count then ()
   else begin
-    Hashtbl.replace t.pending key (m :: existing);
+    Hashtbl.replace t.pending key ({ msg = m; rejected_at = -1 } :: existing);
     t.pending_count <- t.pending_count + 1
   end
 
@@ -448,7 +454,9 @@ let unresolved_refs = Obs.Metrics.counter "compact.unresolved"
 let count_duplicates k = if k > 0 then Obs.Metrics.incr_by duplicate_entries k
 
 (* Re-examine the pool in ascending phase order until a fixpoint: a
-   message admitted to V may unlock the validation of later ones. *)
+   message admitted to V may unlock the validation of later ones. A
+   message whose stamp is V's current size is skipped: it failed
+   against this very V. *)
 let drain_pending t =
   let admitted_any = ref false in
   let duplicates = ref 0 in
@@ -463,12 +471,14 @@ let drain_pending t =
     List.iter
       (fun (key, msgs) ->
         let still_pending =
-          List.filter
-            (fun m ->
-              if Vset.mem_copy t.v m then begin
+          List.filter_map
+            (fun p ->
+              let m = p.msg in
+              if p.rejected_at = Vset.size t.v then Some p
+              else if Vset.mem_copy t.v m then begin
                 incr duplicates;
                 t.pending_count <- t.pending_count - 1;
-                false
+                None
               end
               else if Validation.is_valid t.cfg t.v m then begin
                 if Vset.add t.v m then begin
@@ -477,9 +487,9 @@ let drain_pending t =
                 end
                 else incr duplicates;
                 t.pending_count <- t.pending_count - 1;
-                false
+                None
               end
-              else true)
+              else Some { p with rejected_at = Vset.size t.v })
             msgs
         in
         if still_pending = [] then Hashtbl.remove t.pending key
@@ -547,7 +557,7 @@ let handle_wire t (fr : Msgstore.frame) =
       else Obs.Metrics.incr rejected_auth
     end
   in
-  List.iter
+  Array.iter
     (function
       | Msgstore.Stored idx -> consider idx
       | Msgstore.Unknown c ->
@@ -566,7 +576,9 @@ let handle_wire t (fr : Msgstore.frame) =
 
 let handle t { Message.msg; justification } =
   let store = store t in
-  let just = List.map (fun m -> Msgstore.Stored (Msgstore.intern store m)) justification in
+  let just =
+    Array.of_list (List.map (fun m -> Msgstore.Stored (Msgstore.intern store m)) justification)
+  in
   handle_wire t { Msgstore.msg = Msgstore.intern store msg; just }
 
 (* --- delta-compressed frames -------------------------------------------- *)

@@ -50,12 +50,23 @@
    accepts was handed to the caller under the mutex, after the append
    that put it in the cell. *)
 
-type candidates = { cdigest : bytes; mutable idxs : int list (* ascending *) }
-type entry = Stored of int | Unknown of candidates
-type frame = { msg : int; just : entry list }
+(* The memo keeps every distinct payload of a run to its end, and at
+   n=128 its frames carry about 140 justification entries each, so a
+   frame is an array of entries that each slot and cell build once:
+   one word per entry. *)
+type candidates = {
+  cdigest : bytes;
+  mutable idxs : int list;  (* ascending *)
+  unknown : entry;  (* [Unknown] of this cell *)
+}
+
+and entry = Stored of int | Unknown of candidates
+
+type frame = { msg : int; just : entry array }
 
 type slot = {
   m : Message.t;
+  stored : entry;  (* [Stored] of this slot's index *)
   digest : bytes;
   mutable proof_hash : bytes;  (* empty until the first check *)
   mutable member : bool;  (* admitted to some V set *)
@@ -99,7 +110,7 @@ let cell_locked t d =
   match Hashtbl.find_opt t.by_digest d with
   | Some c -> c
   | None ->
-      let c = { cdigest = d; idxs = [] } in
+      let rec c = { cdigest = d; idxs = []; unknown = Unknown c } in
       Hashtbl.add t.by_digest d c;
       c
 
@@ -109,7 +120,15 @@ let intern_locked t (m : Message.t) =
   match Hashtbl.find_opt t.index m with
   | Some idx -> idx
   | None ->
-      let s = { m; digest = Message.msg_digest m; proof_hash = Bytes.empty; member = false } in
+      let s =
+        {
+          m;
+          stored = Stored (t.len + 1);
+          digest = Message.msg_digest m;
+          proof_hash = Bytes.empty;
+          member = false;
+        }
+      in
       if t.len = Array.length t.slots then begin
         let slots = Array.make (max 64 (2 * t.len)) s in
         Array.blit t.slots 0 slots 0 t.len;
@@ -166,13 +185,13 @@ let decode_unprofiled t payload =
       let wi = Message.decode_wire payload in
       let fr =
         Mutex.protect t.lock (fun () ->
-            let just =
-              List.map
-                (function
-                  | Message.Full m -> Stored (intern_locked t m)
-                  | Message.Ref d -> Unknown (cell_locked t d))
-                wi.Message.wjust
+            let entry = function
+              | Message.Full m ->
+                  let idx = intern_locked t m in
+                  t.slots.(idx - 1).stored
+              | Message.Ref d -> (cell_locked t d).unknown
             in
+            let just = Array.of_list (List.map entry wi.Message.wjust) in
             let fr = { msg = intern_locked t wi.Message.wmsg; just } in
             (* key copied defensively: the table must never alias a
                buffer a caller could later mutate *)

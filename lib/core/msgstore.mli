@@ -32,7 +32,7 @@ type entry =
           the candidate cell of the digest it names, resolved per
           receiver ({!resolve}) *)
 
-type frame = { msg : int; just : entry list }
+type frame = { msg : int; just : entry array }
 (** A decoded wire frame: its own message and its justification entries
     in wire order. *)
 

@@ -96,8 +96,9 @@ let broadcast_state t ~justify =
       count_broadcast t envelope;
       let bytes = Machine.encode_envelope t.machine envelope in
       if Obs.Trace2.enabled () then begin
-        (* causal id minted at the broadcast site; lower layers alias it
-           onto their re-encodings so radio events can name the message *)
+        (* causal id minted at the broadcast site; the radio looks it up
+           on the payload its frames carry, so its events name the
+           message *)
         let mid = Obs.Causal.next_send ~sender:(id t) ~phase:envelope.msg.Message.phase in
         Obs.Causal.register bytes mid;
         Obs.Trace2.emit ~time:(Net.Engine.now (Net.Node.engine t.node)) ~node:(id t)
@@ -122,9 +123,9 @@ let broadcast_state t ~justify =
       (* equivocation: ship each receiver its private copy as a unicast
          so nobody overhears the contradicting frame. The copies fall
          into a few content classes (e.g. V0 to evens, V1 to odds), so
-         each distinct envelope is encoded once and the bytes shared —
-         the datagram layer copies payloads into wire frames, so the
-         sharing never aliases *)
+         each distinct envelope is encoded once and the bytes shared:
+         every receiver of a copy is handed that one buffer, which no
+         layer writes to *)
       let encoded : (Message.envelope * bytes) list ref = ref [] in
       let encode_once (envelope : Message.envelope) =
         match List.find_opt (fun (e, _) -> e = envelope) !encoded with

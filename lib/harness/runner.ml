@@ -246,13 +246,14 @@ let run_body ~protocol ~n ~dist ~load ~loss ~strategy ~schedule ~attach ~tick_po
       (* the default tick is sized for the abstract medium; contended
          802.11b unicast needs whole phases — n * sample_size frames
          sharing one channel — to fit between re-pushes. Each frame's
-         channel cost is its data airtime (actual vote-frame size plus
-         the UDP/IP header and its length prefix) plus the fixed DCF
-         overhead: SIFS, the ACK, DIFS and the average initial
-         backoff. *)
+         channel cost is its data airtime plus the fixed DCF overhead:
+         SIFS, the ACK, DIFS and the average initial backoff. *)
       let tick =
         let datagram_bytes =
-          (* u16 port + padded header + length-prefixed payload *)
+          (* the IP+UDP header, one byte and the vote frame: 32 bytes,
+             3 fewer than the datagram a vote frame travels in
+             (Net.Radio.datagram_bytes, 35). The sizing only sets the
+             tick, and every Sampled-radio result is pinned to it. *)
           Net.Datagram.header_bytes + 1 + Scale.Sampled.state_frame_bytes
         in
         let per_frame =

@@ -1,10 +1,11 @@
 (** Connectionless datagram service (UDP/IP equivalent) over the MAC.
 
-    Adds the IP+UDP header overhead (28 bytes) to every packet so that
-    simulated airtimes match real ones, dispatches received payloads by
-    destination port, and loops broadcast datagrams back to the sending
-    node (the paper's protocol broadcasts include the sender itself;
-    the loopback path does not touch the radio). *)
+    Hands the MAC each payload with its destination port, dispatches
+    received payloads by port, and loops broadcast datagrams back to the
+    sending node (the paper's protocol broadcasts include the sender
+    itself; the loopback path does not touch the radio). Nothing is
+    serialized: the frame counts the IP+UDP header in its length
+    ({!Radio.datagram_bytes}), so simulated airtimes match real ones. *)
 
 type t
 
@@ -30,11 +31,9 @@ val send_latest : t -> ?tag:int -> port:int -> bytes -> unit
 
 val listen : t -> port:int -> (src:int -> bytes -> unit) -> unit
 (** At most one listener per port; a second [listen] replaces the
-    first. A received datagram is decoded once per transmission: every
-    receiver of one broadcast is handed the same payload buffer, as the
-    MAC hands them the same frame ({!Mac.on_deliver}). Payloads are
-    therefore immutable: listeners must not write to them. A loopback
-    delivery hands the listener the sender's own buffer. *)
+    first. Every receiver, the sender's own loopback included, is handed
+    the sender's own payload buffer ({!Mac.on_deliver}). Payloads are
+    therefore immutable: listeners must not write to them. *)
 
 val unlisten : t -> port:int -> unit
 (** Removes the port's listener; later datagrams to it are dropped.

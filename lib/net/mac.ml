@@ -33,8 +33,6 @@ let airtime_unicast ~payload_bytes =
 
 let ack_airtime = airtime ~plcp:Const.plcp_short ~rate:Const.basic_rate ~bytes:Const.ack_bytes
 
-type frame_kind = Data | Ack
-
 (* a frame class's series in both layers: [mac.tx] here, [radio.*] on
    the medium *)
 type frame_class = { radio_class : Radio.frame_class; mac_tx : Obs.Metrics.counter }
@@ -54,35 +52,14 @@ let drops = Obs.Metrics.counter "mac.drops"
 let retries = Obs.Metrics.counter "mac.retries"
 let replacements = Obs.Metrics.counter "mac.replaced"
 
-type frame = { kind : frame_kind; src : int; dst : int; seq : int; payload : bytes }
-
-let encode_frame f =
-  let w = Util.Codec.W.create ~capacity:(16 + Bytes.length f.payload) () in
-  Util.Codec.W.u8 w (match f.kind with Data -> 0 | Ack -> 1);
-  Util.Codec.W.u16 w f.src;
-  Util.Codec.W.u16 w f.dst;
-  Util.Codec.W.u32 w f.seq;
-  Util.Codec.W.bytes_lp w f.payload;
-  Util.Codec.W.contents w
-
-let decode_frame b =
-  let r = Util.Codec.R.of_bytes b in
-  let kind = match Util.Codec.R.u8 r with 0 -> Data | 1 -> Ack | _ -> raise (Util.Codec.Malformed "frame kind") in
-  let src = Util.Codec.R.u16 r in
-  let dst = Util.Codec.R.u16 r in
-  let seq = Util.Codec.R.u32 r in
-  let payload = Util.Codec.R.bytes_lp r in
-  Util.Codec.R.expect_end r;
-  { kind; src; dst; seq; payload }
-
 type pending = {
-  p_dst : int option; (* None = broadcast *)
-  mutable p_payload : bytes;
-  p_seq : int;
-  p_tag : int;        (* replacement class for queued broadcasts; -1 = never *)
+  mutable frame : Radio.frame;  (* a replacement swaps its port and payload *)
+  tag : int;  (* replacement class for queued broadcasts; -1 = never *)
   mutable retries : int;
   mutable cw : int;
 }
+
+let is_broadcast p = p.frame.dst = broadcast_dst
 
 type t = {
   engine : Engine.t;
@@ -96,7 +73,7 @@ type t = {
   mutable awaiting_ack : Engine.handle option;
   mutable generation : int;       (* invalidates stale scheduled continuations *)
   mutable next_seq : int;
-  mutable deliver : (src:int -> bytes -> unit) option;
+  mutable deliver : (src:int -> port:int -> bytes -> unit) option;
   mutable dropped : (dst:int -> bytes -> unit) option;
   seen : (int * int, unit) Hashtbl.t; (* (src, seq) dedup for retransmitted unicast *)
 }
@@ -224,35 +201,30 @@ and transmit_current t =
   | Some p ->
       let sp = Obs.Prof.start () in
       let gen = t.generation in
-      let kind = Data in
-      let dst = match p.p_dst with None -> broadcast_dst | Some d -> d in
-      let frame = { kind; src = t.node_id; dst; seq = p.p_seq; payload = p.p_payload } in
-      let encoded = encode_frame frame in
-      if Obs.Trace2.enabled () then Obs.Causal.alias ~from:p.p_payload encoded;
+      let payload_bytes = Radio.datagram_bytes p.frame.payload in
       let duration, cls =
-        match p.p_dst with
-        | None -> (airtime_broadcast ~payload_bytes:(Bytes.length p.p_payload), bcast_class)
-        | Some _ -> (airtime_unicast ~payload_bytes:(Bytes.length p.p_payload), ucast_class)
+        if is_broadcast p then (airtime_broadcast ~payload_bytes, bcast_class)
+        else (airtime_unicast ~payload_bytes, ucast_class)
       in
       Obs.Metrics.incr cls.mac_tx;
-      Radio.transmit t.radio ~kind:cls.radio_class ~sender:t.node_id ~duration encoded;
-      (match p.p_dst with
-      | None ->
-          (* fire and forget: done at end of airtime *)
-          ignore
-            (Engine.schedule t.engine ~delay:duration (fun () ->
-                 if t.generation = gen then begin
-                   t.current <- None;
-                   t.generation <- t.generation + 1;
-                   start_contention t
-                 end))
-      | Some _ ->
-          let timeout = duration +. Const.sifs +. ack_airtime +. (2.0 *. Const.slot) in
-          let handle =
-            Engine.schedule t.engine ~delay:timeout (fun () ->
-                if t.generation = gen then handle_ack_timeout t)
-          in
-          t.awaiting_ack <- Some handle);
+      Radio.transmit t.radio ~kind:cls.radio_class ~sender:t.node_id ~duration p.frame;
+      if is_broadcast p then
+        (* fire and forget: done at end of airtime *)
+        ignore
+          (Engine.schedule t.engine ~delay:duration (fun () ->
+               if t.generation = gen then begin
+                 t.current <- None;
+                 t.generation <- t.generation + 1;
+                 start_contention t
+               end))
+      else begin
+        let timeout = duration +. Const.sifs +. ack_airtime +. (2.0 *. Const.slot) in
+        let handle =
+          Engine.schedule t.engine ~delay:timeout (fun () ->
+              if t.generation = gen then handle_ack_timeout t)
+        in
+        t.awaiting_ack <- Some handle
+      end;
       Obs.Prof.stop Obs.Prof.mac_contention sp
 
 and handle_ack_timeout t =
@@ -266,16 +238,11 @@ and handle_ack_timeout t =
         if Obs.Trace2.enabled () then
           Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
             ~label:"drop"
-            ([
-               ("dst", Obs.Trace2.I (match p.p_dst with Some d -> d | None -> -1));
-               ("retries", Obs.Trace2.I Const.retry_limit);
-             ]
-            @ Obs.Causal.mid_field p.p_payload);
+            ([ ("dst", Obs.Trace2.I p.frame.dst); ("retries", Obs.Trace2.I Const.retry_limit) ]
+            @ Obs.Causal.mid_field p.frame.payload);
         t.current <- None;
         t.generation <- t.generation + 1;
-        (match (t.dropped, p.p_dst) with
-        | Some f, Some dst -> f ~dst p.p_payload
-        | _, _ -> ());
+        (match t.dropped with Some f -> f ~dst:p.frame.dst p.frame.payload | None -> ());
         start_contention t
       end
       else begin
@@ -293,7 +260,7 @@ and handle_ack_timeout t =
 
 let handle_ack t seq =
   match t.current with
-  | Some p when p.p_dst <> None && p.p_seq = seq ->
+  | Some p when (not (is_broadcast p)) && p.frame.seq = seq ->
       (match t.awaiting_ack with
       | Some h ->
           Engine.cancel t.engine h;
@@ -305,32 +272,26 @@ let handle_ack t seq =
   | Some _ | None -> ()
 
 let send_ack t ~dst ~seq =
-  let frame = { kind = Ack; src = t.node_id; dst; seq; payload = Bytes.empty } in
-  let encoded = encode_frame frame in
+  let frame = { Radio.src = t.node_id; dst; seq; ack = true; port = 0; payload = Bytes.empty } in
   ignore
     (Engine.schedule t.engine ~delay:Const.sifs (fun () ->
          Obs.Metrics.incr ack_class.mac_tx;
          Radio.transmit t.radio ~kind:ack_class.radio_class ~sender:t.node_id
-           ~duration:ack_airtime encoded))
+           ~duration:ack_airtime frame))
 
-let handle_mac_frame t frame =
-  match frame.kind with
-  | Ack -> if frame.dst = t.node_id then handle_ack t frame.seq
-  | Data ->
-      if frame.dst = broadcast_dst then begin
-        match t.deliver with
-        | Some f -> f ~src:frame.src frame.payload
-        | None -> ()
-      end
-      else if frame.dst = t.node_id then begin
-        send_ack t ~dst:frame.src ~seq:frame.seq;
-        if not (Hashtbl.mem t.seen (frame.src, frame.seq)) then begin
-          Hashtbl.add t.seen (frame.src, frame.seq) ();
-          match t.deliver with
-          | Some f -> f ~src:frame.src frame.payload
-          | None -> ()
-        end
-      end
+let deliver t (frame : Radio.frame) =
+  match t.deliver with Some f -> f ~src:frame.src ~port:frame.port frame.payload | None -> ()
+
+let receive t (frame : Radio.frame) =
+  if frame.ack then (if frame.dst = t.node_id then handle_ack t frame.seq)
+  else if frame.dst = broadcast_dst then deliver t frame
+  else if frame.dst = t.node_id then begin
+    send_ack t ~dst:frame.src ~seq:frame.seq;
+    if not (Hashtbl.mem t.seen (frame.src, frame.seq)) then begin
+      Hashtbl.add t.seen (frame.src, frame.seq) ();
+      deliver t frame
+    end
+  end
 
 (* Shared state: the radio has a single receive callback, so the first
    MAC created on a radio installs a dispatcher over the radio's MACs,
@@ -343,32 +304,8 @@ let install_contention radio =
   let macs = Array.make (Radio.size radio) None in
   let c = { macs; joinable = no_batch; spare = [] } in
   Radio.attach radio (Contention c);
-  (* The radio hands every receiver of one transmission the same
-     physical frame bytes, so a one-entry cache keyed on physical
-     equality decodes once per transmission and shares the decoded
-     frame — payload buffer included, treated as immutable — across
-     the whole fan-out, instead of materializing n-1 private
-     copies. Interleaved deliveries (per-receiver rx delays) only
-     cost a re-decode; the result is byte-identical either way. *)
-  let cache_raw = ref Bytes.empty in
-  let cache_frame : frame option ref = ref None in
-  let decode_shared raw =
-    if raw == !cache_raw then !cache_frame
-    else begin
-      let decoded =
-        match decode_frame raw with
-        | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> None
-        | frame -> Some frame
-      in
-      cache_raw := raw;
-      cache_frame := decoded;
-      decoded
-    end
-  in
-  Radio.on_receive radio (fun receiver ~sender:_ raw ->
-      match (macs.(receiver), decode_shared raw) with
-      | Some mac, Some frame -> handle_mac_frame mac frame
-      | _, None | None, _ -> ());
+  Radio.on_receive radio (fun receiver ~sender:_ frame ->
+      match macs.(receiver) with Some mac -> receive mac frame | None -> ());
   c
 
 let create engine radio ~id ~rng =
@@ -411,26 +348,21 @@ let enqueue t p =
     start_contention t
   end
 
-let send_broadcast t payload =
-  let seq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
-  enqueue t
-    { p_dst = None; p_payload = payload; p_seq = seq; p_tag = -1; retries = 0; cw = Const.cw_min }
-
-let send_unicast t ~dst payload =
+let send t ~dst ~tag ~port payload =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   enqueue t
     {
-      p_dst = Some dst;
-      p_payload = payload;
-      p_seq = seq;
-      p_tag = -1;
+      frame = { src = t.node_id; dst; seq; ack = false; port; payload };
+      tag;
       retries = 0;
       cw = Const.cw_min;
     }
 
-let send_broadcast_replacing t ~tag payload =
+let send_broadcast t ~port payload = send t ~dst:broadcast_dst ~tag:(-1) ~port payload
+let send_unicast t ~dst ~port payload = send t ~dst ~tag:(-1) ~port payload
+
+let send_broadcast_replacing t ~tag ~port payload =
   (* A queued (not yet in service) broadcast of the same class is
      superseded in place instead of queueing behind it: under contention
      the queue would otherwise grow a backlog of stale frames, each
@@ -441,26 +373,14 @@ let send_broadcast_replacing t ~tag payload =
   let replaced = ref false in
   Queue.iter
     (fun p ->
-      if (not !replaced) && p.p_dst = None && p.p_tag = tag then begin
+      if (not !replaced) && is_broadcast p && p.tag = tag then begin
         if Obs.Trace2.enabled () then
           Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:t.node_id ~layer:"mac"
             ~label:"replaced"
-            (("tag", Obs.Trace2.I tag) :: Obs.Causal.mid_field p.p_payload);
-        p.p_payload <- payload;
+            (("tag", Obs.Trace2.I tag) :: Obs.Causal.mid_field p.frame.payload);
+        p.frame <- { p.frame with port; payload };
         replaced := true
       end)
     t.queue;
   if !replaced then Obs.Metrics.incr replacements
-  else begin
-    let seq = t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    enqueue t
-      {
-        p_dst = None;
-        p_payload = payload;
-        p_seq = seq;
-        p_tag = tag;
-        retries = 0;
-        cw = Const.cw_min;
-      }
-  end
+  else send t ~dst:broadcast_dst ~tag ~port payload

@@ -11,8 +11,10 @@
       retransmitted with exponential backoff up to the retry limit —
       this is the reliability TCP-style transports build on.
 
-    Frame layout on the medium is produced by this module; the physical
-    preamble and header overheads are added to the airtime. *)
+    Frames are {!Radio.frame} records: this module fills in their
+    addressing, sequence numbers and kind, and computes their airtime
+    from the datagram they carry ({!Radio.datagram_bytes}) plus the MAC
+    header and the physical preamble. *)
 
 (** Protocol timing and size constants (802.11b, long preamble):
     slot 20 µs, SIFS 10 µs, DIFS 50 µs, PLCP preamble + header 192 µs
@@ -46,32 +48,34 @@ val create : Engine.t -> Radio.t -> id:int -> rng:Util.Rng.t -> t
 
 val id : t -> int
 
-val send_broadcast : t -> bytes -> unit
-(** Queues a broadcast payload (the MAC adds its header). *)
+val send_broadcast : t -> port:int -> bytes -> unit
+(** Queues a broadcast of [payload] to datagram port [port]. *)
 
-val send_broadcast_replacing : t -> tag:int -> bytes -> unit
+val send_broadcast_replacing : t -> tag:int -> port:int -> bytes -> unit
 (** Like {!send_broadcast}, but if a queued (not yet in-service)
     broadcast with the same [tag] is still waiting for the medium, its
-    payload is overwritten in place instead — the queue holds at most
-    one waiting frame per tag, so a sender that produces state updates
-    faster than the contended medium drains them never builds a backlog
-    of stale frames. Counted under the [mac.replaced] metric. *)
+    port and payload are overwritten in place instead — the queue holds
+    at most one waiting frame per tag, so a sender that produces state
+    updates faster than the contended medium drains them never builds a
+    backlog of stale frames. Counted under the [mac.replaced] metric. *)
 
-val send_unicast : t -> dst:int -> bytes -> unit
-(** Queues a unicast payload for [dst], with ACK and retransmission. *)
+val send_unicast : t -> dst:int -> port:int -> bytes -> unit
+(** Queues a unicast to [dst], with ACK and retransmission. *)
 
 val radio : t -> Radio.t
 (** The shared medium this MAC contends on — exposed so upper layers can
     read cumulative airtime statistics (e.g. load-adaptive timers). *)
 
-val on_deliver : t -> (src:int -> bytes -> unit) -> unit
+val on_deliver : t -> (src:int -> port:int -> bytes -> unit) -> unit
 (** Upper-layer delivery callback: fires once per distinct received
-    payload (duplicates from lost ACKs are suppressed). Every receiver
-    of one transmission is handed the same payload buffer, so delivered
-    bytes are immutable: callbacks must not write to them. *)
+    frame (duplicates from lost ACKs are suppressed) with its port and
+    payload. Every receiver is handed the sender's own payload buffer,
+    so delivered bytes are immutable: callbacks must not write to
+    them. *)
 
 val on_drop : t -> (dst:int -> bytes -> unit) -> unit
-(** Fires when a unicast frame exhausts the retry limit. *)
+(** Fires with the payload when a unicast frame exhausts the retry
+    limit. *)
 
 val queue_length : t -> int
 (** Frames waiting for the medium (including the one in service). *)

@@ -13,6 +13,13 @@ type stats = {
   mutable airtime : float;
 }
 
+type frame = { src : int; dst : int; seq : int; ack : bool; port : int; payload : bytes }
+
+(* the lengths of the byte layouts the stack models (radio.mli); no
+   layer writes them out *)
+let datagram_bytes payload = 32 + Bytes.length payload
+let frame_bytes f = if f.ack then 13 else 13 + datagram_bytes f.payload
+
 type attachment = ..
 type delay_window = { delay : float }
 
@@ -54,7 +61,7 @@ type t = {
   mutable ongoing : transmission list;
   mutable busy_end : float;  (* end of latest transmission ever started *)
   mutable idle_waiters : (unit -> unit) list;
-  mutable receive : (int -> sender:int -> bytes -> unit) option;
+  mutable receive : (int -> sender:int -> frame -> unit) option;
   mutable attachment : attachment option;
   stats : stats;
   omission_by_rx : Obs.Metrics.counter array;
@@ -181,21 +188,22 @@ let transmit t ?(kind = data_class) ~sender ~duration frame =
       t.ongoing;
     t.ongoing <- tx :: t.ongoing;
     t.busy_end <- Float.max t.busy_end finish;
+    let bytes = frame_bytes frame in
     t.stats.frames_sent <- t.stats.frames_sent + 1;
-    t.stats.bytes_sent <- t.stats.bytes_sent + Bytes.length frame;
+    t.stats.bytes_sent <- t.stats.bytes_sent + bytes;
     t.stats.airtime <- t.stats.airtime +. duration;
     Obs.Metrics.incr kind.tx;
-    Obs.Metrics.incr_by kind.bytes (Bytes.length frame);
+    Obs.Metrics.incr_by kind.bytes bytes;
     Obs.Metrics.add kind.airtime_s duration;
     Obs.Metrics.observe frame_us (duration *. 1e6);
     let mid =
       if not (Obs.Trace2.enabled ()) then []
       else begin
-        let mid = Obs.Causal.mid_field frame in
+        let mid = Obs.Causal.mid_field frame.payload in
         Obs.Trace2.emit ~time:now ~node:sender ~layer:"radio" ~label:"tx"
           ([
              ("class", Obs.Trace2.S kind.class_name);
-             ("bytes", Obs.Trace2.I (Bytes.length frame));
+             ("bytes", Obs.Trace2.I bytes);
              ("us", Obs.Trace2.F (duration *. 1e6));
              ("collision", Obs.Trace2.B tx.corrupted);
            ]

@@ -1,9 +1,11 @@
 (** Shared 802.11b broadcast medium for a single-hop ad hoc network.
 
     All n nodes are within range of each other (as in the paper's
-    testbed, "at most a few meters distant"). The medium carries opaque
-    frames; any two transmissions that overlap in time collide and
-    corrupt each other (no capture effect). On top of collisions the
+    testbed, "at most a few meters distant"). The medium carries frame
+    records, not bytes: a frame's byte count ({!frame_bytes}) feeds the
+    [radio.bytes] series, and its sender gives its airtime. Any two
+    transmissions that overlap in time collide and corrupt each other
+    (no capture effect). On top of collisions the
     model injects the paper's dynamic omission faults: an iid
     per-receiver loss probability, and jamming windows during which
     every frame is corrupted (the jammer is modeled below the
@@ -12,6 +14,26 @@
     jamming discussion). *)
 
 type t
+
+type frame = {
+  src : int;  (** MAC source *)
+  dst : int;  (** MAC destination: a node id, or the MAC's broadcast address *)
+  seq : int;  (** MAC sequence number; an ACK names the frame it acknowledges *)
+  ack : bool;  (** a MAC acknowledgment, which carries no datagram *)
+  port : int;  (** datagram port *)
+  payload : bytes;  (** what the layer above sent, handed to every receiver *)
+}
+(** What one transmission carries. *)
+
+val datagram_bytes : bytes -> int
+(** The datagram a data frame carries with this payload: the payload
+    plus 32 bytes (a 2-byte port, 26 bytes of IP+UDP header padding and
+    a 4-byte payload length). Airtime is computed on it. *)
+
+val frame_bytes : frame -> int
+(** Bytes on the medium: a 13-byte MAC record (kind, src, dst, seq,
+    payload length), plus {!datagram_bytes} on a data frame. So a data
+    frame counts its payload plus 45, and an ACK 13. *)
 
 type stats = {
   mutable frames_sent : int;
@@ -73,7 +95,7 @@ val size : t -> int
 val jam : t -> from:float -> until:float -> unit
 (** Adds a jamming window in absolute simulation time. *)
 
-val on_receive : t -> (int -> sender:int -> bytes -> unit) -> unit
+val on_receive : t -> (int -> sender:int -> frame -> unit) -> unit
 (** Registers the single delivery callback: [f receiver ~sender frame]
     runs at the end of a successful reception. Set once by the MAC. *)
 
@@ -93,11 +115,13 @@ type frame_class
 val frame_class : string -> frame_class
 (** Declares the class's series; make one per class, at module level. *)
 
-val transmit : t -> ?kind:frame_class -> sender:int -> duration:float -> bytes -> unit
+val transmit : t -> ?kind:frame_class -> sender:int -> duration:float -> frame -> unit
 (** Starts a transmission occupying the medium for [duration] seconds;
-    delivery (or corruption) resolves at its end. The sender does not
-    receive its own frame. [kind] labels the frame class (default
-    ["data"]) in the [radio.*] metrics and the structured trace. *)
+    delivery (or corruption) resolves at its end, handing every
+    receiver the same frame. The sender does not receive its own frame.
+    [kind] labels the frame class (default ["data"]) in the [radio.*]
+    metrics and the structured trace, whose events carry the causal id
+    of the frame's payload ({!Obs.Causal.mid_field}). *)
 
 val busy : t -> bool
 (** Carrier sense at the current instant. *)

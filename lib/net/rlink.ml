@@ -28,7 +28,7 @@ type sender_state = {
 
 type receiver_state = {
   mutable expected : int;
-  out_of_order : (int, bytes) Hashtbl.t;
+  out_of_order : (int, bytes list) Hashtbl.t;
   (* delayed-ACK state: in-order segments not yet acknowledged, and the
      pending delayed-ACK timer *)
   mutable unacked_segments : int;
@@ -59,6 +59,14 @@ let encode_segment t ~kind ~seq payload =
     Bytes.cat body tag
   end
 
+let unpack_messages payload =
+  let r = Util.Codec.R.of_bytes payload in
+  let rec go acc = if Util.Codec.R.at_end r then List.rev acc else go (Util.Codec.R.bytes_lp r :: acc) in
+  go []
+
+(* [Some (kind, seq, messages)], an ACK's messages empty; [None] for a
+   segment whose tag, layout or message list does not check, which is
+   neither acknowledged nor delivered. *)
 let decode_segment t raw =
   let body, ok =
     if not t.auth then (raw, true)
@@ -85,7 +93,7 @@ let decode_segment t raw =
       let seq = Util.Codec.R.u32 r in
       let payload = Util.Codec.R.bytes_lp r in
       Util.Codec.R.expect_end r;
-      (kind, seq, payload)
+      (kind, seq, match kind with Seg_data -> unpack_messages payload | Seg_ack -> [])
     with
     | result -> Some result
     | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> None
@@ -129,6 +137,7 @@ let tx_segments = Obs.Metrics.counter "rlink.tx_segments"
 let retransmits = Obs.Metrics.counter "rlink.retransmits"
 let rtos = Obs.Metrics.counter "rlink.rto"
 let rx_segments = Obs.Metrics.counter "rlink.rx_segments"
+let malformed = Obs.Metrics.counter "rlink.malformed"
 
 let transmit_segment t s ~seq payload ~fresh =
   let raw = encode_segment t ~kind:Seg_data ~seq payload in
@@ -199,11 +208,6 @@ let pack_messages s =
     | _ -> ());
     Some seg
   end
-
-let unpack_messages payload =
-  let r = Util.Codec.R.of_bytes payload in
-  let rec go acc = if Util.Codec.R.at_end r then List.rev acc else go (Util.Codec.R.bytes_lp r :: acc) in
-  go []
 
 let fill_window t s =
   let continue = ref true in
@@ -293,18 +297,17 @@ let schedule_ack t r ~dst ~in_order =
                send_ack_now t r ~dst))
   end
 
-let handle_data t ~src seq payload =
+let handle_data t ~src seq messages =
   Obs.Metrics.incr rx_segments;
   let r = receiver_state t src in
-  let deliver_segment payload =
+  let deliver_segment messages =
     match t.deliver with
-    | Some f ->
-        List.iter (fun m -> Cpu.enqueue t.cpu (fun () -> f ~src m)) (unpack_messages payload)
+    | Some f -> List.iter (fun m -> Cpu.enqueue t.cpu (fun () -> f ~src m)) messages
     | None -> ()
   in
   if seq = r.expected then begin
     r.expected <- r.expected + 1;
-    deliver_segment payload;
+    deliver_segment messages;
     (* drain any buffered successors *)
     let continue = ref true in
     while !continue do
@@ -318,7 +321,7 @@ let handle_data t ~src seq payload =
     schedule_ack t r ~dst:src ~in_order:true
   end
   else begin
-    if seq > r.expected then Hashtbl.replace r.out_of_order seq payload;
+    if seq > r.expected then Hashtbl.replace r.out_of_order seq messages;
     schedule_ack t r ~dst:src ~in_order:false
   end
 
@@ -339,9 +342,9 @@ let create engine dg cpu ?(auth = false) ~port () =
   Datagram.listen dg ~port (fun ~src raw ->
       charge_segment_cost t (Bytes.length raw);
       match decode_segment t raw with
-      | None -> ()
+      | None -> Obs.Metrics.incr malformed
       | Some (Seg_ack, ackno, _) -> handle_ack t (sender_state t src) ackno
-      | Some (Seg_data, seq, payload) -> handle_data t ~src seq payload);
+      | Some (Seg_data, seq, messages) -> handle_data t ~src seq messages);
   t
 
 let send t ~dst payload =

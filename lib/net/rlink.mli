@@ -8,7 +8,9 @@
     for Bracha's protocol; the HMAC work is charged to the node's CPU.
 
     Connections are implicit (the paper establishes security
-    associations before the runs), one per ordered peer pair. *)
+    associations before the runs), one per ordered peer pair. A
+    received segment whose tag, layout or message list does not check
+    is dropped unacknowledged and counted under [rlink.malformed]. *)
 
 type t
 

@@ -1,11 +1,12 @@
 (* Causal message tracing.
 
    Online half: every protocol broadcast gets a message id
-   "m<sender>.<phase>.<seq>" at the moment it is encoded, and the id is
-   re-attached ("aliased") to each lower-layer re-encoding of the same
-   bytes (protocol payload -> datagram raw -> MAC frame), so radio-layer
-   events can name the protocol message they carry without any layer
-   threading an extra parameter through its signature. The registry is
+   "m<sender>.<phase>.<seq>" at the moment it is encoded. The datagram
+   layer and the MAC hand the payload to the radio unchanged inside a
+   frame record, so radio-layer events name the protocol message they
+   carry by looking up the frame's payload; the reliable link, which
+   does re-encode, re-attaches ("aliases") the id to its segments. No
+   layer threads an extra parameter through its signature. The registry is
    keyed on byte *content*: a retransmission of identical bytes maps to
    the same id, which is exactly the causal identity we want.
 

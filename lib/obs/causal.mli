@@ -2,10 +2,11 @@
     reconstruction.
 
     Online, each protocol broadcast is assigned a message id
-    ["m<sender>.<phase>.<seq>"] when it is encoded; lower layers
-    re-attach the id to their own encodings of the same bytes with
-    [alias], so radio/MAC events can be labeled with the protocol
-    message they carry without widening any signatures. The registry is
+    ["m<sender>.<phase>.<seq>"] when it is encoded. Frames carry the
+    payload down unchanged, so radio/MAC events are labeled with the
+    message they carry by looking up the frame's payload; a layer that
+    re-encodes a payload (the reliable link's segments) re-attaches the
+    id to its encoding with [alias]. No signature widens. The registry is
     domain-local, keyed on byte content, and cleared at every run
     boundary. Callers only invoke it when [Trace2.enabled ()], so the
     off-path cost is zero and results stay bit-identical either way.
@@ -26,7 +27,7 @@ val register : bytes -> string -> unit
 
 val alias : from:bytes -> bytes -> unit
 (** [alias ~from bytes] carries [from]'s id (if any) over to [bytes] —
-    the re-encoding of one layer's payload by the layer below. *)
+    a layer's own encoding of the payload it was handed. *)
 
 val lookup : bytes -> string option
 

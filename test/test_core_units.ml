@@ -528,7 +528,7 @@ module Ref_store = struct
           (function
             | Core.Msgstore.Stored i -> Stored i
             | Core.Msgstore.Unknown c -> Ref (Core.Msgstore.candidates_digest c))
-          fr.Core.Msgstore.just;
+          (Array.to_list fr.Core.Msgstore.just);
     }
 
   (* 0 when no known message has the digest *)
@@ -545,7 +545,7 @@ end
 (* every compact reference of a decoded frame, resolved by the store
    through its candidate cell and by the model through the digest *)
 let check_resolutions r (fr : Core.Msgstore.frame) known =
-  List.iter
+  Array.iter
     (function
       | Core.Msgstore.Stored _ -> ()
       | Core.Msgstore.Unknown c ->
@@ -665,7 +665,7 @@ let test_msgstore_matches_reference_model () =
       in
       let any () _ = true in
       (match decode_both "early reference" p with
-      | Ok ({ Core.Msgstore.just = [ Core.Msgstore.Unknown c ]; _ } as fr) ->
+      | Ok ({ Core.Msgstore.just = [| Core.Msgstore.Unknown c |]; _ } as fr) ->
           Alcotest.(check int) "no candidate yet" 0 (Core.Msgstore.resolve any () c);
           Alcotest.(check int) "late intern" (Ref_store.intern r late)
             (Core.Msgstore.intern s late);

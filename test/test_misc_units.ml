@@ -169,31 +169,72 @@ let suite =
 (* --- robustness and determinism ----------------------------------------------- *)
 
 let test_malformed_frames_ignored () =
-  (* raw garbage on the radio must not crash any layer or produce
-     phantom deliveries *)
-  let engine = Net.Engine.create () in
+  (* Garbage payloads, unicast and broadcast from p0 to four ports of
+     p1: a plain listener, which is handed each payload as sent; a
+     reliable link without and with authentication, which must drop
+     every one (no delivery, no acknowledgment) and count it; and an
+     unbound port. Nothing may raise. The last payload is a
+     well-formed data segment (kind 0, seq 0) whose message list is
+     truncated. *)
+  let truncated_list =
+    let w = Util.Codec.W.create () in
+    Util.Codec.W.u8 w 0;
+    Util.Codec.W.u32 w 0;
+    Util.Codec.W.bytes_lp w (Bytes.of_string "\xff\xff\xff");
+    Util.Codec.W.contents w
+  in
   let rng = Util.Rng.create ~seed:720L in
-  let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:2 in
-  let node = Net.Node.create engine radio ~id:1 ~rng:(Util.Rng.split rng) in
-  let got = ref 0 in
-  Net.Node.listen node ~port:3 (fun ~src:_ _ -> incr got);
-  let rl = Net.Rlink.create engine (Net.Node.datagram node) (Net.Node.cpu node) ~port:4 () in
-  Net.Rlink.on_receive rl (fun ~src:_ _ -> incr got);
-  (* garbage of various shapes, transmitted directly on the medium *)
-  List.iteri
-    (fun i garbage ->
-      ignore
-        (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
-             Net.Radio.transmit radio ~sender:0 ~duration:0.0005 garbage)))
+  let garbage =
     [
       Bytes.empty;
       Bytes.make 1 '\xff';
       Bytes.make 200 '\x00';
       Bytes.of_string "not a frame at all";
       Util.Rng.bytes rng 64;
-    ];
-  Net.Engine.run engine;
-  Alcotest.(check int) "nothing delivered" 0 !got
+      truncated_list;
+    ]
+  in
+  let (heard, got), metrics =
+    Obs.Scope.with_run (fun () ->
+        let engine = Net.Engine.create () in
+        let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:2 in
+        let nodes =
+          Array.init 2 (fun id -> Net.Node.create engine radio ~id ~rng:(Util.Rng.split rng))
+        in
+        let heard = ref [] and got = ref 0 in
+        Net.Node.listen nodes.(1) ~port:3 (fun ~src:_ p -> heard := Bytes.to_string p :: !heard);
+        List.iter
+          (fun (port, auth) ->
+            let rl =
+              Net.Rlink.create engine (Net.Node.datagram nodes.(1)) (Net.Node.cpu nodes.(1)) ~auth
+                ~port ()
+            in
+            Net.Rlink.on_receive rl (fun ~src:_ _ -> incr got))
+          [ (4, false); (5, true) ];
+        List.iteri
+          (fun i payload ->
+            ignore
+              (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
+                   List.iter
+                     (fun port ->
+                       Net.Node.unicast nodes.(0) ~dst:1 ~port payload;
+                       Net.Node.broadcast nodes.(0) ~port payload)
+                     [ 3; 4; 5; 6 ])))
+          garbage;
+        Net.Engine.run engine;
+        (!heard, !got))
+  in
+  let sent = List.length garbage in
+  Alcotest.(check int) "nothing delivered" 0 got;
+  Alcotest.(check (list string)) "listener handed each payload as sent"
+    (List.sort compare (List.concat_map (fun p -> [ Bytes.to_string p; Bytes.to_string p ]) garbage))
+    (List.sort compare heard);
+  Alcotest.(check int) "every segment counted" (2 * 2 * sent)
+    (Obs.Metrics.counter_value metrics "rlink.malformed");
+  (* p0's four unicasts per payload and p1's MAC ACKs: no segment
+     acknowledged *)
+  Alcotest.(check int) "no rlink acknowledgment" (4 * sent)
+    (Obs.Metrics.counter_value metrics ~labels:[ ("class", "ucast") ] "radio.tx")
 
 let test_turquois_ignores_garbage_datagrams () =
   (* well-formed MAC/UDP framing around a garbage consensus payload *)

@@ -9,14 +9,18 @@ let make_radio ?(n = 4) ?(seed = 1L) () =
 
 (* --- radio ------------------------------------------------------------------ *)
 
+(* a broadcast data frame from [src] carrying [s] *)
+let frame ~src s =
+  { Net.Radio.src; dst = 0xFFFF; seq = 0; ack = false; port = 0; payload = Bytes.of_string s }
+
 let test_radio_delivers_to_all_but_sender () =
   let engine, _, radio = make_radio () in
   let received = ref [] in
   Net.Radio.on_receive radio (fun receiver ~sender frame ->
       Alcotest.(check int) "sender" 0 sender;
-      Alcotest.(check string) "frame" "ping" (Bytes.to_string frame);
+      Alcotest.(check string) "frame" "ping" (Bytes.to_string frame.Net.Radio.payload);
       received := receiver :: !received);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "ping");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "ping");
   Net.Engine.run engine;
   Alcotest.(check (list int)) "receivers" [ 1; 2; 3 ] (List.sort compare !received)
 
@@ -24,8 +28,8 @@ let test_radio_collision_corrupts_both () =
   let engine, _, radio = make_radio () in
   let received = ref 0 in
   Net.Radio.on_receive radio (fun _ ~sender:_ _ -> incr received);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "a");
-  Net.Radio.transmit radio ~sender:1 ~duration:0.001 (Bytes.of_string "b");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "a");
+  Net.Radio.transmit radio ~sender:1 ~duration:0.001 (frame ~src:1 "b");
   Net.Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !received;
   Alcotest.(check bool) "collisions counted" true ((Net.Radio.stats radio).collisions >= 2)
@@ -34,10 +38,10 @@ let test_radio_sequential_no_collision () =
   let engine, _, radio = make_radio () in
   let received = ref 0 in
   Net.Radio.on_receive radio (fun _ ~sender:_ _ -> incr received);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "a");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "a");
   ignore
     (Net.Engine.schedule engine ~delay:0.002 (fun () ->
-         Net.Radio.transmit radio ~sender:1 ~duration:0.001 (Bytes.of_string "b")));
+         Net.Radio.transmit radio ~sender:1 ~duration:0.001 (frame ~src:1 "b")));
   Net.Engine.run engine;
   Alcotest.(check int) "both delivered to 3 receivers each" 6 !received
 
@@ -49,7 +53,7 @@ let test_radio_loss_probability () =
   for i = 0 to 999 do
     ignore
       (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
-           Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "x")))
+           Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "x")))
   done;
   Net.Engine.run engine;
   Alcotest.(check bool) "about half lost" true (!received > 400 && !received < 600)
@@ -60,9 +64,9 @@ let test_radio_down_node () =
   Alcotest.(check bool) "is_down" true (Net.Radio.is_down radio 2);
   let received = ref [] in
   Net.Radio.on_receive radio (fun receiver ~sender:_ _ -> received := receiver :: !received);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "x");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "x");
   (* down sender transmits nothing *)
-  Net.Radio.transmit radio ~sender:2 ~duration:0.001 (Bytes.of_string "y");
+  Net.Radio.transmit radio ~sender:2 ~duration:0.001 (frame ~src:2 "y");
   Net.Engine.run engine;
   Alcotest.(check (list int)) "down node neither receives nor sends" [ 1; 3 ]
     (List.sort compare !received)
@@ -72,10 +76,10 @@ let test_radio_jamming () =
   Net.Radio.jam radio ~from:0.0 ~until:0.010;
   let received = ref 0 in
   Net.Radio.on_receive radio (fun _ ~sender:_ _ -> incr received);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "x");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "x");
   ignore
     (Net.Engine.schedule engine ~delay:0.020 (fun () ->
-         Net.Radio.transmit radio ~sender:0 ~duration:0.001 (Bytes.of_string "y")));
+         Net.Radio.transmit radio ~sender:0 ~duration:0.001 (frame ~src:0 "y")));
   Net.Engine.run engine;
   Alcotest.(check int) "only post-jam frame arrives" 3 !received;
   Alcotest.(check int) "jam stat" 1 (Net.Radio.stats radio).jammed
@@ -83,7 +87,7 @@ let test_radio_jamming () =
 let test_radio_carrier_sense () =
   let engine, _, radio = make_radio () in
   Alcotest.(check bool) "idle initially" false (Net.Radio.busy radio);
-  Net.Radio.transmit radio ~sender:0 ~duration:0.005 (Bytes.of_string "x");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.005 (frame ~src:0 "x");
   Alcotest.(check bool) "busy during" true (Net.Radio.busy radio);
   let checked = ref false in
   ignore
@@ -95,7 +99,7 @@ let test_radio_carrier_sense () =
 
 let test_radio_idle_subscription () =
   let engine, _, radio = make_radio () in
-  Net.Radio.transmit radio ~sender:0 ~duration:0.004 (Bytes.of_string "x");
+  Net.Radio.transmit radio ~sender:0 ~duration:0.004 (frame ~src:0 "x");
   let notified_at = ref (-1.0) in
   Net.Radio.subscribe_idle radio (fun () -> notified_at := Net.Engine.now engine);
   Net.Engine.run engine;
@@ -126,32 +130,67 @@ let test_mac_broadcast_delivery () =
   let got = ref [] in
   Array.iter
     (fun mac ->
-      Net.Mac.on_deliver mac (fun ~src payload ->
-          got := (Net.Mac.id mac, src, Bytes.to_string payload) :: !got))
+      Net.Mac.on_deliver mac (fun ~src ~port payload ->
+          got := (Net.Mac.id mac, (src, port), Bytes.to_string payload) :: !got))
     macs;
-  Net.Mac.send_broadcast macs.(0) (Bytes.of_string "hello");
+  Net.Mac.send_broadcast macs.(0) ~port:5 (Bytes.of_string "hello");
   Net.Engine.run engine;
-  Alcotest.(check (list (triple int int string)))
-    "both others" [ (1, 0, "hello"); (2, 0, "hello") ] (List.sort compare !got)
+  Alcotest.(check (list (triple int (pair int int) string)))
+    "both others, with the port" [ (1, (0, 5), "hello"); (2, (0, 5), "hello") ] (List.sort compare !got)
 
+(* A unicast with its ACK, then a broadcast, sent through the datagram
+   layer so the frames carry what every run's frames carry. On the
+   medium a data frame counts 13 bytes of MAC record, 32 of datagram
+   header and the payload; an ACK counts 13. Airtime is computed on the
+   datagram: payload + 32. *)
 let test_mac_unicast_acked () =
-  let engine, radio, macs = make_macs () in
-  let got = ref [] in
-  Net.Mac.on_deliver macs.(1) (fun ~src payload ->
-      got := (src, Bytes.to_string payload) :: !got);
-  Net.Mac.send_unicast macs.(0) ~dst:1 (Bytes.of_string "direct");
-  Net.Engine.run engine;
-  Alcotest.(check (list (pair int string))) "delivered once" [ (0, "direct") ] !got;
-  (* data frame + ACK frame *)
-  Alcotest.(check int) "two frames" 2 (Net.Radio.stats radio).frames_sent
+  let (radio, got), metrics =
+    Obs.Scope.with_run (fun () ->
+        let engine = Net.Engine.create () in
+        let rng = Util.Rng.create ~seed:9L in
+        let radio = Net.Radio.create engine (Util.Rng.split rng) ~n:3 in
+        let nodes =
+          Array.init 3 (fun id -> Net.Node.create engine radio ~id ~rng:(Util.Rng.split rng))
+        in
+        let got = ref [] in
+        Net.Node.listen nodes.(1) ~port:7 (fun ~src payload ->
+            got := (src, Bytes.to_string payload) :: !got);
+        Net.Node.unicast nodes.(0) ~dst:1 ~port:7 (Bytes.of_string "direct");
+        Net.Engine.run engine;
+        Alcotest.(check (list (pair int string))) "delivered once" [ (0, "direct") ] !got;
+        (* data frame + ACK frame *)
+        Alcotest.(check int) "two frames" 2 (Net.Radio.stats radio).frames_sent;
+        Net.Node.broadcast nodes.(0) ~port:7 (Bytes.of_string "hello");
+        Net.Engine.run engine;
+        (radio, !got))
+  in
+  Alcotest.(check (list (pair int string)))
+    "broadcast delivered" [ (0, "hello"); (0, "direct") ] got;
+  let bytes cls = Obs.Metrics.counter_value metrics ~labels:[ ("class", cls) ] "radio.bytes" in
+  Alcotest.(check int) "ucast bytes" (6 + 45) (bytes "ucast");
+  Alcotest.(check int) "ack bytes" 13 (bytes "ack");
+  Alcotest.(check int) "bcast bytes" (5 + 45) (bytes "bcast");
+  Alcotest.(check int) "bytes sent" (51 + 13 + 50) (Net.Radio.stats radio).bytes_sent;
+  let airtime cls =
+    match Obs.Metrics.find metrics ~labels:[ ("class", cls) ] "radio.airtime_s" with
+    | Some { value = Obs.Metrics.Gauge s; _ } -> s
+    | Some _ | None -> Float.nan
+  in
+  Alcotest.(check (float 0.0)) "ucast airtime"
+    (Net.Mac.airtime_unicast ~payload_bytes:(6 + 32))
+    (airtime "ucast");
+  Alcotest.(check (float 0.0)) "ack airtime" Net.Mac.ack_airtime (airtime "ack");
+  Alcotest.(check (float 0.0)) "bcast airtime"
+    (Net.Mac.airtime_broadcast ~payload_bytes:(5 + 32))
+    (airtime "bcast")
 
 let test_mac_unicast_retransmits_under_loss () =
   let engine, radio, macs = make_macs ~seed:17L () in
   Net.Radio.set_loss_prob radio 0.4;
   let delivered = ref 0 in
-  Net.Mac.on_deliver macs.(1) (fun ~src:_ _ -> incr delivered);
+  Net.Mac.on_deliver macs.(1) (fun ~src:_ ~port:_ _ -> incr delivered);
   for _ = 1 to 20 do
-    Net.Mac.send_unicast macs.(0) ~dst:1 (Bytes.of_string "retry me")
+    Net.Mac.send_unicast macs.(0) ~dst:1 ~port:0 (Bytes.of_string "retry me")
   done;
   Net.Engine.run engine;
   (* 40% loss with 7 retries: all should arrive, exactly once each *)
@@ -165,16 +204,16 @@ let test_mac_unicast_drop_after_retry_limit () =
   let dropped = ref [] in
   Net.Mac.on_drop macs.(0) (fun ~dst payload ->
       dropped := (dst, Bytes.to_string payload) :: !dropped);
-  Net.Mac.send_unicast macs.(0) ~dst:1 (Bytes.of_string "doomed");
+  Net.Mac.send_unicast macs.(0) ~dst:1 ~port:0 (Bytes.of_string "doomed");
   Net.Engine.run engine ~until:10.0;
   Alcotest.(check (list (pair int string))) "reported" [ (1, "doomed") ] !dropped
 
 let test_mac_queue_drains_in_order () =
   let engine, _, macs = make_macs () in
   let got = ref [] in
-  Net.Mac.on_deliver macs.(1) (fun ~src:_ payload -> got := Bytes.to_string payload :: !got);
+  Net.Mac.on_deliver macs.(1) (fun ~src:_ ~port:_ payload -> got := Bytes.to_string payload :: !got);
   for i = 0 to 9 do
-    Net.Mac.send_unicast macs.(0) ~dst:1 (Bytes.of_string (string_of_int i))
+    Net.Mac.send_unicast macs.(0) ~dst:1 ~port:0 (Bytes.of_string (string_of_int i))
   done;
   Alcotest.(check bool) "queued" true (Net.Mac.queue_length macs.(0) > 0);
   Net.Engine.run engine;
@@ -186,8 +225,8 @@ let test_mac_contention_eventually_delivers () =
   (* all three stations transmit simultaneously: backoff must resolve it *)
   let engine, _, macs = make_macs ~seed:23L () in
   let delivered = ref 0 in
-  Array.iter (fun mac -> Net.Mac.on_deliver mac (fun ~src:_ _ -> incr delivered)) macs;
-  Array.iter (fun mac -> Net.Mac.send_broadcast mac (Bytes.of_string "storm")) macs;
+  Array.iter (fun mac -> Net.Mac.on_deliver mac (fun ~src:_ ~port:_ _ -> incr delivered)) macs;
+  Array.iter (fun mac -> Net.Mac.send_broadcast mac ~port:0 (Bytes.of_string "storm")) macs;
   Net.Engine.run engine;
   (* each broadcast reaches the other two unless a rare collision occurs;
      with three stations and CW 31 most must get through *)
@@ -198,7 +237,7 @@ let test_mac_radio_collected () =
      MAC dispatch table lives with the radio, not in a global list *)
   let finished_run () =
     let engine, radio, macs = make_macs () in
-    Net.Mac.send_broadcast macs.(0) (Bytes.of_string "bye");
+    Net.Mac.send_broadcast macs.(0) ~port:0 (Bytes.of_string "bye");
     Net.Engine.run engine;
     let w = Weak.create 1 in
     Weak.set w 0 (Some radio);
@@ -227,16 +266,18 @@ let test_mac_difs_end_after_outside_transmit () =
   let a = mac 0 (fun slots -> slots > 0) and b = mac 1 (fun slots -> slots = 0) in
   let c = mac 2 (fun _ -> true) in
   let got = ref [] in
-  Net.Mac.on_deliver c (fun ~src payload -> got := (src, Bytes.to_string payload) :: !got);
+  Net.Mac.on_deliver c (fun ~src ~port:_ payload -> got := (src, Bytes.to_string payload) :: !got);
   ignore
     (Net.Engine.at engine ~time:0.001 (fun () ->
-         Net.Mac.send_broadcast a (Bytes.of_string "a");
+         Net.Mac.send_broadcast a ~port:0 (Bytes.of_string "a");
          ignore
            (Net.Engine.at engine
               ~time:(Net.Engine.now engine +. Net.Mac.Const.difs)
               (fun () ->
-                Net.Radio.transmit radio ~sender:3 ~duration:0.0005 (Bytes.of_string "outside")));
-         Net.Mac.send_broadcast b (Bytes.of_string "b")));
+                (* addressed to p3, which runs no MAC: no MAC delivers it *)
+                Net.Radio.transmit radio ~sender:3 ~duration:0.0005
+                  { (frame ~src:3 "outside") with dst = 3 }));
+         Net.Mac.send_broadcast b ~port:0 (Bytes.of_string "b")));
   Net.Engine.run engine;
   Alcotest.(check int) "no collision" 0 (Net.Radio.stats radio).collisions;
   Alcotest.(check (list (pair int string)))
@@ -452,11 +493,11 @@ let receptions schedule =
   Net.Schedule.apply radio schedule;
   let at = Array.make_matrix 4 101 Float.nan in
   Net.Radio.on_receive radio (fun receiver ~sender:_ frame ->
-      at.(receiver).(int_of_string (Bytes.to_string frame)) <- Net.Engine.now engine);
+      at.(receiver).(int_of_string (Bytes.to_string frame.Net.Radio.payload)) <- Net.Engine.now engine);
   for ms = 1 to 100 do
     ignore
       (Net.Engine.at engine ~time:(float_of_int ms *. 1e-3) (fun () ->
-           Net.Radio.transmit radio ~sender:0 ~duration:1e-4 (Bytes.of_string (string_of_int ms))))
+           Net.Radio.transmit radio ~sender:0 ~duration:1e-4 (frame ~src:0 (string_of_int ms))))
   done;
   Net.Engine.run engine;
   fun rx ms -> at.(rx).(ms)
@@ -599,10 +640,11 @@ let qcheck_mac_exactly_once =
       let b = Net.Mac.create engine radio ~id:1 ~rng:(Util.Rng.split rng) in
       let delivered = ref [] in
       let dropped = ref [] in
-      Net.Mac.on_deliver b (fun ~src:_ payload -> delivered := Bytes.to_string payload :: !delivered);
+      Net.Mac.on_deliver b (fun ~src:_ ~port:_ payload ->
+          delivered := Bytes.to_string payload :: !delivered);
       Net.Mac.on_drop a (fun ~dst:_ payload -> dropped := Bytes.to_string payload :: !dropped);
       for i = 0 to messages - 1 do
-        Net.Mac.send_unicast a ~dst:1 (Bytes.of_string (string_of_int i))
+        Net.Mac.send_unicast a ~dst:1 ~port:0 (Bytes.of_string (string_of_int i))
       done;
       Net.Engine.run engine ~until:600.0;
       let delivered = List.rev !delivered in
@@ -638,7 +680,7 @@ let qcheck_radio_conservation =
               ignore
                 (Net.Engine.schedule engine ~delay:(float_of_int i *. 0.01) (fun () ->
                      Net.Radio.transmit radio ~sender:(i mod 3) ~duration:0.001
-                       (Bytes.of_string "x")))
+                       (frame ~src:(i mod 3) "x")))
             done;
             Net.Engine.run engine;
             (Net.Radio.stats radio, !received))
