@@ -9,11 +9,14 @@
    message is first stored) and the SHA-256 hash of its proof (computed
    on the first authenticity check). Three consumers share the index:
 
-   - [decode] memoizes payload bytes -> frame of indices. Keys are the
-     exact payload bytes (structural hashing and equality cover every
-     byte), so a forgery or an equivocating unicast that differs
-     anywhere from a cached frame costs its own decode and never
-     collides with it. Malformed payloads raise before reaching it.
+   - [decode] memoizes the last payload it decoded and that payload's
+     frame of indices. The n-1 deliveries of one transmission arrive
+     back to back and carry one payload, so all but the first return
+     the very frame; any other payload is decoded afresh, interned and
+     memoized in its place. The memo compares the exact bytes, so a
+     forgery or an equivocating unicast that differs anywhere from the
+     memoized payload costs its own decode. Malformed payloads raise
+     before reaching it.
    - A compact reference decodes to its digest's candidate cell: the
      one cell per digest that [intern] appends every matching index
      to, created empty when a frame names a digest no stored message
@@ -42,18 +45,18 @@
 
    One store can be shared by machines stepping on several domains:
    the model checker clones a run's machines into pool workers. Every
-   table access therefore holds the store's mutex. [get] reads without
-   it: a domain only ever holds an index it received from the store
-   under the mutex (or before the workers started), and the message and
-   digest behind an index never change. [resolve] reads a candidate
-   cell without it for the same reason: an index the caller's filter
-   accepts was handed to the caller under the mutex, after the append
-   that put it in the cell. *)
+   table access and the memo slot therefore hold the store's mutex.
+   [get] reads without it: a domain only ever holds an index it
+   received from the store under the mutex (or before the workers
+   started), and the message and digest behind an index never change.
+   [resolve] reads a candidate cell without it for the same reason: an
+   index the caller's filter accepts was handed to the caller under the
+   mutex, after the append that put it in the cell. *)
 
-(* The memo keeps every distinct payload of a run to its end, and at
-   n=128 its frames carry about 140 justification entries each, so a
-   frame is an array of entries that each slot and cell build once:
-   one word per entry. *)
+(* Every decode that misses the memo builds a frame, and at n=128 a
+   frame carries about 140 justification entries. Its array holds the
+   entries each slot and cell build once, so a miss allocates one word
+   per entry and no boxes. *)
 type candidates = {
   cdigest : bytes;
   mutable idxs : int list;  (* ascending *)
@@ -80,7 +83,8 @@ type t = {
       (* structural hash/equality cover every field including the proof
          bytes, so two messages differing anywhere intern separately *)
   by_digest : (bytes, candidates) Hashtbl.t;
-  frames : (bytes, frame) Hashtbl.t;
+  mutable last : (bytes * frame) option;
+      (* a private copy of the payload decoded last, and its frame *)
   lock : Mutex.t;
 }
 
@@ -91,7 +95,7 @@ let create () =
     members = 0;
     index = Hashtbl.create 256;
     by_digest = Hashtbl.create 256;
-    frames = Hashtbl.create 64;
+    last = None;
     lock = Mutex.create ();
   }
 
@@ -174,14 +178,14 @@ let verify_misses = Obs.Metrics.counter "crypto.verify.cache_miss"
 
 let decode_unprofiled t payload =
   Mutex.lock t.lock;
-  let cached = Hashtbl.find_opt t.frames payload in
+  let last = t.last in
   Mutex.unlock t.lock;
-  match cached with
-  | Some fr ->
+  match last with
+  | Some (key, fr) when Bytes.equal key payload ->
       Obs.Metrics.incr memo_hits;
       fr
-  | None ->
-      (* malformed payloads raise out before reaching the table *)
+  | Some _ | None ->
+      (* malformed payloads raise out before reaching the memo *)
       let wi = Message.decode_wire payload in
       let fr =
         Mutex.protect t.lock (fun () ->
@@ -193,9 +197,9 @@ let decode_unprofiled t payload =
             in
             let just = Array.of_list (List.map entry wi.Message.wjust) in
             let fr = { msg = intern_locked t wi.Message.wmsg; just } in
-            (* key copied defensively: the table must never alias a
+            (* key copied defensively: the memo must never alias a
                buffer a caller could later mutate *)
-            Hashtbl.replace t.frames (Bytes.copy payload) fr;
+            t.last <- Some (Bytes.copy payload, fr);
             fr)
       in
       Obs.Metrics.incr memo_misses;

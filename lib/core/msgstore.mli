@@ -8,7 +8,8 @@
     decoding, compact-reference resolution, authenticity checks and
     {!Vset} rows all address messages through these indices, so the
     many appearances of one justification message across frames and
-    receivers collapse onto a single stored copy. The store is
+    receivers collapse onto a single stored copy. Of the payloads it
+    decodes, the store keeps only the last one. The store is
     append-only — index 0 never allocated, valid indices never
     invalidated — and the domain-local current store is {e re-bound} to
     a fresh one at every {!Obs.Scope.with_run} boundary, so structures
@@ -65,13 +66,16 @@ val resolve : ('a -> int -> bool) -> 'a -> candidates -> int
     reference.) *)
 
 val decode : t -> bytes -> frame
-(** {!Message.decode_wire} memoized on the exact payload bytes, every
-    full entry interned and every compact reference mapped to its
-    digest's cell. Raises exactly what [Message.decode_wire] raises;
-    malformed payloads are never cached. The memo keys on a private
-    copy of each payload, so a buffer mutated after its decode is
-    decoded afresh. Emits the [codec.decode.memo_hit]/[_miss] counters
-    and the [hotpath.decode] span. *)
+(** {!Message.decode_wire}, every full entry interned and every compact
+    reference mapped to its digest's cell. The store memoizes the last
+    payload it decoded: a call whose bytes equal it returns the very
+    frame that decode built, so the n-1 deliveries of one transmission
+    decode once. Any other payload is decoded afresh and replaces the
+    memo. Raises exactly what [Message.decode_wire] raises; malformed
+    payloads never enter the memo. The memo holds a private copy of the
+    payload, so a buffer mutated after its decode is decoded afresh.
+    Emits the [codec.decode.memo_hit]/[_miss] counters and the
+    [hotpath.decode] span. *)
 
 val check : t -> Keyring.t -> int -> bool
 (** {!Keyring.check_message} of the stored message: the proof hash is
@@ -80,8 +84,8 @@ val check : t -> Keyring.t -> int -> bool
     span. *)
 
 val size : t -> int
-(** Number of distinct messages admitted to some V set — the flat-arena
-    high-water mark reported by the scaling sweep. *)
+(** Number of distinct messages admitted to some V set — the
+    [arena_hw] field the scaling sweep reports for Turquois. *)
 
 val current : unit -> t
 (** This domain's current per-run store ({!Vset.create} captures it). *)

@@ -234,8 +234,9 @@ let react t events =
   end
 
 let on_datagram t ~src:_ payload =
-  (* broadcast deliveries re-materialize the same payload bytes at each
-     receiver; the run's message store memoizes the decode *)
+  (* the n-1 deliveries of one broadcast hand every receiver the
+     sender's buffer back to back; the run's message store decodes it
+     once and returns that frame until another payload arrives *)
   match Msgstore.decode (Machine.store t.machine) payload with
   | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> ()
   | frame ->

@@ -72,7 +72,7 @@ let run_sampled ~n ~seed ~timeout =
       airtime = stats.airtime;
       live_peak = Net.Engine.live_peak engine;
       queued_peak = Net.Engine.queued_peak engine;
-      arena_hw = Scale.Medium.arena_high_water medium;
+      arena_hw = Scale.Medium.in_flight_peak medium;
       timed_out;
       minor_words = cost.minor_words;
       major_words = cost.major_words;
@@ -104,10 +104,9 @@ let run_radio ~protocol_name ~runner_protocol ~n ~seed ~timeout =
     airtime = r.Runner.airtime;
     live_peak = r.Runner.events_live_peak;
     queued_peak = r.Runner.events_queued_peak;
-    (* for Turquois the arena is the per-run interned message store:
-       its size is the count of distinct messages the whole group
-       materialized (the flat V sets and justification bundles hold
-       indices into it) *)
+    (* for Turquois the field reads the per-run interned message store:
+       the count of distinct messages the whole group admitted to V sets
+       (the flat V sets and justification bundles hold indices into it) *)
     arena_hw =
       (match runner_protocol with
       | Runner.Turquois -> Core.Msgstore.size (Core.Msgstore.current ())

@@ -6,7 +6,7 @@
     twice: over the same contended 802.11b radio/MAC stack up to
     [radio_cap] ("Sampled-radio"), and at every n over the scalable
     abstract {!Scale.Medium} ("Sampled"). Each point reports decision
-    coverage, latency, traffic, airtime and the engine/arena
+    coverage, latency, traffic, airtime and the engine and [arena_hw]
     high-water marks; every rendered field is a deterministic function
     of the seed, so tables are bit-identical across [-j N] (the
     allocation-word fields are within a cache-warmup constant of

@@ -141,7 +141,6 @@ let malformed = Obs.Metrics.counter "rlink.malformed"
 
 let transmit_segment t s ~seq payload ~fresh =
   let raw = encode_segment t ~kind:Seg_data ~seq payload in
-  if Obs.Trace2.enabled () then Obs.Causal.alias ~from:payload raw;
   charge_segment_cost t (Bytes.length raw);
   Obs.Metrics.incr tx_segments;
   if not fresh then begin
@@ -150,8 +149,7 @@ let transmit_segment t s ~seq payload ~fresh =
     if Obs.Trace2.enabled () then
       Obs.Trace2.emit ~time:(Engine.now t.engine) ~node:(Mac.id (Datagram.mac t.dg))
         ~layer:"rlink" ~label:"retransmit"
-        ([ ("dst", Obs.Trace2.I s.s_dst); ("seq", Obs.Trace2.I seq) ]
-        @ Obs.Causal.mid_field payload)
+        [ ("dst", Obs.Trace2.I s.s_dst); ("seq", Obs.Trace2.I seq) ]
   end;
   Datagram.send t.dg ~dst:(`Node s.s_dst) ~port:t.port raw
 
@@ -186,28 +184,17 @@ let segment_cap = 1200
 let pack_messages s =
   let w = Util.Codec.W.create ~capacity:256 () in
   let count = ref 0 in
-  let first = ref None in
   let continue = ref true in
   while !continue do
     match Queue.peek_opt s.pending with
     | Some payload
       when !count = 0 || Util.Codec.W.length w + Bytes.length payload + 4 <= segment_cap ->
         ignore (Queue.pop s.pending);
-        if !first = None then first := Some payload;
         Util.Codec.W.bytes_lp w payload;
         incr count
     | Some _ | None -> continue := false
   done;
-  if !count = 0 then None
-  else begin
-    let seg = Util.Codec.W.contents w in
-    (* a segment can coalesce several protocol messages; carry the first
-       one's causal id — enough to tie retransmits/drops to the stream *)
-    (match !first with
-    | Some p when Obs.Trace2.enabled () -> Obs.Causal.alias ~from:p seg
-    | _ -> ());
-    Some seg
-  end
+  if !count = 0 then None else Some (Util.Codec.W.contents w)
 
 let fill_window t s =
   let continue = ref true in

@@ -1,14 +1,14 @@
 (* Causal message tracing.
 
-   Online half: every protocol broadcast gets a message id
+   Online half: every Turquois broadcast gets a message id
    "m<sender>.<phase>.<seq>" at the moment it is encoded. The datagram
    layer and the MAC hand the payload to the radio unchanged inside a
    frame record, so radio-layer events name the protocol message they
-   carry by looking up the frame's payload; the reliable link, which
-   does re-encode, re-attaches ("aliases") the id to its segments. No
-   layer threads an extra parameter through its signature. The registry is
-   keyed on byte *content*: a retransmission of identical bytes maps to
-   the same id, which is exactly the causal identity we want.
+   carry by looking up the frame's payload. No layer threads an extra
+   parameter through its signature. The baselines register no ids, so
+   the reliable link's segments carry none. The registry is keyed on
+   byte *content*: a retransmission of identical bytes maps to the same
+   id, which is exactly the causal identity we want.
 
    Offline half: [build] folds a trace back into a happens-before DAG —
    send, deliver and drop records per message id, and the sends a MAC
@@ -22,7 +22,7 @@
    the metrics registry, and is only invoked when tracing is already
    on, so causal tagging on/off yields bit-identical protocol results. *)
 
-(* --- online: id assignment and byte aliasing ------------------------------ *)
+(* --- online: id assignment and lookup ------------------------------------ *)
 
 type reg = {
   seqs : (int, int) Hashtbl.t; (* sender -> next seq *)
@@ -50,9 +50,6 @@ let next_send ~sender ~phase =
 
 let register bytes mid = Hashtbl.replace (reg ()).mids (Bytes.to_string bytes) mid
 let lookup bytes = Hashtbl.find_opt (reg ()).mids (Bytes.to_string bytes)
-
-let alias ~from bytes =
-  match lookup from with None -> () | Some mid -> register bytes mid
 
 let mid_field bytes =
   match lookup bytes with

@@ -1,15 +1,14 @@
 (** Causal message tracing: online id tagging, offline happens-before
     reconstruction.
 
-    Online, each protocol broadcast is assigned a message id
+    Online, each Turquois broadcast is assigned a message id
     ["m<sender>.<phase>.<seq>"] when it is encoded. Frames carry the
     payload down unchanged, so radio/MAC events are labeled with the
-    message they carry by looking up the frame's payload; a layer that
-    re-encodes a payload (the reliable link's segments) re-attaches the
-    id to its encoding with [alias]. No signature widens. The registry is
-    domain-local, keyed on byte content, and cleared at every run
-    boundary. Callers only invoke it when [Trace2.enabled ()], so the
-    off-path cost is zero and results stay bit-identical either way.
+    message they carry by looking up the frame's payload. No signature
+    widens. The registry is domain-local, keyed on byte content, and
+    cleared at every run boundary. Callers only invoke it when
+    [Trace2.enabled ()], so the off-path cost is zero and results stay
+    bit-identical either way.
 
     Offline, [build] reconstructs a DAG of send / deliver / drop records
     from a trace, plus the sends that never went on the air;
@@ -24,10 +23,6 @@ val next_send : sender:int -> phase:int -> string
 
 val register : bytes -> string -> unit
 (** Associates the byte content with a message id. *)
-
-val alias : from:bytes -> bytes -> unit
-(** [alias ~from bytes] carries [from]'s id (if any) over to [bytes] —
-    a layer's own encoding of the payload it was handed. *)
 
 val lookup : bytes -> string option
 

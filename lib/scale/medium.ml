@@ -7,15 +7,13 @@
    with the 802.11b unicast formula so byte costs stay comparable with
    the radio runs.
 
-   Two structures keep delivery bookkeeping sub-quadratic:
-   - deliveries are quantized onto a grid of [quantum] seconds, and all
-     messages landing on one grid tick share a single engine event;
-   - in-flight records live in a flat preallocated {!Arena} (no
-     per-event allocation), and a payload sent to many receivers is
-     delivered by reference to each of them instead of per-receiver
-     copies. *)
+   Deliveries are quantized onto a grid of [quantum] seconds, and all
+   messages landing on one grid tick share a single engine event: the
+   tick's cell queues one [{src; dst; payload}] record per message. A
+   payload sent to many receivers is delivered by reference to each of
+   them instead of per-receiver copies. *)
 
-type slot = { mutable s_src : int; mutable s_dst : int; mutable s_payload : bytes }
+type msg = { src : int; dst : int; payload : bytes }
 
 type stats = {
   mutable msgs_sent : int;
@@ -30,8 +28,9 @@ type t = {
   rng : Util.Rng.t;
   n : int;
   loss : float;
-  arena : slot Arena.t;
-  pending : (int, int list ref) Hashtbl.t; (* grid tick -> slot indices, newest first *)
+  pending : (int, msg list ref) Hashtbl.t; (* grid tick -> messages, newest first *)
+  mutable in_flight : int;
+  mutable in_flight_peak : int;
   handlers : (src:int -> bytes -> unit) option array;
   stats : stats;
 }
@@ -50,8 +49,9 @@ let create engine rng ~n ?(loss = 0.0) () =
     rng;
     n;
     loss;
-    arena = Arena.create (fun () -> { s_src = 0; s_dst = 0; s_payload = Bytes.empty });
     pending = Hashtbl.create 64;
+    in_flight = 0;
+    in_flight_peak = 0;
     handlers = Array.make n None;
     stats = { msgs_sent = 0; bytes_sent = 0; airtime = 0.0; delivered = 0; dropped = 0 };
   }
@@ -59,8 +59,8 @@ let create engine rng ~n ?(loss = 0.0) () =
 let engine t = t.engine
 let stats t = t.stats
 let set_handler t ~node f = t.handlers.(node) <- Some f
-let arena_high_water t = Arena.high_water t.arena
-let in_flight t = Arena.in_use t.arena
+let in_flight t = t.in_flight
+let in_flight_peak t = t.in_flight_peak
 
 let flush t tick =
   match Hashtbl.find_opt t.pending tick with
@@ -69,11 +69,8 @@ let flush t tick =
       Hashtbl.remove t.pending tick;
       (* newest-first list: reverse to deliver in send order *)
       List.iter
-        (fun idx ->
-          let s = Arena.get t.arena idx in
-          let src = s.s_src and dst = s.s_dst and payload = s.s_payload in
-          s.s_payload <- Bytes.empty;
-          Arena.free t.arena idx;
+        (fun { src; dst; payload } ->
+          t.in_flight <- t.in_flight - 1;
           t.stats.delivered <- t.stats.delivered + 1;
           match t.handlers.(dst) with Some f -> f ~src payload | None -> ())
         (List.rev !cell)
@@ -89,15 +86,13 @@ let send t ~src ~dst payload =
   else begin
     let delay = latency +. Util.Rng.float t.rng jitter in
     let tick = int_of_float ((Net.Engine.now t.engine +. delay) /. quantum) + 1 in
-    let idx = Arena.alloc t.arena in
-    let s = Arena.get t.arena idx in
-    s.s_src <- src;
-    s.s_dst <- dst;
-    s.s_payload <- payload;
+    let m = { src; dst; payload } in
+    t.in_flight <- t.in_flight + 1;
+    if t.in_flight > t.in_flight_peak then t.in_flight_peak <- t.in_flight;
     match Hashtbl.find_opt t.pending tick with
-    | Some cell -> cell := idx :: !cell
+    | Some cell -> cell := m :: !cell
     | None ->
-        Hashtbl.add t.pending tick (ref [ idx ]);
+        Hashtbl.add t.pending tick (ref [ m ]);
         ignore
           (Net.Engine.at t.engine ~time:(float_of_int tick *. quantum) (fun () ->
                flush t tick))

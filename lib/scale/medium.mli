@@ -4,8 +4,7 @@
     base latency plus up to 1 ms of uniform jitter, airtime accounted
     with the 802.11b unicast formula. Deliveries are quantized onto a
     0.5 ms grid so one engine event serves every message landing on a
-    tick, and in-flight records recycle through a flat {!Arena} — the
-    delivery bookkeeping stays sub-quadratic in n. *)
+    tick — the delivery bookkeeping stays sub-quadratic in n. *)
 
 type t
 
@@ -32,5 +31,7 @@ val send : t -> src:int -> dst:int -> bytes -> unit
     fan-out. *)
 
 val in_flight : t -> int
-val arena_high_water : t -> int
+(** Messages queued for delivery and not yet delivered. *)
+
+val in_flight_peak : t -> int
 (** Peak simultaneous in-flight messages. *)

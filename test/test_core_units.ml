@@ -676,16 +676,35 @@ let test_msgstore_matches_reference_model () =
           check_resolutions r fr (some_known ())
       | Ok _ -> Alcotest.fail "early reference: one compact entry expected"
       | Error e -> Alcotest.failf "early reference: %s" e);
-      (* a byte-equal copy of a decoded payload hits the memo table:
+      (* a byte-equal copy of the payload decoded last hits the memo:
          the very frame comes back *)
       let hit = decode_both "byte-equal copy" (Bytes.copy p) in
       Alcotest.(check bool) "byte-equal copy hits" true
         (match (hit, !frames) with
         | Ok a, _ :: b :: _ -> a == b
         | _ -> false);
-      (* a buffer mutated in place after the decode that cached it
-         decodes afresh, and the original bytes still map to the
-         original frame: the table keys on a private copy *)
+      (* a byte-equal copy of a payload decoded before the last one is
+         a miss that decodes afresh to an equal frame *)
+      let misses () =
+        Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "codec.decode.memo_miss"
+      in
+      let plain phase =
+        Core.Message.encode_wire { Core.Message.wmsg = mk_msg ~phase (); wjust = [] }
+      in
+      let pa = plain 1 in
+      let first = decode_both "payload A" pa in
+      ignore (decode_both "payload B" (plain 2));
+      let before = misses () in
+      let again = decode_both "copy of A after B" (Bytes.copy pa) in
+      Alcotest.(check int) "copy of A after B misses" (before + 1) (misses ());
+      Alcotest.(check bool) "copy of A after B equals A" true
+        (match (first, again) with
+        | Ok a, Ok b -> Ref_store.project a = Ref_store.project b
+        | _ -> false);
+      (* a buffer mutated in place after the decode that memoized it
+         decodes afresh (here it no longer parses, so the memo stays),
+         and the original bytes still map to the original frame: the
+         memo holds a private copy *)
       let q = Core.Message.encode_wire { Core.Message.wmsg = fresh (); wjust = [] } in
       let original = Bytes.copy q in
       let before = decode_both "before mutation" q in
@@ -697,7 +716,7 @@ let test_msgstore_matches_reference_model () =
         | Ok a, Ok b -> a == b
         | _ -> false);
       (* an empty payload after a hit still raises: malformed payloads
-         are never cached *)
+         never enter the memo *)
       ignore (decode_both "empty after a hit" Bytes.empty);
       List.iteri
         (fun i m ->

@@ -42,7 +42,10 @@ let test_memo_on_hits () =
    suite. The receive path's counters and the latencies are pinned to
    values recorded before the broadcast fan-out shared decoded payloads,
    frame decodes and reference cells across receivers; the snapshot's
-   engine.* rows were re-recorded when DCF contention was batched. *)
+   engine.* rows were re-recorded when DCF contention was batched, and
+   the codec.decode.memo_* rows when the store's decode memo shrank to
+   the last payload decoded (hits 19662 -> 18676, misses 771 -> 1757;
+   no other row moved). *)
 let test_turquois_n64_pinned () =
   let r =
     Harness.Runner.run ~protocol:Harness.Runner.Turquois ~n:64
@@ -55,15 +58,15 @@ let test_turquois_n64_pinned () =
     [
       ("validation.duplicates", 462171);
       ("validation.accepted", 10944);
-      ("codec.decode.memo_hit", 19662);
-      ("codec.decode.memo_miss", 771);
+      ("codec.decode.memo_hit", 18676);
+      ("codec.decode.memo_miss", 1757);
       ("crypto.verify.cache_hit", 10769);
       ("crypto.verify.cache_miss", 175);
       ("compact.unresolved", 23);
       ("radio.delivered", 19000);
     ];
   Alcotest.(check string) "metric snapshot"
-    "ce759a9851edd272904b07470f20866483afdc263273488fbe6bc4a0e24efb02"
+    "29a25332a568bd1ea2ca92d72344548a03ac1af9c81c570eaf0078e468a561bd"
     (snapshot_digest r.metrics);
   let latencies =
     String.concat ";"
@@ -128,7 +131,11 @@ let test_sampled_n64_pinned () =
    contention was batched, and the validation.rejected rows when a
    pending message stopped being re-validated against an unchanged V
    (turquois n=16 byzantine: phase 788 -> 148, value 10334 -> 2918;
-   ordered log: phase 346 -> 100, status 425 -> 187). *)
+   ordered log: phase 346 -> 100, status 425 -> 187). The
+   codec.decode.memo_* rows were re-recorded, and no other row moved,
+   when the store's decode memo shrank to the last payload decoded
+   (turquois n=16 byzantine: hits 1209 -> 1112, misses 80 -> 177;
+   ordered log: hits 787 -> 471, misses 286 -> 602). *)
 let pinned_snapshot name want snap =
   Alcotest.(check string) (name ^ " metric snapshot") want (snapshot_digest snap)
 
@@ -145,7 +152,7 @@ let test_snapshots_pinned () =
         (Obs.Metrics.counter_value byz ~labels "validation.rejected"))
     [ ([ ("rule", "phase") ], 148); ([ ("rule", "value") ], 2918); ([ ("rule", "status") ], 1) ];
   Alcotest.(check int) "mac.replaced" 1 (Obs.Metrics.counter_value byz "mac.replaced");
-  pinned_snapshot "turquois n=16 byzantine" "b0eae42c32dbcceeed56e8ee27f425e944583c6c9b0d633667f83c0e865b20d9" byz;
+  pinned_snapshot "turquois n=16 byzantine" "880d479c232024049217aed34bc43f70b2fd29ce90939a4c2c6c87bc02828291" byz;
   pinned_snapshot "bracha n=7 byzantine" "81d6e3769c0f716f35f95c412890fcd0a6970e77aef8102bd8561d424718b99b"
     (runner Harness.Runner.Bracha 7 Net.Fault.Byzantine 2L);
   pinned_snapshot "abba n=4" "9fda3b1ec19f537eb715b041a1e318e10121b8342feb5069a4981c7eb2d722c6" (runner Harness.Runner.Abba 4 Net.Fault.Failure_free 2L)
@@ -183,7 +190,7 @@ let test_ordered_log_snapshot_pinned () =
   Alcotest.(check int) "every slot delivered" 8 delivered;
   Alcotest.(check bool) "covers log.*" true
     (Obs.Metrics.counter_value snap "log.payload.certified" > 0);
-  pinned_snapshot "ordered log n=4" "608c6967fb372b11073f8b47384d83fcb335f5f8457d0db6be4a5c2b08742e30" snap
+  pinned_snapshot "ordered log n=4" "9a65531544d8fe5daa4d54c6bf2ba0452d3c61af5e76a1729fdf8dd514d468ec" snap
 
 (* --- observer-only bookkeeping allocates nothing per event ------------------- *)
 
@@ -355,6 +362,190 @@ let test_digest_memo_rejects_forged_proof () =
   Alcotest.(check int) "two misses" 2
     (Obs.Metrics.counter_value snap "crypto.verify.cache_miss")
 
+(* --- mutated frames on the receive path ------------------------------------ *)
+
+module D = Harness.Abstract_rounds.Driven
+
+let walk_horizon = 6
+
+let fresh_sim n =
+  D.create ~n ~k:(P.default_config ~n).k ~dist:Harness.Runner.Divergent ~horizon:walk_horizon
+    ~rng:(Util.Rng.create ~seed:(Int64.of_int n)) ()
+
+(* The wire frames of Driven walks at n=4 and n=7, tagged with n. Each
+   round, every machine's broadcast is emitted and encoded twice by a
+   clone, so the walk itself stays in step: the first encode ships its
+   bundle in full (format 0), the second names the entries the first
+   shipped by digest (format 1). *)
+let walk_frames =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun n ->
+            let sim = fresh_sim n in
+            List.concat
+              (List.init walk_horizon (fun round ->
+                   let frames =
+                     List.concat
+                       (List.init n (fun i ->
+                            let c = Core.Machine.clone (D.machine sim i) in
+                            match Core.Machine.emit c ~justify:true with
+                            | Core.Machine.Broadcast env ->
+                                let first = Core.Machine.encode_envelope c env in
+                                [ (n, first); (n, Core.Machine.encode_envelope c env) ]
+                            | Core.Machine.Per_receiver _ | Core.Machine.Quiet -> []))
+                   in
+                   (* one receiver misses each round's first sender, so
+                      bundles keep growing past the fastest deciders *)
+                   D.step sim ~drops:[ (round mod n, (round + 1) mod n) ] ~byz:[];
+                   frames)))
+          [ 4; 7 ]))
+
+type mutation =
+  | Intact
+  | Flip of int * int  (** position, bit *)
+  | Truncate of int  (** new length *)
+  | Splice of int * int * int  (** prefix length, other frame, its suffix start *)
+  | Oversize_proof of int  (** the proof length past the bytes left, by this much *)
+  | Oversize_count of int  (** the entry count past the entries shipped, by this much *)
+
+let describe_mutation = function
+  | Intact -> "intact"
+  | Flip (p, b) -> Printf.sprintf "flip %d.%d" p b
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Splice (k, j, s) -> Printf.sprintf "splice %d+%d@%d" k j s
+  | Oversize_proof e -> Printf.sprintf "oversize proof +%d" e
+  | Oversize_count e -> Printf.sprintf "oversize count +%d" e
+
+(* Positions and frame choices are raw naturals reduced against the
+   frame they land on, so the generator needs no corpus. *)
+let gen_mutation =
+  QCheck.Gen.(
+    let* frame = nat in
+    let* m =
+      frequency
+        [
+          (1, return Intact);
+          (4, map2 (fun p b -> Flip (p, b)) nat (int_bound 7));
+          (2, map (fun k -> Truncate k) nat);
+          (2, map3 (fun k j s -> Splice (k, j, s)) nat nat nat);
+          (1, map (fun e -> Oversize_proof e) (oneof [ int_bound 3; int_bound 0xFFFFFF ]));
+          (1, map (fun e -> Oversize_count e) (oneof [ int_bound 3; int_bound 0xFFFF ]));
+        ]
+    in
+    return (frame, m))
+
+(* Offset of the frame message's u32 proof length: format byte, u16
+   sender, varint phase, value, origin and status bytes. *)
+let proof_length_at b =
+  let rec past_varint i =
+    if Char.code (Bytes.get b i) land 0x80 = 0 then i + 1 else past_varint (i + 1)
+  in
+  past_varint 3 + 3
+
+(* the walk frame a case starts from, and its mutant *)
+let mutate frames (frame, m) =
+  let n, base = frames.(frame mod Array.length frames) in
+  let len = Bytes.length base in
+  let b = Bytes.copy base in
+  let bytes =
+    match m with
+    | Intact -> b
+    | Flip (p, bit) ->
+        let p = p mod len in
+        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+        b
+    | Truncate k -> Bytes.sub b 0 (k mod len)
+    | Splice (k, j, s) ->
+        let _, o = frames.(j mod Array.length frames) in
+        let s = s mod (Bytes.length o + 1) in
+        Bytes.cat (Bytes.sub b 0 (k mod (len + 1))) (Bytes.sub o s (Bytes.length o - s))
+    | Oversize_proof e ->
+        let pos = proof_length_at b in
+        Bytes.set_int32_le b pos (Int32.of_int (min 0xFFFFFFFF (len - pos - 4 + 1 + e)));
+        b
+    | Oversize_count e ->
+        let pos = proof_length_at b in
+        let pos = pos + 4 + Int32.to_int (Bytes.get_int32_le b pos) in
+        Bytes.set_uint16_le b pos (min 0xFFFF (Bytes.get_uint16_le b pos + 1 + e));
+        b
+  in
+  (n, base, bytes)
+
+(* A frame as receivers see it, independent of any store's indices. *)
+let project store (fr : S.frame) =
+  {
+    Core.Message.wmsg = S.get store fr.S.msg;
+    wjust =
+      Array.to_list
+        (Array.map
+           (function
+             | S.Stored i -> Core.Message.Full (S.get store i)
+             | S.Unknown c -> Core.Message.Ref (S.candidates_digest c))
+           fr.S.just);
+  }
+
+let codec_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception (Util.Codec.Malformed _ | Util.Codec.Truncated) -> Error ()
+
+(* Hostile bytes through the real receive path: walk frames, bit-flipped,
+   truncated, spliced onto one another or given a length prefix past
+   their end. One store decodes the whole stream, each mutant right
+   after the walk frame it came from, as a receiver would meet a forgery
+   after the frame it imitates. [Msgstore.decode] raises only the
+   codec's two rejections, agrees with a fresh store's decode of the
+   same bytes, returns the very frame when called on them again, and
+   [Machine.handle_wire] on a fresh machine raises nothing. *)
+let qcheck_mutated_frames =
+  let store = lazy (S.create ()) in
+  QCheck.Test.make ~name:"mutated frames on the receive path" ~count:1000
+    (QCheck.make
+       ~print:(fun (f, m) -> Printf.sprintf "frame %d, %s" f (describe_mutation m))
+       gen_mutation)
+    (fun case ->
+      let frames = Lazy.force walk_frames in
+      let store = Lazy.force store in
+      let n, base, bytes = mutate frames case in
+      ignore (S.decode store base);
+      let fresh = S.create () in
+      let ours = codec_outcome (fun () -> S.decode store bytes) in
+      match (ours, codec_outcome (fun () -> S.decode fresh bytes)) with
+      | Error (), Error () -> true
+      | Ok fr, Ok fresh_fr ->
+          if project store fr <> project fresh fresh_fr then
+            QCheck.Test.fail_report "the stream's store and a fresh store disagree";
+          if S.decode store bytes != fr then
+            QCheck.Test.fail_report "the same bytes twice in a row gave two frames";
+          ignore
+            (Obs.Scope.with_run (fun () ->
+                 let m = D.machine (fresh_sim n) (fst case mod n) in
+                 Core.Machine.handle_wire m (S.decode (Core.Machine.store m) bytes)));
+          true
+      | Ok _, Error () | Error (), Ok _ ->
+          QCheck.Test.fail_report "the stream's store and a fresh store disagree on rejection")
+
+(* the walk corpus carries both wire formats, compact references included *)
+let test_walk_frames_cover_both_formats () =
+  let frames = Lazy.force walk_frames in
+  let format b = Char.code (Bytes.get b 0) in
+  let has_ref b =
+    List.exists
+      (function Core.Message.Ref _ -> true | Core.Message.Full _ -> false)
+      (Core.Message.decode_wire b).Core.Message.wjust
+  in
+  List.iter
+    (fun n ->
+      let of_n =
+        List.filter_map (fun (m, b) -> if m = n then Some b else None) (Array.to_list frames)
+      in
+      Alcotest.(check bool) (Printf.sprintf "format 0 at n=%d" n) true
+        (List.exists (fun b -> format b = 0) of_n);
+      Alcotest.(check bool) (Printf.sprintf "format 1 with references at n=%d" n) true
+        (List.exists (fun b -> format b = 1 && has_ref b) of_n))
+    [ 4; 7 ]
+
 (* --- sha256 fast path ------------------------------------------------------- *)
 
 let test_sha256_fast_path_matches_streaming () =
@@ -474,6 +665,9 @@ let suite =
         test_decode_cache_rejects_forged_prefix;
       Alcotest.test_case "digest memo rejects forged proof" `Quick
         test_digest_memo_rejects_forged_proof;
+      Alcotest.test_case "walk frames cover both formats" `Quick
+        test_walk_frames_cover_both_formats;
+      QCheck_alcotest.to_alcotest qcheck_mutated_frames;
       Alcotest.test_case "sha256 fast path" `Quick test_sha256_fast_path_matches_streaming;
       Alcotest.test_case "sha256 digest not aliased" `Quick test_sha256_digest_not_aliased;
       Alcotest.test_case "encode scratch fresh" `Quick test_encode_scratch_returns_fresh_bytes;

@@ -1,6 +1,6 @@
-(* Tests for the scalable subsystem: engine high-water marks, the slot
-   arena, deterministic samplers, the abstract medium, and the
-   sample-based broadcast/consensus protocols. *)
+(* Tests for the scalable subsystem: engine high-water marks,
+   deterministic samplers, the abstract medium, and the sample-based
+   broadcast/consensus protocols. *)
 
 let test_engine_peaks () =
   let engine = Net.Engine.create () in
@@ -20,31 +20,6 @@ let test_engine_peaks () =
   Alcotest.(check int) "peak moves" 5 (Net.Engine.live_peak engine);
   Alcotest.(check bool) "queued peak >= live peak" true
     (Net.Engine.queued_peak engine >= Net.Engine.live_peak engine)
-
-(* --- arena -------------------------------------------------------------- *)
-
-let test_arena () =
-  let arena = Scale.Arena.create ~capacity:2 (fun () -> ref 0) in
-  let a = Scale.Arena.alloc arena in
-  let b = Scale.Arena.alloc arena in
-  Alcotest.(check int) "in use" 2 (Scale.Arena.in_use arena);
-  (Scale.Arena.get arena a) := 7;
-  Scale.Arena.free arena a;
-  Alcotest.(check int) "freed" 1 (Scale.Arena.in_use arena);
-  Alcotest.(check_raises) "get after free"
-    (Invalid_argument "Arena.get: slot is not allocated") (fun () ->
-      ignore (Scale.Arena.get arena a));
-  Alcotest.(check_raises) "double free"
-    (Invalid_argument "Arena.free: slot is not allocated") (fun () ->
-      Scale.Arena.free arena a);
-  let c = Scale.Arena.alloc arena in
-  Alcotest.(check int) "slot recycled" a c;
-  (* growth past the initial capacity *)
-  let extra = List.init 5 (fun _ -> Scale.Arena.alloc arena) in
-  Alcotest.(check bool) "grew" true (Scale.Arena.capacity arena >= 7);
-  Alcotest.(check int) "high water" 7 (Scale.Arena.high_water arena);
-  List.iter (Scale.Arena.free arena) (b :: c :: extra);
-  Alcotest.(check int) "drained" 0 (Scale.Arena.in_use arena)
 
 (* --- sampler ------------------------------------------------------------ *)
 
@@ -123,7 +98,7 @@ let test_medium_shared_payload () =
       Alcotest.(check bool) "physically shared buffer" true (bytes == payload))
     !received;
   Alcotest.(check int) "in flight drained" 0 (Scale.Medium.in_flight medium);
-  Alcotest.(check bool) "arena peak" true (Scale.Medium.arena_high_water medium >= 7);
+  Alcotest.(check int) "in-flight peak" 7 (Scale.Medium.in_flight_peak medium);
   let stats = Scale.Medium.stats medium in
   Alcotest.(check int) "delivered stat" 7 stats.delivered;
   Alcotest.(check bool) "airtime accounted" true (stats.airtime > 0.0)
@@ -316,7 +291,6 @@ let suite =
   ( "scale",
     [
       Alcotest.test_case "engine high-water marks" `Quick test_engine_peaks;
-      Alcotest.test_case "arena" `Quick test_arena;
       Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;
       Alcotest.test_case "sampler shape" `Quick test_sampler_shape;
       Alcotest.test_case "sampler inverse" `Quick test_sampler_inverse;
